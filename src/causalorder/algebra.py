@@ -98,6 +98,14 @@ _DUAL = {
 }
 
 
+def _class_code(c: Causality, mask: int) -> int:
+    """The SetClass value of a subset: 0 when incomplete, else bit 0 for
+    convergent and bit 1 for divergent."""
+    if not complete_mask(c, mask):
+        return 0
+    return convergent_mask(c, mask) | divergent_mask(c, mask) << 1
+
+
 def class_of_mask(c: Causality, mask: int) -> SetClass:
     """Classify a subset given as a bit-mask (memoized per causality)."""
     if c._class_table is not None:
@@ -105,13 +113,7 @@ def class_of_mask(c: Causality, mask: int) -> SetClass:
     hit = c._class_memo.get(mask)
     if hit is not None:
         return hit
-    if not complete_mask(c, mask):
-        cls = SetClass.NEITHER
-    else:
-        code = (1 if convergent_mask(c, mask) else 0) | (
-            2 if divergent_mask(c, mask) else 0
-        )
-        cls = SetClass(code)
+    cls = SetClass(_class_code(c, mask))
     c._class_memo[mask] = cls
     return cls
 
@@ -125,16 +127,12 @@ def classify(c: Causality, u: PointSet) -> SetClass:
 
 def _class_table(c: Causality) -> np.ndarray:
     if c._class_table is None:
+        # ENUMERATION_CAP also keeps every subset mask below 2^64, which
+        # the uint64 family arrays here and in reconstruction rely on.
         if c.n > config.ENUMERATION_CAP:
             raise GroundSetTooLarge(c.n, config.ENUMERATION_CAP, "subset enumeration")
-        table = np.zeros(1 << c.n, dtype=np.uint8)
-        for mask in range(1 << c.n):
-            if complete_mask(c, mask):
-                code = (1 if convergent_mask(c, mask) else 0) | (
-                    2 if divergent_mask(c, mask) else 0
-                )
-                table[mask] = code
-        c._class_table = table
+        codes = (_class_code(c, mask) for mask in range(1 << c.n))
+        c._class_table = np.fromiter(codes, np.uint8)
     return c._class_table
 
 
@@ -408,7 +406,8 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     Triples on which a needed union or intersection is undefined are
     counted as skipped, not passed.
     """
-    cached = c._law_reports.get("union_laws")
+    kinds = tuple(kinds)
+    cached = c._law_reports.get(("union_laws", kinds))
     if cached is not None:
         return cached
     _law_cap(c, "union-law verification")
@@ -533,7 +532,7 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
             if res.verdict == "fails":
                 break
         report.results.append(res)
-    c._law_reports["union_laws"] = report
+    c._law_reports["union_laws", kinds] = report
     return report
 
 

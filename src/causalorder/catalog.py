@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .order import Causality, validate_causality
+from .order import Causality, _closure, validate_causality
 
 __all__ = ["from_cover_pairs", "chain", "antichain", "diamond4", "star5", "grid"]
 
@@ -16,13 +16,10 @@ def from_cover_pairs(points: list[str], covers: list[tuple[str, str]]) -> Causal
     """
     n = len(points)
     index = {p: i for i, p in enumerate(points)}
-    rel = np.eye(n, dtype=bool)
+    rel = np.zeros((n, n), dtype=bool)
     for a, b in covers:
         rel[index[a], index[b]] = True
-    # Warshall closure; n is small everywhere this is used
-    for k in range(n):
-        rel |= np.outer(rel[:, k], rel[k, :])
-    return validate_causality(points, rel)
+    return validate_causality(points, _closure(rel))
 
 
 def chain(n: int, prefix: str = "") -> Causality:

@@ -18,7 +18,8 @@ import argparse
 import json
 import math
 import sys
-from typing import IO
+from contextlib import nullcontext
+from typing import ContextManager, IO
 
 from . import config
 from .algebra import verify_algebra_axioms, verify_union_laws
@@ -115,12 +116,12 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _open_out(path: str) -> IO[str]:
-    return sys.stdout if path == "-" else open(path, "w")
+def _open_out(path: str) -> ContextManager[IO[str]]:
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _load_json(path: str) -> dict:
-    with (sys.stdin if path == "-" else open(path)) as fp:
+    with (nullcontext(sys.stdin) if path == "-" else open(path)) as fp:
         return json.load(fp)
 
 

@@ -6,7 +6,7 @@ constants: raise them if you have the patience, or lower them from the
 command line with ``--max-n``.
 """
 
-# Hard cap on ground-set size: bit-mask subsets are kept word-sized.
+# Crossing-property scan only; subset masks are unbounded Python ints.
 MATRIX_CAP = 64
 
 # Full 2^n subset classification (single scans).

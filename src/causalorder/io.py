@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .order import Causality, validate_causality
+from .order import Causality, _closure, _compose, validate_causality
 
 __all__ = [
     "causality_to_dict",
@@ -47,10 +47,7 @@ def causality_from_dict(data: dict) -> Causality:
         n = len(points)
         if rel.shape != (n, n):
             raise ValueError("cover matrix must be square over the points")
-        closed = rel | np.eye(n, dtype=bool)
-        for k in range(n):
-            closed |= np.outer(closed[:, k], closed[k, :])
-        rel = closed
+        rel = _closure(rel)
     elif mode != "explicit":
         raise ValueError(f"unknown closure mode {mode!r}")
     return validate_causality(points, rel)
@@ -68,8 +65,7 @@ def load_causality(fp: IO[str]) -> Causality:
 def cover_relation(c: Causality) -> list[tuple[str, str]]:
     """The transitive reduction: pairs x < y with nothing strictly between."""
     strict = c.relation & ~np.eye(c.n, dtype=bool)
-    via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    cov = strict & ~via
+    cov = strict & ~_compose(strict, strict)
     return [
         (c.points[i], c.points[j]) for i, j in np.argwhere(cov)
     ]

@@ -79,10 +79,9 @@ class Causality:
         self.points = pts
         self.relation = rel
         self.index = {p: i for i, p in enumerate(pts)}
-        n = len(pts)
-        self.succ_masks = [_row_mask(rel[i, :]) for i in range(n)]
-        self.pred_masks = [_row_mask(rel[:, j]) for j in range(n)]
-        self.full_mask = (1 << n) - 1
+        self.succ_masks = _row_masks(rel)
+        self.pred_masks = _row_masks(rel.T)
+        self.full_mask = (1 << len(pts)) - 1
         # caches filled lazily by other modules
         self._reversed: Causality | None = None
         self._class_table = None
@@ -90,7 +89,7 @@ class Causality:
         self._families: dict[object, object] = {}
         self._union_cache: dict[tuple[int, int, object], tuple[str, int]] = {}
         self._crossing = None
-        self._law_reports: dict[str, object] = {}
+        self._law_reports: dict[object, object] = {}
 
     @property
     def n(self) -> int:
@@ -119,11 +118,30 @@ class Causality:
         return f"Causality({self.n} points)"
 
 
-def _row_mask(row: np.ndarray) -> int:
-    m = 0
-    for i in np.flatnonzero(row):
-        m |= 1 << int(i)
-    return m
+# ---------------------------------------------------------------------------
+# The one boolean relation kernel: every product, closure and row mask
+# ---------------------------------------------------------------------------
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product: out[i, k] iff a[i, j] and b[j, k] for some j.  Exact
+    at any size: a float sum of non-negative terms never falls back to 0."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _closure(rel: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure by repeated squaring."""
+    closed = rel | np.eye(len(rel), dtype=bool)
+    while True:
+        squared = _compose(closed, closed)
+        if np.array_equal(squared, closed):
+            return closed
+        closed = squared
+
+
+def _row_masks(rel: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j set iff rel[i, j]."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def validate_matrix(relation: np.ndarray) -> None:
@@ -139,8 +157,7 @@ def validate_matrix(relation: np.ndarray) -> None:
     if sym.any():
         i, j = np.argwhere(sym)[0]
         raise NotAntisymmetric(int(i), int(j))
-    closure = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-    missing = closure & ~rel
+    missing = _compose(rel, rel) & ~rel
     if missing.any():
         i, k = np.argwhere(missing)[0]
         j = int(np.flatnonzero(rel[i, :] & rel[:, k])[0])

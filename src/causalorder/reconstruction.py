@@ -33,6 +33,7 @@ from .algebra import (
 )
 from .errors import (
     GroundSetTooLarge,
+    InvalidRelation,
     NotCongruentDecidable,
     NotRegular,
     TheoremViolation,
@@ -40,8 +41,10 @@ from .errors import (
 from .order import (
     Causality,
     PointSet,
+    _compose,
     has_crossing_property,
     reverse_structure,
+    validate_matrix,
 )
 
 __all__ = [
@@ -147,8 +150,7 @@ def _dense_witness(c: Causality, p: str, pair: RibbonPair, rib: Ribbon | None = 
     cb = np.array(cuts_b, dtype=np.uint64)
     sub_a = (x_arr[None, :] & ~ca[:, None]) == 0
     sub_b = (y_arr[None, :] & ~cb[:, None]) == 0
-    refinable = sub_a.astype(np.uint16) @ sub_b.astype(np.uint16).T
-    bad = np.argwhere(refinable == 0)
+    bad = np.argwhere(~_compose(sub_a, sub_b.T))
     if bad.size == 0:
         return None
     i, j = map(int, bad[0])
@@ -405,25 +407,13 @@ def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> Reco
 
 
 def _assert_partial_order(rel: np.ndarray, domain: list[str]) -> None:
-    k = len(domain)
-    for i in range(k):
-        if not rel[i, i]:
-            raise TheoremViolation(
-                f"reconstructed relation is not reflexive at {domain[i]}"
-            )
-    sym = rel & rel.T & ~np.eye(k, dtype=bool)
-    if sym.any():
-        i, j = np.argwhere(sym)[0]
+    try:
+        validate_matrix(rel)
+    except InvalidRelation as exc:
+        names = tuple(domain[i] for i in exc.witness)
         raise TheoremViolation(
-            f"reconstructed relation is not antisymmetric at ({domain[i]}, {domain[j]})"
-        )
-    closure = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-    missing = closure & ~rel
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
-        raise TheoremViolation(
-            f"reconstructed relation is not transitive at ({domain[i]}, {domain[j]})"
-        )
+            f"reconstructed relation is not a partial order at {names}: {exc}"
+        ) from exc
 
 
 def verify_reversal_theorem(c: Causality) -> LawReport:

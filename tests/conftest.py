@@ -174,6 +174,68 @@ def oracle_crossing(c):
     return True
 
 
+def oracle_compose(a, b):
+    """Relational composition {(i, k) : (i, j) in a and (j, k) in b}."""
+    after = {}
+    for j, k in b:
+        after.setdefault(j, set()).add(k)
+    return frozenset((i, k) for i, j in a for k in after.get(j, ()))
+
+
+def oracle_closure(n, pairs):
+    """Reflexive-transitive closure of index pairs, by search from each point."""
+    after = {}
+    for i, j in pairs:
+        after.setdefault(i, set()).add(j)
+    out = set()
+    for i in range(n):
+        seen, stack = {i}, [i]
+        while stack:
+            for k in after.get(stack.pop(), ()):
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        out.update((i, k) for k in seen)
+    return frozenset(out)
+
+
+def oracle_cover(c):
+    """Pairs x < y with no z strictly between them."""
+    above = {x: set() for x in c.points}
+    below = {x: set() for x in c.points}
+    for x, y in oracle_leq(c):
+        if x != y:
+            above[x].add(y)
+            below[y].add(x)
+    return frozenset(
+        (x, y) for x in c.points for y in above[x] if not above[x] & below[y]
+    )
+
+
+def pairs_of(matrix):
+    """The true cells of a boolean matrix as a frozenset of index pairs."""
+    return frozenset(map(tuple, np.argwhere(matrix).tolist()))
+
+
+def matrix_of(n, pairs):
+    rel = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        rel[i, j] = True
+    return rel
+
+
+def fan_relation(width):
+    """Reflexive relation on width + 2 points: point 0 precedes each of
+    the middle points 1..width, each of which precedes the last point,
+    but point 0 does not precede the last point.  Not transitive; it has
+    ``width`` two-step paths from the first point to the last."""
+    n = width + 2
+    rel = np.eye(n, dtype=bool)
+    rel[0, 1:n - 1] = True
+    rel[1:n - 1, n - 1] = True
+    return rel
+
+
 def random_poset(n, p_edge, rng):
     """Random DAG over a fixed order, transitively closed."""
     rel = np.eye(n, dtype=bool)

@@ -334,6 +334,16 @@ def test_law_skips_counted_on_star5(l5):
     assert res.skipped > 0  # pairs like {tl},{tr} have no convergent superset
 
 
+def test_law_cache_keeps_kinds_apart(chain3):
+    laws = ("I", "II", "III", "IV", "V", "VI")
+    conv = co.verify_union_laws(chain3, kinds=(Kind.CONVERGENT,))
+    assert [r.law for r in conv.results] == [f"{law}[convergent]" for law in laws]
+    both = co.verify_union_laws(chain3)
+    assert [r.law for r in both.results] == [
+        f"{law}[{tag}]" for tag in ("convergent", "divergent") for law in laws
+    ]
+
+
 def test_law_report_json_shape(chain3):
     doc = co.verify_union_laws(chain3).to_dict()
     assert {"subject", "all_hold", "results"} <= doc.keys()

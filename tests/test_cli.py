@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
 import causalorder as co
 from causalorder.cli import main
+
+from conftest import fan_relation
 
 
 def run(*argv):
@@ -108,6 +112,15 @@ def test_verify_broken_relation_exits_2(tmp_path):
     assert run("verify", "--input", str(path)) == 2
 
 
+def test_verify_relation_behind_256_paths_exits_2(tmp_path):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "points": [f"p{i}" for i in range(258)],
+        "relation": fan_relation(256).astype(int).tolist(),
+    }))
+    assert run("verify", "--input", str(path), "--output", str(tmp_path / "r")) == 2
+
+
 def test_verify_cap_exits_3(l33_file):
     assert run("verify", "--input", l33_file, "--max-n", "5") == 3
 
@@ -178,3 +191,24 @@ def test_entropy_with_mc_check(tmp_path):
 def test_entropy_1plus1_apex_rejected(tmp_path):
     assert run("entropy", "--t", "1", "--apex", "0,0",
                "--output", str(tmp_path / "e.json")) == 2
+
+
+# ---------------------------------------------------------------------------
+# standard streams
+# ---------------------------------------------------------------------------
+
+def test_stdout_output_leaves_stdout_open(capsys):
+    assert run("entropy", "--t", "1", "--output", "-") == 0
+    assert run("entropy", "--t", "1", "--output", "-") == 0
+    assert not sys.stdout.closed
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+
+def test_stdin_input_leaves_stdin_open(monkeypatch, chain3, tmp_path):
+    stdin = io.StringIO(json.dumps(co.causality_to_dict(chain3)))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out = tmp_path / "rec.json"
+    assert run("reconstruct", "--input", "-", "--output", str(out)) == 0
+    assert not stdin.closed
+    assert json.loads(out.read_text())["diagnostics"].keys() == {"a", "b", "c"}

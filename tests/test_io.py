@@ -69,6 +69,13 @@ def test_cover_relation_is_transitive_reduction(l33):
     assert len(covers) == 12  # 2 * nu * nv - nu - nv for a 3x3 grid
 
 
+def test_cover_relation_of_long_chain():
+    # p0 < p257 has 256 paths through one middle point: a uint8 path
+    # count wraps to 0 there and reports a spurious cover.
+    covers = co.cover_relation(co.chain(258, prefix="p"))
+    assert covers == [(f"p{i}", f"p{i + 1}") for i in range(257)]
+
+
 def test_dot_export(d4):
     dot = co.to_dot(d4, name="d4")
     assert dot.startswith("digraph d4 {")

@@ -11,6 +11,7 @@ import causalorder as co
 from causalorder import Direction, OrderReversal, PointSet
 
 from conftest import (
+    fan_relation,
     oracle_complete,
     oracle_convergent,
     oracle_crossing,
@@ -41,6 +42,15 @@ def test_validate_rejects_missing_closure():
     with pytest.raises(co.NotTransitive) as exc:
         co.validate_causality(["a", "b", "c"], rel)
     assert exc.value.witness == (0, 1, 2)
+
+
+def test_validate_rejects_missing_closure_behind_256_paths():
+    # 256 two-step paths from the first point to the last: a uint8 path
+    # count wraps to 0 here and would accept the relation.
+    with pytest.raises(co.NotTransitive) as exc:
+        co.validate_causality([f"p{i}" for i in range(258)], fan_relation(256))
+    i, j, k = exc.value.witness
+    assert (i, k) == (0, 257) and 1 <= j <= 256
 
 
 def test_validate_rejects_missing_diagonal():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Kind, SetClass
-from causalorder.reconstruction import _congruent_masks
+from causalorder.reconstruction import _assert_partial_order, _congruent_masks
 
 from conftest import random_poset
 
@@ -293,3 +293,9 @@ def test_congruence_decidable_or_flagged_random(seed, n, p_edge):
                 except co.NotCongruentDecidable:
                     continue
                 assert verdict in (True, False)
+
+
+def test_non_partial_order_names_domain_points():
+    rel = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    with pytest.raises(co.TheoremViolation, match=r"\('x', 'y', 'z'\)"):
+        _assert_partial_order(rel, ["x", "y", "z"])
