@@ -26,14 +26,12 @@ from .errors import (
 from .order import (
     Causality,
     Direction,
-    OrderReversal,
     PointSet,
     bits,
     complete_mask,
     convergent_mask,
     divergent_mask,
     has_crossing_property,
-    reverse,
     reverse_structure,
 )
 
@@ -547,9 +545,12 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     Covered: the empty set and all singletons belong to both families;
     both families are closed under pairwise intersection and under every
     defined causal union (undefined unions are counted as skipped);
-    reversal swaps the two families, fixes the empty set, and commutes
-    with intersection and plain union on family members; and the union
-    laws hold (delegated to verify_union_laws).
+    reversal swaps the two families; and the union laws hold (delegated
+    to verify_union_laws).
+
+    Not scanned: structural reversal keeps every mask, so the image of
+    the empty set is empty and images commute with intersection and
+    plain union.  Any bijective point map commutes with both as well.
     """
     cached = c._law_reports.get("algebra_axioms")
     if cached is not None:
@@ -617,30 +618,6 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
         family_masks(c, Kind.DIVERGENT) != family_masks(rev, Kind.CONVERGENT)
     ):
         res = _fail(res.law, 2, 0)
-    report.results.append(res)
-
-    res = LawResult("reversal-fixes-empty-set", "holds", checked=1)
-    image = reverse(c, OrderReversal.structural(), PointSet(c, 0))
-    if image.mask != 0 or image.parent is not rev:
-        res = _fail(res.law, 1, 0)
-    report.results.append(res)
-
-    res = LawResult("reversal-commutes-with-meet-join", "holds")
-    structural = OrderReversal.structural()
-    fam_all = sorted(set(family_masks(c, Kind.CONVERGENT)) | set(family_masks(c, Kind.DIVERGENT)))
-    for a in fam_all:
-        img_a = reverse(c, structural, PointSet(c, a))
-        for b in fam_all:
-            img_b = reverse(c, structural, PointSet(c, b))
-            res.checked += 1
-            if (
-                reverse(c, structural, PointSet(c, a & b)).mask != (img_a & img_b).mask
-                or reverse(c, structural, PointSet(c, a | b)).mask != (img_a | img_b).mask
-            ):
-                res = _fail(res.law, res.checked, 0, a=c.ids_of(a), b=c.ids_of(b))
-                break
-        if res.verdict == "fails":
-            break
     report.results.append(res)
 
     laws = verify_union_laws(c)

@@ -37,9 +37,24 @@ def causality_to_dict(c: Causality) -> dict:
     }
 
 
+def _relation_matrix(rows) -> np.ndarray:
+    """The relation of a file as a bool matrix.  Entries must be 0 or 1
+    (JSON true and false count as 1 and 0); anything else raises
+    ValueError naming the first bad entry."""
+    rel = np.asarray(rows)
+    if rel.dtype.kind in "biuf" and ((rel == 0) | (rel == 1)).all():
+        return rel.astype(bool)
+    if rel.ndim == 2:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if not isinstance(v, (int, float)) or v not in (0, 1):
+                    raise ValueError(f"relation entry ({i}, {j}) is {v!r}, not 0 or 1")
+    raise ValueError("relation must be a matrix of 0 and 1 entries")
+
+
 def causality_from_dict(data: dict) -> Causality:
     points = [str(p) for p in data["points"]]
-    rel = np.asarray(data["relation"], dtype=bool)
+    rel = _relation_matrix(data["relation"])
     if not points:
         rel = rel.reshape(0, 0)
     mode = data.get("closure", "explicit")
@@ -74,9 +89,10 @@ def cover_relation(c: Causality) -> list[tuple[str, str]]:
 def to_dot(c: Causality, name: str = "causality") -> str:
     """DOT digraph of the cover diagram, edges pointing up the order."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    quoted = {p: '"' + p.replace('"', '\\"') + '"' for p in c.points}
     for p in c.points:
-        lines.append(f'  "{p}";')
+        lines.append(f"  {quoted[p]};")
     for a, b in cover_relation(c):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {quoted[a]} -> {quoted[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -112,6 +112,13 @@ def test_verify_broken_relation_exits_2(tmp_path):
     assert run("verify", "--input", str(path)) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_relation_entry_2_exits_2(tmp_path, command):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "relation": [[1, 2], [0, 1]]}))
+    assert run(command, "--input", str(path), "--output", str(tmp_path / "r")) == 2
+
+
 def test_verify_relation_behind_256_paths_exits_2(tmp_path):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({

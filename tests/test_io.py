@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,3 +84,25 @@ def test_dot_export(d4):
     assert '"p" -> "s";' not in dot  # only cover edges
     data = json.dumps(dot)  # sanity: plain serializable text
     assert "->" in data
+
+
+def test_dot_escapes_quotes_in_ids():
+    c = co.from_cover_pairs(['a"b', "c"], [('a"b', "c")])
+    dot = co.to_dot(c)
+    assert '  "a\\"b";' in dot.splitlines()
+    assert '  "a\\"b" -> "c";' in dot.splitlines()
+
+
+@pytest.mark.parametrize("entry", [2, 0.5, -1, "1"], ids=repr)
+def test_relation_entries_other_than_0_and_1_rejected(entry):
+    doc = {"points": ["a", "b"], "relation": [[1, entry], [0, 1]]}
+    with pytest.raises(ValueError, match=re.escape(f"(0, 1) is {entry!r}")):
+        co.causality_from_dict(doc)
+
+
+def test_relation_entries_may_be_json_booleans(chain3):
+    doc = json.loads(json.dumps(
+        {"points": ["a", "b", "c"], "relation": chain3.relation.tolist()}))
+    assert doc["relation"][0] == [True, True, True]
+    c = co.causality_from_dict(doc)
+    assert np.array_equal(c.relation, chain3.relation)

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder import Kind
+from causalorder import Kind, PointSet
+
+from conftest import random_poset
 
 
 def _perturbed(c, overrides, kind=Kind.DIVERGENT):
@@ -168,8 +173,8 @@ def test_monotonicity_of_passing_measures(chain3, d4, l5, l33):
         assert co.verify_measure_axioms(c, m).all_hold
         report = co.check_monotonicity(c, m)
         assert report.all_hold
-        for law in ("family-pairs", "inner-extension", "outer-extension"):
-            assert report.result(law).verdict == "holds"
+        assert report.result("family-pairs").verdict == "holds"
+        assert [r.law for r in report.results] == ["family-pairs"]
 
 
 def test_monotonicity_detects_decreasing_table(d4):
@@ -178,6 +183,37 @@ def test_monotonicity_detects_decreasing_table(d4):
     # {p, r} ⊂ {p, q, r} but 5 > 1
     report = co.check_monotonicity(d4, bad)
     assert report.result("family-pairs").verdict == "fails"
+
+
+def test_monotonicity_holds_on_equal_negative_values(d4):
+    # sigma_b * (1 + rtol) lies below sigma_b when sigma_b < 0, so a
+    # multiplicative tolerance flags a = b as a decrease
+    table = {m: -1.0 for m in co.constant_measure(d4).table}
+    report = co.check_monotonicity(d4, co.CausalMeasure(d4, Kind.DIVERGENT, table))
+    assert report.result("family-pairs").verdict == "holds"
+
+
+_SIGMAS = st.one_of(
+    st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.1, 0.7),
+       st.sampled_from([Kind.DIVERGENT, Kind.CONVERGENT]), st.data())
+def test_extensions_monotone_under_inclusion(seed, n, p_edge, kind, data):
+    """check_monotonicity does not scan the extensions: they are monotone
+    for any table, negative, infinite and NaN entries included."""
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    fam = [u.mask for u in co.enumerate_causal_sets(c, kind)]
+    table = dict(zip(fam, data.draw(st.lists(_SIGMAS, min_size=len(fam), max_size=len(fam)))))
+    m = co.CausalMeasure(c, kind, table)
+    for fn in (co.inner_measure_value, co.outer_measure_value):
+        values = [fn(c, m, PointSet(c, mask)) for mask in range(1 << n)]
+        assert not any(math.isnan(v) for v in values)
+        for a in range(1 << n):
+            for b in range(1 << n):
+                if a & ~b == 0:
+                    assert values[a] <= values[b], (fn.__name__, a, b)
 
 
 # ---------------------------------------------------------------------------
