@@ -79,9 +79,10 @@ class Kind(Enum):
 
 
 # class code bit 0 = convergent family, bit 1 = divergent family
+# (each test takes an int code or a uint8 array of codes)
 _KIND_TEST = {
-    Kind.CONVERGENT: lambda code: bool(code & 1),
-    Kind.DIVERGENT: lambda code: bool(code & 2),
+    Kind.CONVERGENT: lambda code: code & 1 != 0,
+    Kind.DIVERGENT: lambda code: code & 2 != 0,
     Kind.BOTH: lambda code: code == 3,
     Kind.STRICTLY_CONVERGENT: lambda code: code == 1,
     Kind.STRICTLY_DIVERGENT: lambda code: code == 2,
@@ -123,33 +124,94 @@ def classify(c: Causality, u: PointSet) -> SetClass:
     return class_of_mask(c, u.mask)
 
 
+# Subset bits whose OR tables _complete_masks builds whole; the remaining
+# high bits are walked one block of 2^_LOW_BITS subsets at a time, so the
+# temporaries stay at a few 2^_LOW_BITS-word arrays for any n.
+_LOW_BITS = 14
+
+
+def _or_table(masks: list[int]) -> np.ndarray:
+    """``t[s]`` = OR of ``masks[i]`` over the set bits i of s, for every
+    s < 2^len(masks), built by doubling."""
+    t = np.zeros(1, dtype=np.uint64)
+    for m in masks:
+        t = np.concatenate((t, t | np.uint64(m)))
+    return t
+
+
+def _complete_masks(c: Causality) -> np.ndarray:
+    """Every causally complete subset mask, ascending.
+
+    The down-set ↓S (OR of pred_masks over S) meets the up-set ↑S (OR of
+    succ_masks over S) in exactly the union of the diamonds between
+    members of S, which contains S; so S is complete iff ↓S ∩ ↑S = S.
+    """
+    low = min(c.n, _LOW_BITS)
+    down_lo, up_lo = _or_table(c.pred_masks[:low]), _or_table(c.succ_masks[:low])
+    down_hi, up_hi = _or_table(c.pred_masks[low:]), _or_table(c.succ_masks[low:])
+    lo = np.arange(1 << low, dtype=np.uint64)
+    blocks = []
+    for h in range(len(down_hi)):
+        s = lo | np.uint64(h << low)
+        blocks.append(s[((down_lo | down_hi[h]) & (up_lo | up_hi[h])) == s])
+    return np.concatenate(blocks)
+
+
+def _bounded(c: Causality, masks: np.ndarray, bound_masks: list[int]) -> np.ndarray:
+    """Which ``masks`` hold, for each unrelated pair of members, a common
+    bound: a point of ``bound_masks[x] & bound_masks[y]`` inside."""
+    ok = np.ones(masks.shape, dtype=bool)
+    rel = c.relation
+    for x, y in zip(*np.nonzero(np.triu(~(rel | rel.T)))):
+        pair = np.uint64(1 << int(x) | 1 << int(y))
+        common = np.uint64(bound_masks[x] & bound_masks[y])
+        ok &= ((masks & pair) != pair) | ((masks & common) != 0)
+    return ok
+
+
 def _class_table(c: Causality) -> np.ndarray:
+    """The SetClass value of every subset, indexed by mask (cached).
+
+    Completeness is read off OR tables of the row masks (↓S ∩ ↑S = S,
+    see _complete_masks) in O(2^n) numpy word operations; convergence and
+    divergence are then tested on the complete masks only, one unrelated
+    pair at a time.  At n = 20 this takes milliseconds, and the 2^n-byte
+    table is the largest allocation.
+    """
     if c._class_table is None:
         # ENUMERATION_CAP also keeps every subset mask below 2^64, which
-        # the uint64 family arrays here and in reconstruction rely on.
+        # the uint64 arrays here and in reconstruction rely on.
         if c.n > config.ENUMERATION_CAP:
             raise GroundSetTooLarge(c.n, config.ENUMERATION_CAP, "subset enumeration")
-        codes = (_class_code(c, mask) for mask in range(1 << c.n))
-        c._class_table = np.fromiter(codes, np.uint8)
+        complete = _complete_masks(c)
+        conv = _bounded(c, complete, c.succ_masks)
+        div = _bounded(c, complete, c.pred_masks)
+        table = np.zeros(1 << c.n, dtype=np.uint8)
+        table[complete] = conv | div.astype(np.uint8) << 1
+        c._class_table = table
     return c._class_table
 
 
 def family_masks(c: Causality, kind: Kind) -> list[int]:
-    """All subset masks of the requested kind, ascending (cached)."""
+    """All subset masks of the requested kind, ascending (cached, along
+    with the uint64 array of the same masks that causal unions scan)."""
     hit = c._families.get(kind)
     if hit is None:
-        table = _class_table(c)
-        test = _KIND_TEST[kind]
-        hit = [m for m in range(1 << c.n) if test(int(table[m]))]
-        c._families[kind] = hit
+        sel = np.flatnonzero(_KIND_TEST[kind](_class_table(c)))
+        c._families["arr", kind] = sel.astype(np.uint64)
+        hit = c._families[kind] = sel.tolist()
     return hit
 
 
 def enumerate_causal_sets(c: Causality, kind: Kind) -> list[PointSet]:
     """Materialize every subset with the requested classification.
 
-    Exhaustive 2^n scan, capped at ENUMERATION_CAP points; results come
-    in ascending bit-mask order.
+    Reads the 2^n subset classification table, capped at ENUMERATION_CAP
+    points: a subset S is complete iff ↓S ∩ ↑S = S (the points below some
+    member and above some member are exactly S), which numpy checks for
+    all 2^n subsets in milliseconds at n = 20; convergence and divergence
+    are tested on the complete subsets only.  Results come in ascending
+    bit-mask order.
     """
     return [PointSet(c, m) for m in family_masks(c, kind)]
 
@@ -180,11 +242,10 @@ _NOT_CLOSED = "not_closed"
 
 
 def _family_array(c: Causality, kind: Kind) -> np.ndarray:
-    key = ("arr", kind)
-    hit = c._families.get(key)
+    hit = c._families.get(("arr", kind))
     if hit is None:
-        hit = np.array(family_masks(c, kind), dtype=np.uint64)
-        c._families[key] = hit
+        family_masks(c, kind)
+        hit = c._families["arr", kind]
     return hit
 
 

@@ -13,6 +13,7 @@ relation and the loader computes the reflexive-transitive closure.
 from __future__ import annotations
 
 import json
+import re
 from typing import IO
 
 import numpy as np
@@ -86,8 +87,22 @@ def cover_relation(c: Causality) -> list[tuple[str, str]]:
     ]
 
 
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
 def to_dot(c: Causality, name: str = "causality") -> str:
-    """DOT digraph of the cover diagram, edges pointing up the order."""
+    """DOT digraph of the cover diagram, edges pointing up the order.
+
+    ``name`` must be a DOT identifier (letters, digits and underscores,
+    not starting with a digit, not a DOT keyword).  Point ids are quoted
+    with each ``"`` escaped; an id ending in a backslash is rejected,
+    because DOT has no escape that can end a quoted string after one.
+    """
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name.lower() in _DOT_KEYWORDS:
+        raise ValueError(f"graph name {name!r} is not a DOT identifier")
+    for p in c.points:
+        if p.endswith("\\"):
+            raise ValueError(f"point id {p!r} ends in a backslash, which DOT cannot quote")
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     quoted = {p: '"' + p.replace('"', '\\"') + '"' for p in c.points}
     for p in c.points:

@@ -9,15 +9,19 @@ freeze the failing triples and re-verify them with the naive oracle.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder import Direction, Kind, PointSet, SetClass
+from causalorder import Direction, Kind, PointSet, SetClass, config
+from causalorder.algebra import _class_code, _class_table, family_masks
 
 from conftest import (
+    NOT_DENSE_7_RELATION,
     oracle_causal_union,
     oracle_class,
     oracle_family,
@@ -96,6 +100,59 @@ def test_enumeration_both_appears_in_both_families(l33):
 def test_enumeration_cap():
     with pytest.raises(co.GroundSetTooLarge):
         co.enumerate_causal_sets(co.antichain(21), Kind.BOTH)
+
+
+def test_enumeration_cap_checked_before_allocation():
+    c = co.antichain(config.ENUMERATION_CAP + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(co.GroundSetTooLarge):
+            _class_table(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c._class_table is None
+    assert peak < 64 * 1024  # the 2^21-byte table, or one OR table, would show
+
+
+def _per_mask_table(c):
+    return np.array([_class_code(c, m) for m in range(1 << c.n)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: co.grid(4, 4),
+    co.star5,
+    lambda: co.validate_causality([f"v{i}" for i in range(7)], np.array(NOT_DENSE_7_RELATION, dtype=bool)),
+    lambda: co.antichain(12),
+    lambda: co.chain(16),
+    lambda: co.antichain(0),
+    lambda: co.chain(1),
+], ids=["grid44", "star5", "not_dense_7", "antichain12", "chain16", "n0", "n1"])
+def test_class_table_equals_per_mask_codes(make):
+    c = make()
+    table = _class_table(c)
+    assert table.dtype == np.uint8
+    np.testing.assert_array_equal(table, _per_mask_table(c))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.floats(0.0, 0.8))
+def test_class_table_matches_oracle(seed, n, p_edge):
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    table = _class_table(c)
+    assert len(table) == 1 << n
+    for mask in range(1 << n):
+        assert SetClass(int(table[mask])).name.lower() == oracle_class(c, set(c.ids_of(mask)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.floats(0.0, 0.8))
+def test_family_masks_ascending_and_match_oracle(seed, n, p_edge):
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    for kind in Kind:
+        masks = family_masks(c, kind)
+        assert masks == sorted(masks)
+        assert {frozenset(c.ids_of(m)) for m in masks} == set(oracle_family(c, kind.value))
 
 
 def test_star5_strict_convergent_example(l5):

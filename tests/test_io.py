@@ -93,6 +93,29 @@ def test_dot_escapes_quotes_in_ids():
     assert '  "a\\"b" -> "c";' in dot.splitlines()
 
 
+def test_dot_rejects_id_ending_in_backslash():
+    c = co.from_cover_pairs(["a\\", "b"], [("a\\", "b")])
+    with pytest.raises(ValueError, match=re.escape("'a\\\\'")):
+        co.to_dot(c)
+
+
+def test_dot_keeps_backslash_inside_id():
+    c = co.from_cover_pairs(['a\\"b', "c"], [('a\\"b', "c")])
+    # DOT reads \\ as two characters and \" as a quote: the id is a\"b
+    assert '  "a\\\\"b" -> "c";' in co.to_dot(c).splitlines()
+
+
+@pytest.mark.parametrize("name", ["my graph", "1st", "", "a-b", "x\n", "Graph", "strict"])
+def test_dot_rejects_name_that_is_not_an_identifier(d4, name):
+    with pytest.raises(ValueError, match="not a DOT identifier"):
+        co.to_dot(d4, name=name)
+
+
+def test_dot_default_header_unchanged(d4):
+    assert co.to_dot(d4).splitlines()[:2] == ["digraph causality {", "  rankdir=BT;"]
+    assert co.to_dot(d4, name="_d4_x").startswith("digraph _d4_x {\n")
+
+
 @pytest.mark.parametrize("entry", [2, 0.5, -1, "1"], ids=repr)
 def test_relation_entries_other_than_0_and_1_rejected(entry):
     doc = {"points": ["a", "b"], "relation": [[1, entry], [0, 1]]}
