@@ -42,8 +42,10 @@ try:
 except co.NoCausalSuperset as exc:
     print("undefined union:", exc)
 
-# Law verification.  I (containment), II (idempotence), III (associativity)
-# and VI (reversal equivariance) hold; IV and V (distributivity) fail.
+# Law verification.  I (containment), II (idempotence) and III
+# (associativity) hold; IV and V (distributivity) fail.  Reversal
+# equivariance (VI) is proved, not scanned: structural reversal keeps every
+# mask and swaps the two families.
 chain3 = co.chain(3)
 report = co.verify_union_laws(chain3)
 print("\nunion laws on a three-chain:")

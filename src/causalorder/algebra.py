@@ -249,26 +249,39 @@ def _family_array(c: Causality, kind: Kind) -> np.ndarray:
     return hit
 
 
+# The AND over no family member: every bit set, which no subset mask below
+# ENUMERATION_CAP points has.
+_NONE = np.uint64(2**64 - 1)
+
+
+def _unions(c: Causality, targets: np.ndarray, kind: Kind) -> tuple[np.ndarray, np.ndarray]:
+    """For each uint64 target: the AND of the family members that contain
+    it (_NONE when no member does), and whether that AND is of the kind.
+
+    The AND of every family superset is the target's closure in the
+    family, the smallest superset of the kind whenever it is of the kind
+    itself.  This is the only code that ANDs family supersets.
+    """
+    fam = _family_array(c, kind)
+    t = targets[:, None]
+    meets = np.bitwise_and.reduce(np.where((fam & t) == t, fam, _NONE), axis=1)
+    found = meets != _NONE
+    return meets, found & _KIND_TEST[kind](_class_table(c).take(meets, mode="clip"))
+
+
 def _union_mask(c: Causality, a: int, b: int, kind: Kind) -> tuple[str, int]:
     """Smallest kind-superset of a | b, as (status, mask)."""
     key = (a, b, kind) if a <= b else (b, a, kind)
     hit = c._union_cache.get(key)
-    if hit is not None:
-        return hit
-    target = a | b
-    arr = _family_array(c, kind)
-    tgt = np.uint64(target)
-    sel = arr[(arr & tgt) == tgt]
-    if sel.size == 0:
-        out = (_NO_SUPERSET, 0)
-    else:
-        inter = int(np.bitwise_and.reduce(sel))
-        if _KIND_TEST[kind](class_of_mask(c, inter).value):
-            out = (_OK, inter)
+    if hit is None:
+        meets, closed = _unions(c, np.array([a | b], dtype=np.uint64), kind)
+        meet = int(meets[0])
+        if closed[0]:
+            hit = (_OK, meet)
         else:
-            out = (_NOT_CLOSED, inter)
-    c._union_cache[key] = out
-    return out
+            hit = (_NO_SUPERSET, 0) if meet == _NONE else (_NOT_CLOSED, meet)
+        c._union_cache[key] = hit
+    return hit
 
 
 def _compatible_kind(cls_a: SetClass, cls_b: SetClass, kind: Kind) -> bool:
@@ -339,20 +352,22 @@ def intersect_causal(c: Causality, a: PointSet, b: PointSet) -> tuple[PointSet, 
 
     When the causality has the crossing property and both operands lie in
     one family, the intersection provably stays in that family; a
-    violation is surfaced as TheoremViolation, never absorbed.
+    violation is surfaced as TheoremViolation, never absorbed.  The
+    crossing property is consulted only when the intersection has left a
+    family holding both operands, the one case the theorem covers.
     """
     cls_a = class_of_mask(c, a.mask)
     cls_b = class_of_mask(c, b.mask)
     inter = a & b
     cls_i = class_of_mask(c, inter.mask)
-    if has_crossing_property(c).holds:
-        for kind in (Kind.CONVERGENT, Kind.DIVERGENT):
-            test = _KIND_TEST[kind]
-            if test(cls_a.value) and test(cls_b.value) and not test(cls_i.value):
-                raise TheoremViolation(
-                    f"crossing property holds but {a.ids()} ∩ {b.ids()} "
-                    f"is not {kind.value}"
-                )
+    for kind in (Kind.CONVERGENT, Kind.DIVERGENT):
+        test = _KIND_TEST[kind]
+        if (test(cls_a.value) and test(cls_b.value) and not test(cls_i.value)
+                and has_crossing_property(c).holds):
+            raise TheoremViolation(
+                f"crossing property holds but {a.ids()} ∩ {b.ids()} "
+                f"is not {kind.value}"
+            )
     return inter, cls_i
 
 
@@ -415,8 +430,23 @@ def _fail(law: str, checked: int, skipped: int, **ce) -> LawResult:
     return LawResult(law, "fails", ce, checked, skipped)
 
 
+def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, witness) -> LawResult:
+    """The result of scanning the ``scanned`` cells of a family table in
+    row-major order: ``checked`` cells count as checked and the others as
+    skipped, until the first ``bad`` one (a checked cell), which fails
+    with the counterexample ``witness(*cell)``."""
+    hits = np.flatnonzero(bad & scanned)
+    stop = int(hits[0]) + 1 if hits.size else None
+    n_scanned = int(np.count_nonzero(scanned.ravel()[:stop]))
+    n_checked = int(np.count_nonzero((scanned & checked).ravel()[:stop]))
+    if stop is None:
+        return LawResult(law, "holds", None, n_checked, n_scanned - n_checked)
+    cell = np.unravel_index(stop - 1, bad.shape)
+    return _fail(law, n_checked, n_scanned - n_checked, **witness(*cell))
+
+
 # ---------------------------------------------------------------------------
-# Union laws I-VI
+# Union laws I-V
 # ---------------------------------------------------------------------------
 
 def _law_cap(c: Causality, what: str) -> None:
@@ -424,46 +454,50 @@ def _law_cap(c: Causality, what: str) -> None:
         raise GroundSetTooLarge(c.n, config.LAW_SCAN_CAP, what)
 
 
-def _union_tables(c: Causality, kind: Kind):
-    """Family list plus union/intersection index matrices.
+def _index_in(fam: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The family index of each mask, or -1 where it is not a member."""
+    pos = np.minimum(np.searchsorted(fam, masks), len(fam) - 1)
+    return np.where(fam[pos] == masks, pos, -1)
 
-    U[i, j] holds the family index of the causal union of members i and j,
-    or -1 when the union is undefined (no superset / not closed).  I[i, j]
-    holds the family index of the plain intersection, or -1 when the
-    intersection leaves the family.
+
+def _union_tables(c: Causality, kind: Kind):
+    """The family's uint64 masks plus its f x f union tables (cached).
+
+    meets[i, j] is the AND of the family supersets of members i and j
+    (_NONE when there is none).  u_idx[i, j] holds the family index of
+    that AND, which is their causal union, or -1 when the union is
+    undefined (no superset / not closed).  i_idx[i, j] holds the family
+    index of the plain intersection, or -1 when it leaves the family.
     """
-    fam = family_masks(c, kind)
-    pos = {m: i for i, m in enumerate(fam)}
-    f = len(fam)
-    u_idx = np.full((f, f), -1, dtype=np.int64)
-    for i in range(f):
-        for j in range(i, f):
-            status, mask = _union_mask(c, fam[i], fam[j], kind)
-            if status == _OK:
-                u_idx[i, j] = u_idx[j, i] = pos[mask]
-    i_idx = np.full((f, f), -1, dtype=np.int64)
-    fam_arr = np.array(fam, dtype=np.uint64)
-    for i in range(f):
-        inter = fam_arr & fam_arr[i]
-        for j in range(f):
-            k = pos.get(int(inter[j]))
-            if k is not None:
-                i_idx[i, j] = k
-    return fam, u_idx, i_idx
+    hit = c._families.get(("unions", kind))
+    if hit is None:
+        fam = _family_array(c, kind)
+        meets = np.empty((len(fam), len(fam)), dtype=np.uint64)
+        for i in range(len(fam)):  # one row at a time: f x f temporaries
+            meets[i, i:] = meets[i:, i] = _unions(c, fam[i:] | fam[i], kind)[0]
+        hit = fam, meets, _index_in(fam, meets), _index_in(fam, fam[:, None] & fam)
+        c._families["unions", kind] = hit
+    return hit
 
 
 def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Kind.DIVERGENT)) -> LawReport:
-    """Exhaustively check the six causal-union laws over each family.
+    """Exhaustively check the causal-union laws I-V over each family.
 
     I    A, B are contained in their causal union
     II   the union is idempotent
     III  the union is associative
     IV   intersection distributes over the union
     V    the union distributes over intersection
-    VI   order reversal maps the union to the union of the images
 
     Triples on which a needed union or intersection is undefined are
     counted as skipped, not passed.
+
+    Law VI, that structural reversal maps the union to the dual union of
+    the images, is proved rather than scanned.  Structural reversal keeps
+    every mask, and reversal-swaps-families (verify_algebra_axioms)
+    checks that the dual family over reverse_structure(c) is the same
+    mask array; so the dual union ANDs the same members, and is defined
+    exactly when the union is.
     """
     kinds = tuple(kinds)
     cached = c._law_reports.get(("union_laws", kinds))
@@ -472,39 +506,24 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     _law_cap(c, "union-law verification")
     report = LawReport("union laws")
     for kind in kinds:
-        fam, u_idx, i_idx = _union_tables(c, kind)
+        fam_arr, meets, u_idx, i_idx = _union_tables(c, kind)
+        fam = family_masks(c, kind)
         f = len(fam)
-        fam_arr = np.array(fam, dtype=np.uint64)
-        u_mask = np.where(u_idx >= 0, fam_arr[np.clip(u_idx, 0, None)], 0)
+        union_ok = u_idx >= 0
+        u_mask = np.where(union_ok, meets, 0)
         tag = kind.value
 
         # law I: containment, pairs
-        res = LawResult(f"I[{tag}]", "holds")
-        for i in range(f):
-            for j in range(f):
-                if u_idx[i, j] < 0:
-                    res.skipped += 1
-                    continue
-                res.checked += 1
-                if (fam[i] | fam[j]) & ~int(u_mask[i, j]):
-                    res = _fail(res.law, res.checked, res.skipped,
-                                a=c.ids_of(fam[i]), b=c.ids_of(fam[j]))
-                    break
-            if res.verdict == "fails":
-                break
-        report.results.append(res)
+        outside = ((fam_arr[:, None] | fam_arr) & ~u_mask) != 0
+        report.results.append(_scan(
+            f"I[{tag}]", np.ones((f, f), dtype=bool), union_ok, union_ok & outside,
+            lambda i, j: dict(a=c.ids_of(fam[i]), b=c.ids_of(fam[j]))))
 
         # law II: idempotence, singles
-        res = LawResult(f"II[{tag}]", "holds")
-        for i in range(f):
-            if u_idx[i, i] < 0:
-                res.skipped += 1
-                continue
-            res.checked += 1
-            if u_idx[i, i] != i:
-                res = _fail(res.law, res.checked, res.skipped, a=c.ids_of(fam[i]))
-                break
-        report.results.append(res)
+        diag = np.diagonal(union_ok)
+        report.results.append(_scan(
+            f"II[{tag}]", np.ones(f, dtype=bool), diag, diag & (np.diagonal(u_idx) != np.arange(f)),
+            lambda i: dict(a=c.ids_of(fam[i]))))
 
         # law III: associativity, triples, vectorized with chunking over i
         res = LawResult(f"III[{tag}]", "holds")
@@ -566,31 +585,6 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
                 break
         report.results.append(res)
 
-        # law VI: structural reversal maps this family's unions to the dual
-        # family's unions over the reversed order
-        res = LawResult(f"VI[{tag}]", "holds")
-        rev = reverse_structure(c)
-        dual = _DUAL[kind]
-        for i in range(f):
-            for j in range(i, f):
-                status, mask = _union_mask(c, fam[i], fam[j], kind)
-                status_r, mask_r = _union_mask(rev, fam[i], fam[j], dual)
-                if status == _OK and status_r == _OK:
-                    res.checked += 1
-                    if mask != mask_r:
-                        res = _fail(res.law, res.checked, res.skipped,
-                                    a=c.ids_of(fam[i]), b=c.ids_of(fam[j]))
-                        break
-                elif status != status_r:
-                    res = _fail(res.law, res.checked, res.skipped,
-                                a=c.ids_of(fam[i]), b=c.ids_of(fam[j]),
-                                reason="definedness differs under reversal")
-                    break
-                else:
-                    res.skipped += 1
-            if res.verdict == "fails":
-                break
-        report.results.append(res)
     c._law_reports["union_laws", kinds] = report
     return report
 
@@ -635,43 +629,18 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     report.results.append(res)
 
     for kind in (Kind.CONVERGENT, Kind.DIVERGENT):
+        _, meets, u_idx, i_idx = _union_tables(c, kind)
         fam = family_masks(c, kind)
-        members = set(fam)
-        test = _KIND_TEST[kind]
-
-        res = LawResult(f"intersection-closure[{kind.value}]", "holds")
-        for i, a in enumerate(fam):
-            for b in fam[i:]:
-                res.checked += 1
-                if not test(int(table[a & b])):
-                    res = _fail(res.law, res.checked, 0,
-                                a=c.ids_of(a), b=c.ids_of(b),
-                                intersection=c.ids_of(a & b))
-                    break
-            if res.verdict == "fails":
-                break
-        report.results.append(res)
-
-        res = LawResult(f"causal-union-closure[{kind.value}]", "holds")
-        for i, a in enumerate(fam):
-            for b in fam[i:]:
-                status, mask = _union_mask(c, a, b, kind)
-                if status == _NO_SUPERSET:
-                    res.skipped += 1
-                elif status == _NOT_CLOSED:
-                    res = _fail(res.law, res.checked, res.skipped,
-                                a=c.ids_of(a), b=c.ids_of(b),
-                                intersection_of_supersets=c.ids_of(mask))
-                    break
-                else:
-                    res.checked += 1
-                    if mask not in members:
-                        res = _fail(res.law, res.checked, res.skipped,
-                                    a=c.ids_of(a), b=c.ids_of(b))
-                        break
-            if res.verdict == "fails":
-                break
-        report.results.append(res)
+        pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
+        report.results.append(_scan(
+            f"intersection-closure[{kind.value}]", pairs, pairs, i_idx < 0,
+            lambda i, j: dict(a=c.ids_of(fam[i]), b=c.ids_of(fam[j]),
+                              intersection=c.ids_of(fam[i] & fam[j]))))
+        found = meets != _NONE
+        report.results.append(_scan(
+            f"causal-union-closure[{kind.value}]", pairs, found, found & (u_idx < 0),
+            lambda i, j: dict(a=c.ids_of(fam[i]), b=c.ids_of(fam[j]),
+                              intersection_of_supersets=c.ids_of(int(meets[i, j])))))
 
     rev = reverse_structure(c)
     res = LawResult("reversal-swaps-families", "holds", checked=2)

@@ -62,13 +62,14 @@ def grid(nu: int, nv: int) -> Causality:
     """The product order on {0..nu-1} x {0..nv-1}.
 
     Point (u, v) precedes (u', v') iff u <= u' and v <= v'.  Ids are the
-    concatenated digits, e.g. "12" for (1, 2).  grid(3, 3) is the 9-point
-    lattice used as the main reconstruction fixture.
+    concatenated digits, e.g. "12" for (1, 2), unless two of them would
+    coincide ((1, 11) and (11, 1) when nu, nv >= 12); then they are
+    "u,v".  grid(3, 3) is the 9-point lattice used as the main
+    reconstruction fixture.
     """
-    points = [f"{u}{v}" for u in range(nu) for v in range(nv)]
-    n = nu * nv
-    rel = np.zeros((n, n), dtype=bool)
-    for i, (u1, v1) in enumerate((u, v) for u in range(nu) for v in range(nv)):
-        for j, (u2, v2) in enumerate((u, v) for u in range(nu) for v in range(nv)):
-            rel[i, j] = u1 <= u2 and v1 <= v2
+    u, v = (a.ravel() for a in np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij"))
+    points = [f"{i}{j}" for i, j in zip(u, v)]
+    if len(set(points)) < len(points):
+        points = [f"{i},{j}" for i, j in zip(u, v)]
+    rel = (u[:, None] <= u) & (v[:, None] <= v)
     return validate_causality(points, rel)

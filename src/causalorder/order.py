@@ -316,37 +316,29 @@ def has_crossing_property(c: Causality) -> CrossingResult:
     For each, at least one of the diamond pairs C[x,z] & C[y,w] or
     C[x,w] & C[y,z] must intersect.  z and w range over ordered pairs
     including z = w.  Returns the first failing witness, if any.
+
+    Both intersections are the same set, the points p with x, y <= p and
+    p <= z, w.  So the property says that the common upper bounds U of
+    each unrelated pair are downward directed: any two members of U have
+    a common lower bound in U.  That is one boolean product per pair.
     """
     if c._crossing is not None:
         return c._crossing
     n = c.n
     if n > config.MATRIX_CAP:
         raise GroundSetTooLarge(n, config.MATRIX_CAP, "crossing-property scan")
+    rel = c.relation
     result = CrossingResult(True)
-    done = False
-    for x in range(n):
-        if done:
+    for x, y in zip(*np.nonzero(np.triu(~(rel | rel.T)))):
+        ups = np.flatnonzero(rel[x] & rel[y])
+        if ups.size < 2:  # z = w is its own common lower bound
+            continue
+        below = rel[np.ix_(ups, ups)]  # below[p, z]: p <= z, both in U
+        apart = np.argwhere(~_compose(below.T, below))
+        if apart.size:
+            z, w = ups[apart[0]]
+            result = CrossingResult(False, tuple(c.points[i] for i in (x, y, z, w)))
             break
-        for y in range(x + 1, n):
-            if c.relation[x, y] or c.relation[y, x]:
-                continue
-            uppers = c.succ_masks[x] & c.succ_masks[y]
-            ups = list(bits(uppers))
-            for z in ups:
-                for w in ups:
-                    straight = diamond_mask(c, x, z) & diamond_mask(c, y, w)
-                    crossed = diamond_mask(c, x, w) & diamond_mask(c, y, z)
-                    if not straight and not crossed:
-                        result = CrossingResult(
-                            False,
-                            (c.points[x], c.points[y], c.points[z], c.points[w]),
-                        )
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
     c._crossing = result
     return result
 

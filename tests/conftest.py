@@ -143,10 +143,13 @@ def oracle_family(c, kind):
     return out
 
 
-def oracle_causal_union(c, a, b, kind):
-    """Intersection of all kind-supersets, or None when no superset exists."""
+def oracle_causal_union(c, a, b, kind, family=None):
+    """Intersection of all kind-supersets, or None when no superset exists.
+    ``family`` may pass in ``oracle_family(c, kind)`` computed once."""
     a, b = frozenset(a), frozenset(b)
-    sups = [x for x in oracle_family(c, kind) if a | b <= x]
+    if family is None:
+        family = oracle_family(c, kind)
+    sups = [x for x in family if a | b <= x]
     if not sups:
         return None
     out = frozenset(c.points)
@@ -155,13 +158,14 @@ def oracle_causal_union(c, a, b, kind):
     return out
 
 
-def oracle_crossing(c):
-    """Quadruple scan straight off the definition."""
+def oracle_crossing_witness(c):
+    """The first failing quadruple (x, y, z, w) straight off the definition,
+    in point order (x before y, then z, then w), or None."""
     leq = oracle_leq(c)
     pts = c.points
-    for x in pts:
-        for y in pts:
-            if x >= y or (x, y) in leq or (y, x) in leq:
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            if (x, y) in leq or (y, x) in leq:
                 continue
             uppers = [z for z in pts if (x, z) in leq and (y, z) in leq]
             for z in uppers:
@@ -170,8 +174,13 @@ def oracle_crossing(c):
                         oracle_diamond(c, x, z) & oracle_diamond(c, y, w)
                         or oracle_diamond(c, x, w) & oracle_diamond(c, y, z)
                     ):
-                        return False
-    return True
+                        return (x, y, z, w)
+    return None
+
+
+def oracle_crossing(c):
+    """Quadruple scan straight off the definition."""
+    return oracle_crossing_witness(c) is None
 
 
 def oracle_compose(a, b):

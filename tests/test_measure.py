@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Kind, PointSet
+from causalorder.algebra import family_masks
+from causalorder.measure import _isclose
 
-from conftest import random_poset
+from conftest import oracle_causal_union, oracle_family, random_poset
 
 
 def _perturbed(c, overrides, kind=Kind.DIVERGENT):
@@ -69,6 +71,74 @@ def test_strict_inequality_violation(d4):
     assert bad.value(union) < bound
     report = co.verify_measure_axioms(d4, bad)
     assert report.result("super-multiplicativity").verdict == "fails"
+
+
+def _pairwise_super_multiplicativity(c, kind, table, rtol):
+    """The axiom pair by pair, with oracle unions: (verdict,
+    counterexample, checked, skipped) as verify_measure_axioms reports."""
+    family = oracle_family(c, kind.value)
+    fam = sorted(c.mask_of(u) for u in family)
+    members = set(fam)
+    checked = skipped = 0
+    for i, a in enumerate(fam):
+        for b in fam[i:]:
+            union = oracle_causal_union(c, c.ids_of(a), c.ids_of(b), kind.value, family)
+            u = None if union is None else c.mask_of(union)
+            if a & b not in members or u not in members:
+                skipped += 1
+                continue
+            checked += 1
+            lhs, rhs = table[u], table[a] * table[b] / table[a & b]
+            ce = {"a": c.ids_of(a), "b": c.ids_of(b), "sigma_union": lhs, "bound": rhs}
+            if lhs < rhs and not math.isclose(lhs, rhs, rel_tol=rtol):
+                return "fails", ce, checked, skipped
+            if u == a | b and not (math.isinf(lhs) and math.isinf(rhs)) and not math.isclose(
+                    lhs, rhs, rel_tol=rtol):
+                ce["reason"] = "equality required when the causal union is the plain union"
+                return "fails", ce, checked, skipped
+    return "holds", None, checked, skipped
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.1, 0.7),
+       st.sampled_from([Kind.DIVERGENT, Kind.CONVERGENT]),
+       st.sampled_from([1e-9, 0.3]), st.data())
+def test_super_multiplicativity_matches_pairwise_check(seed, n, p_edge, kind, rtol, data):
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    fam = [u.mask for u in co.enumerate_causal_sets(c, kind)]
+    # the unit table with up to three entries changed
+    sigmas = st.sampled_from([1.0 + 1e-12, 0.5, 1.5, 2.0, 3.0, 4.5, math.inf, -math.inf])
+    table = dict.fromkeys(fam, 1.0)
+    table.update(data.draw(st.lists(st.tuples(st.sampled_from(fam), sigmas), max_size=3)))
+    res = co.verify_measure_axioms(c, co.CausalMeasure(c, kind, table), rtol=rtol).result(
+        "super-multiplicativity")
+    got = (res.verdict, res.counterexample, res.checked, res.skipped)
+    # repr, so that a NaN bound compares equal to itself
+    assert repr(got) == repr(_pairwise_super_multiplicativity(c, kind, table, rtol))
+
+
+def test_super_multiplicativity_skips_equality_between_infinities(chain3):
+    # the plain union {a, b} weighs +inf against a bound of -inf: no
+    # equality is required between two infinities, so the first failure
+    # is {b} with itself, whose bound is NaN
+    table = dict.fromkeys(family_masks(chain3, Kind.DIVERGENT), 1.0)
+    table[chain3.mask_of("b")], table[chain3.mask_of("ab")] = -math.inf, math.inf
+    res = co.verify_measure_axioms(chain3, co.CausalMeasure(chain3, Kind.DIVERGENT, table))
+    res = res.result("super-multiplicativity")
+    assert (res.counterexample["a"], res.counterexample["b"]) == (("b",), ("b",))
+    assert repr((res.verdict, res.counterexample, res.checked, res.skipped)) == repr(
+        _pairwise_super_multiplicativity(chain3, Kind.DIVERGENT, table, 1e-9))
+
+
+def test_isclose_matches_math_isclose():
+    values = [0.0, 1.0, 1.0 + 1e-12, -1.0, 2.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    a, b = np.array([(x, y) for x in values for y in values]).T
+    for rtol in (0.0, 1e-9, 0.3, math.nan):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _isclose(a, b, rtol).tolist()
+        assert got == [math.isclose(x, y, rel_tol=rtol) for x, y in zip(a, b)], rtol
+    with pytest.raises(ValueError):
+        _isclose(a, b, -1e-9)
 
 
 def test_missing_value_raises(d4):

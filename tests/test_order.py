@@ -15,6 +15,7 @@ from conftest import (
     oracle_complete,
     oracle_convergent,
     oracle_crossing,
+    oracle_crossing_witness,
     oracle_diamond,
     oracle_divergent,
     random_poset,
@@ -178,16 +179,37 @@ def test_crossing_witness_reevaluates():
 
 
 @settings(max_examples=60, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.floats(0.1, 0.7))
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.floats(0.1, 0.7))
 def test_crossing_matches_oracle_random(seed, n, p_edge):
+    # shuffled point order, so the witness order is not a linear extension
     c = random_poset(n, p_edge, np.random.default_rng(seed))
-    assert co.has_crossing_property(c).holds == oracle_crossing(c)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    c = co.validate_causality([c.points[i] for i in perm], c.relation[np.ix_(perm, perm)])
+    res = co.has_crossing_property(c)
+    assert res.holds == oracle_crossing(c)
+    assert res.witness == oracle_crossing_witness(c)
 
 
 def test_crossing_holds_on_product_lattices():
     for nu in range(1, 5):
         for nv in range(1, 5):
             assert co.has_crossing_property(co.grid(nu, nv)).holds
+
+
+def _digit_ids(nu, nv):
+    return tuple(f"{u}{v}" for u in range(nu) for v in range(nv))
+
+
+def test_grid_keeps_concatenated_ids_where_unique():
+    for nu, nv in ((3, 3), (11, 11), (12, 2)):
+        assert co.grid(nu, nv).points == _digit_ids(nu, nv)
+
+
+def test_grid_ids_separated_where_digits_collide():
+    # "111" is both (1, 11) and (11, 1)
+    g = co.grid(12, 12)
+    assert g.n == 144 and len(set(g.points)) == 144
+    assert g.leq("1,11", "11,11") and not g.leq("1,11", "11,1")
 
 
 # ---------------------------------------------------------------------------
