@@ -120,6 +120,13 @@ def _open_out(path: str) -> ContextManager[IO[str]]:
     return nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
+def _write_out(path: str, text: str) -> None:
+    # text is whole before the file opens, so a failed encoding leaves no file;
+    # one-shot json.dumps runs the C encoder, json.dump the pure-Python one
+    with _open_out(path) as fp:
+        fp.write(text + "\n")
+
+
 def _load_json(path: str) -> dict:
     with (nullcontext(sys.stdin) if path == "-" else open(path)) as fp:
         return json.load(fp)
@@ -134,13 +141,9 @@ def _cmd_sprinkle(args) -> int:
         mode=SprinkleMode(args.mode),
     )
     result = sprinkle(cfg)
-    doc = {
-        "events": [list(e) for e in result.events],
-        "causality": causality_to_dict(result.causality),
-    }
-    with _open_out(args.output) as fp:
-        json.dump(doc, fp, sort_keys=True)
-        fp.write("\n")
+    doc = {"events": [list(e) for e in result.events],
+           "causality": causality_to_dict(result.causality)}
+    _write_out(args.output, json.dumps(doc, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -199,9 +202,7 @@ def _cmd_reconstruct(args) -> int:
     if c.n > args.max_n:
         raise GroundSetTooLarge(c.n, args.max_n, "reconstruction input")
     report = reconstruct_order(c)
-    with _open_out(args.output) as fp:
-        fp.write(report.to_json(indent=1))
-        fp.write("\n")
+    _write_out(args.output, report.to_json(indent=1))
     return 0
 
 
@@ -228,9 +229,7 @@ def _cmd_entropy(args) -> int:
         area = monte_carlo_cross_section(desc, args.t, args.mc_samples, args.seed)
         doc["mc_cross_section_area"] = area
         doc["mc_entropy"] = alpha * area
-    with _open_out(args.output) as fp:
-        json.dump(doc, fp, sort_keys=True)
-        fp.write("\n")
+    _write_out(args.output, json.dumps(doc, sort_keys=True, allow_nan=False))
     return 0
 
 

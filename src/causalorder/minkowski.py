@@ -101,6 +101,9 @@ class SprinkleConfig:
                 f"box needs {self.d + 1} axis intervals, got {len(self.box)}"
             )
         for lo, hi in self.box:
+            # NaN, infinite and overflowing-width axes all make hi - lo non-finite
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box interval {lo}:{hi} must be finite, with a finite width")
             # a zero-width axis still holds one integer in lattice mode
             if not (lo <= hi if self.mode is SprinkleMode.LATTICE else lo < hi):
                 raise ValueError("box intervals must be nondegenerate")
@@ -186,6 +189,9 @@ class ConeSetDescriptor:
     apex2: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        cut = () if self.cut is None else (self.cut,)
+        if not all(map(math.isfinite, (*self.apex, *(self.apex2 or ()), *cut))):
+            raise ValueError("cone apexes and cut must be finite")
         if self.kind is ConeKind.DIAMOND:
             if self.apex2 is None:
                 raise ValueError("a diamond needs two apexes")
@@ -240,8 +246,8 @@ def horizon_entropy(desc: ConeSetDescriptor, alpha: float) -> float:
     midpoint.  Untruncated cones have unbounded horizon: returns +inf.
     """
     desc._require_3d()
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if desc.kind is ConeKind.DIAMOND:
         r = 0.5 * (desc.apex2[0] - desc.apex[0])
     elif desc.cut is None:
@@ -308,4 +314,10 @@ def cone_region_points(
 def bekenstein_hawking_alpha(boltzmann: float = 1.0, planck_length: float = 1.0) -> float:
     """The area coefficient k_B / (4 l_p^2) that reproduces black-hole
     entropy scaling."""
-    return boltzmann / (4.0 * planck_length * planck_length)
+    for name, value in (("boltzmann", boltzmann), ("planck_length", planck_length)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    area = 4.0 * planck_length * planck_length
+    if area == 0.0:
+        raise ValueError(f"planck_length {planck_length} underflows when squared")
+    return boltzmann / area

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,15 @@ from conftest import fan_relation
 
 def run(*argv):
     return main(list(argv))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def strict_loads(text):
+    """Parse strict JSON: the NaN and Infinity tokens raise."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -48,7 +60,7 @@ def test_sprinkle_lattice_fixture(tmp_path, l33):
     out = tmp_path / "lat.json"
     assert run("sprinkle", "--dim", "1", "--box", "0:2,0:2", "--mode", "lattice",
                "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert len(doc["events"]) == 9
     c = co.causality_from_dict(doc["causality"])
     assert (c.relation == l33.relation).all()
@@ -58,12 +70,32 @@ def test_sprinkle_empty(tmp_path):
     out = tmp_path / "empty.json"
     assert run("sprinkle", "--dim", "1", "--box", "0:1,0:1", "--n", "0",
                "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert doc["events"] == [] and doc["causality"]["points"] == []
 
 
 def test_sprinkle_bad_box_is_usage_error(tmp_path):
     assert run("sprinkle", "--box", "zap", "--output", str(tmp_path / "x")) == 1
+
+
+@pytest.mark.parametrize("box", ["0:inf,0:1", "0:nan,0:1"])
+def test_sprinkle_non_finite_box_exits_2(tmp_path, box):
+    out = tmp_path / "x.json"
+    assert run("sprinkle", "--dim", "1", "--box", box, "--n", "3",
+               "--output", str(out)) == 2
+    assert not out.exists()
+
+
+def test_sprinkle_to_stdout_in_subprocess():
+    src = Path(co.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["sprinkle", "--dim", "1", "--n", "12", "--seed", "3", "--output", "-"]
+    proc = subprocess.run([sys.executable, "-m", "causalorder.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    doc = strict_loads(proc.stdout)
+    assert proc.stdout == json.dumps(doc, sort_keys=True) + "\n"
+    assert len(doc["events"]) == 12 and len(doc["causality"]["points"]) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +107,7 @@ def test_verify_passing_suites(chain3_file, tmp_path):
     rc = run("verify", "--input", chain3_file, "--suite", "crossing,reversal",
              "--output", str(out))
     assert rc == 0
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    lines = [strict_loads(line) for line in out.read_text().splitlines()]
     assert lines[-1] == {"summary": {"all_hold": True}}
     assert any(entry.get("law") == "crossing-property" for entry in lines)
 
@@ -84,7 +116,7 @@ def test_verify_default_suites_fail_on_distributivity(chain3_file, tmp_path):
     out = tmp_path / "report.jsonl"
     rc = run("verify", "--input", chain3_file, "--output", str(out))
     assert rc == 2
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    lines = [strict_loads(line) for line in out.read_text().splitlines()]
     failing = [e["law"] for e in lines if e.get("verdict") == "fails"]
     assert any(law.startswith("IV[") or law.startswith("V[") for law in failing)
     # failures carry counterexamples
@@ -147,7 +179,7 @@ def test_verify_unknown_suite_exits_1(chain3_file):
 def test_reconstruct_l33(l33_file, tmp_path):
     out = tmp_path / "rec.json"
     assert run("reconstruct", "--input", l33_file, "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert doc["domain"] == []
     assert doc["agreement"]["diffs"] == []
     assert doc["diagnostics"]["11"]["ribbon_pairs"] == 9
@@ -158,7 +190,7 @@ def test_reconstruct_empty_input(tmp_path):
     path.write_text(json.dumps({"points": [], "relation": []}))
     out = tmp_path / "rec.json"
     assert run("reconstruct", "--input", str(path), "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert doc["domain"] == [] and doc["relation"] == []
 
 
@@ -169,11 +201,11 @@ def test_reconstruct_empty_input(tmp_path):
 def test_entropy_values(tmp_path):
     out = tmp_path / "e.json"
     assert run("entropy", "--t", "1", "--alpha", "1", "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert abs(doc["entropy"] - 12.56637) < 5e-6
 
     assert run("entropy", "--t", "2", "--alpha", "1", "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert abs(doc["entropy"] - 50.26548) < 5e-6
 
 
@@ -182,7 +214,7 @@ def test_entropy_bekenstein_hawking(tmp_path):
 
     out = tmp_path / "e.json"
     assert run("entropy", "--t", "2", "--bekenstein-hawking", "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert doc["entropy_in_kB_over_lp2"] == math.pi * 4.0
     assert doc["alpha"] == 0.25
 
@@ -191,13 +223,51 @@ def test_entropy_with_mc_check(tmp_path):
     out = tmp_path / "e.json"
     assert run("entropy", "--t", "1", "--mc-samples", "200000", "--seed", "4",
                "--output", str(out)) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_loads(out.read_text())
     assert abs(doc["mc_entropy"] - doc["entropy"]) / doc["entropy"] < 0.02
 
 
 def test_entropy_1plus1_apex_rejected(tmp_path):
     assert run("entropy", "--t", "1", "--apex", "0,0",
                "--output", str(tmp_path / "e.json")) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--t", "nan"],
+    ["--t", "inf"],
+    ["--t", "1", "--alpha", "nan"],
+    ["--t", "1", "--apex", "nan,0,0,0"],
+    ["--t", "1", "--bekenstein-hawking", "--planck-length", "0"],
+    ["--t", "1", "--bekenstein-hawking", "--planck-length", "1e-200"],
+    ["--t", "1e200"],  # finite inputs whose entropy overflows float64
+])
+def test_entropy_non_finite_exits_2_without_output(tmp_path, argv):
+    out = tmp_path / "e.json"
+    assert run("entropy", *argv, "--output", str(out)) == 2
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# output bytes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["sprinkle", "--dim", "1", "--box", "0:1,0:1", "--n", "40", "--seed", "2"],
+    ["sprinkle", "--dim", "3", "--box", "0:1,0:1,0:1,0:1", "--n", "25", "--seed", "9"],
+    ["sprinkle", "--dim", "1", "--box", "0:2,-1:3", "--mode", "lattice"],
+    ["sprinkle", "--dim", "1", "--n", "0"],
+    ["entropy", "--t", "1.5", "--apex", "0.25,0,0,0", "--mc-samples", "20000",
+     "--seed", "6"],
+    ["entropy", "--t", "2", "--kind", "past", "--apex", "3,0,0,0",
+     "--bekenstein-hawking", "--kB", "2", "--planck-length", "0.5"],
+])
+def test_output_bytes_match_pure_python_encoder(tmp_path, argv):
+    # json.dump(doc, fp, sort_keys=True) writes exactly these bytes
+    out = tmp_path / "out.json"
+    assert run(*argv, "--output", str(out)) == 0
+    doc = strict_loads(out.read_text())
+    expected = "".join(json.JSONEncoder(sort_keys=True).iterencode(doc)) + "\n"
+    assert out.read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +280,7 @@ def test_stdout_output_leaves_stdout_open(capsys):
     assert not sys.stdout.closed
     first, second = capsys.readouterr().out.splitlines()
     assert first == second
+    assert strict_loads(first)["entropy"] > 0
 
 
 def test_stdin_input_leaves_stdin_open(monkeypatch, chain3, tmp_path):
@@ -218,4 +289,4 @@ def test_stdin_input_leaves_stdin_open(monkeypatch, chain3, tmp_path):
     out = tmp_path / "rec.json"
     assert run("reconstruct", "--input", "-", "--output", str(out)) == 0
     assert not stdin.closed
-    assert json.loads(out.read_text())["diagnostics"].keys() == {"a", "b", "c"}
+    assert strict_loads(out.read_text())["diagnostics"].keys() == {"a", "b", "c"}

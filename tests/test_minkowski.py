@@ -87,6 +87,15 @@ def test_sprinkle_config_validation():
         SprinkleConfig(d=3, box=((0, 1),) * 4, mode=SprinkleMode.LATTICE)
 
 
+@pytest.mark.parametrize("mode", list(SprinkleMode))
+@pytest.mark.parametrize("axis", [(0, math.inf), (-math.inf, 0), (0, math.nan),
+                                  (-1e308, 1e308)])
+def test_sprinkle_config_rejects_non_finite_box(axis, mode):
+    # (-1e308, 1e308) has finite bounds but a width that overflows float64
+    with pytest.raises(ValueError, match="must be finite"):
+        SprinkleConfig(d=1, box=(axis, (0, 1)), n=3, mode=mode)
+
+
 def test_boost_preserves_induced_order():
     cfg = SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=60, seed=11)
     res = co.sprinkle(cfg)
@@ -173,6 +182,35 @@ def test_descriptor_validation():
         ConeSetDescriptor(ConeKind.DIAMOND, ORIGIN4)
     with pytest.raises(ValueError):
         ConeSetDescriptor(ConeKind.DIAMOND, (1.0, 0.0), apex2=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("apex, cut, apex2", [
+    ((0.0, 0.0, 0.0, 0.0), math.nan, None),
+    ((0.0, 0.0, 0.0, 0.0), math.inf, None),
+    ((math.nan, 0.0, 0.0, 0.0), 1.0, None),
+    ((0.0, math.inf, 0.0, 0.0), 1.0, None),
+    ((0.0, 0.0), None, (math.inf, 0.0)),
+])
+def test_descriptor_rejects_non_finite_coordinates(apex, cut, apex2):
+    kind = ConeKind.DIAMOND if apex2 else ConeKind.FUTURE_CONE
+    with pytest.raises(ValueError, match="finite"):
+        ConeSetDescriptor(kind, apex, cut=cut, apex2=apex2)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_horizon_entropy_rejects_bad_alpha(alpha):
+    desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        co.horizon_entropy(desc, alpha)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"planck_length": 0.0}, {"planck_length": -1.0}, {"planck_length": math.nan},
+    {"boltzmann": 0.0}, {"boltzmann": math.inf}, {"planck_length": 1e-200},
+])
+def test_bekenstein_hawking_alpha_rejects_bad_constants(kwargs):
+    with pytest.raises(ValueError, match="planck_length|boltzmann"):
+        co.bekenstein_hawking_alpha(**kwargs)
 
 
 def test_diamond_offset_apexes_rejected_for_area():
