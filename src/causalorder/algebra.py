@@ -77,6 +77,11 @@ class Kind(Enum):
     STRICTLY_CONVERGENT = "strictly_convergent"
     STRICTLY_DIVERGENT = "strictly_divergent"
 
+    # Members are singletons, so identity is their equality; hashing by it
+    # runs in C, where Enum.__hash__ hashes the name in Python.  Kinds key
+    # the per-call union cache.
+    __hash__ = object.__hash__
+
 
 # class code bit 0 = convergent family, bit 1 = divergent family
 # (each test takes an int code or a uint8 array of codes)
@@ -96,6 +101,9 @@ _DUAL = {
     Kind.STRICTLY_DIVERGENT: Kind.STRICTLY_CONVERGENT,
 }
 
+# SetClass members by value, so a class code reads its member by tuple index
+_CLASSES = tuple(SetClass)
+
 
 def _class_code(c: Causality, mask: int) -> int:
     """The SetClass value of a subset: 0 when incomplete, else bit 0 for
@@ -105,16 +113,21 @@ def _class_code(c: Causality, mask: int) -> int:
     return convergent_mask(c, mask) | divergent_mask(c, mask) << 1
 
 
+def _code_of(c: Causality, mask: int) -> int:
+    """The class code of a subset, read off the class table once it is
+    built, else computed by _class_code and memoized per causality."""
+    table = c._class_table
+    if table is not None:
+        return table.item(mask)
+    code = c._class_memo.get(mask)
+    if code is None:
+        code = c._class_memo[mask] = _class_code(c, mask)
+    return code
+
+
 def class_of_mask(c: Causality, mask: int) -> SetClass:
     """Classify a subset given as a bit-mask (memoized per causality)."""
-    if c._class_table is not None:
-        return SetClass(int(c._class_table[mask]))
-    hit = c._class_memo.get(mask)
-    if hit is not None:
-        return hit
-    cls = SetClass(_class_code(c, mask))
-    c._class_memo[mask] = cls
-    return cls
+    return _CLASSES[_code_of(c, mask)]
 
 
 def classify(c: Causality, u: PointSet) -> SetClass:
@@ -236,11 +249,6 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
 # Causal union
 # ---------------------------------------------------------------------------
 
-_OK = "ok"
-_NO_SUPERSET = "no_superset"
-_NOT_CLOSED = "not_closed"
-
-
 def _family_array(c: Causality, kind: Kind) -> np.ndarray:
     hit = c._families.get(("arr", kind))
     if hit is None:
@@ -269,31 +277,32 @@ def _unions(c: Causality, targets: np.ndarray, kind: Kind) -> tuple[np.ndarray, 
     return meets, found & _KIND_TEST[kind](_class_table(c).take(meets, mode="clip"))
 
 
-def _union_mask(c: Causality, a: int, b: int, kind: Kind) -> tuple[str, int]:
-    """Smallest kind-superset of a | b, as (status, mask)."""
+def _union_answer(c: Causality, a: int, b: int, kind: Kind):
+    """The finished answer of the kind-union of masks a and b (cached per
+    causality): the result PointSet, or the (exception class, constructor
+    arguments) that causal_union raises a fresh instance of."""
     key = (a, b, kind) if a <= b else (b, a, kind)
     hit = c._union_cache.get(key)
     if hit is None:
         meets, closed = _unions(c, np.array([a | b], dtype=np.uint64), kind)
         meet = int(meets[0])
         if closed[0]:
-            hit = (_OK, meet)
+            hit = PointSet(c, meet)
+        elif meet == _NONE:
+            ids = sorted(c.ids_of(a) + c.ids_of(b))
+            hit = NoCausalSuperset, (f"no {kind.value} set contains {ids}",)
         else:
-            hit = (_NO_SUPERSET, 0) if meet == _NONE else (_NOT_CLOSED, meet)
+            hit = NotClosed, (
+                f"the intersection of all {kind.value} supersets is not {kind.value}", meet)
         c._union_cache[key] = hit
     return hit
 
 
-def _compatible_kind(cls_a: SetClass, cls_b: SetClass, kind: Kind) -> bool:
-    if kind is Kind.CONVERGENT:
-        allowed = (SetClass.STRICTLY_CONVERGENT, SetClass.BOTH)
-    elif kind is Kind.DIVERGENT:
-        allowed = (SetClass.STRICTLY_DIVERGENT, SetClass.BOTH)
-    elif kind is Kind.BOTH:
-        allowed = (SetClass.BOTH,)
-    else:
-        raise ValueError(f"causal unions close in CONVERGENT, DIVERGENT or BOTH, not {kind}")
-    return cls_a in allowed and cls_b in allowed
+def _union_mask(c: Causality, a: int, b: int, kind: Kind) -> int | None:
+    """The mask of the smallest kind-superset of a | b, or None when the
+    causal union is undefined."""
+    answer = _union_answer(c, a, b, kind)
+    return answer.mask if type(answer) is PointSet else None
 
 
 def causal_union(
@@ -313,36 +322,41 @@ def causal_union(
     """
     if a.parent is not c or b.parent is not c:
         raise ValueError("operands must belong to this causality")
-    cls_a = class_of_mask(c, a.mask)
-    cls_b = class_of_mask(c, b.mask)
-    pair = {cls_a, cls_b}
-    if pair == {SetClass.STRICTLY_CONVERGENT, SetClass.STRICTLY_DIVERGENT}:
+    code_a = _code_of(c, a.mask)
+    code_b = _code_of(c, b.mask)
+    if code_a * code_b == 2:  # codes 1 and 2: strictly convergent and strictly divergent
         return PointSet(c, 0)
     if kind is None:
-        kind = _infer_kind(cls_a, cls_b)
-    if not _compatible_kind(cls_a, cls_b, kind):
+        kind = _infer_kind(code_a, code_b)
+    if not _compatible_kind(code_a, code_b, kind):
         raise ValueError(
-            f"operand classes {cls_a.name}, {cls_b.name} are not compatible with kind {kind.name}"
+            f"operand classes {_CLASSES[code_a].name}, {_CLASSES[code_b].name} "
+            f"are not compatible with kind {kind.name}"
         )
-    status, mask = _union_mask(c, a.mask, b.mask, kind)
-    if status == _NO_SUPERSET:
-        raise NoCausalSuperset(
-            f"no {kind.value} set contains {sorted(a.ids() + b.ids())}"
-        )
-    if status == _NOT_CLOSED:
-        raise NotClosed(
-            f"the intersection of all {kind.value} supersets is not {kind.value}",
-            mask,
-        )
-    return PointSet(c, mask)
+    answer = _union_answer(c, a.mask, b.mask, kind)
+    if type(answer) is PointSet:
+        return answer
+    exc, args = answer
+    raise exc(*args)  # a fresh instance: a stored one would grow its traceback
 
 
-def _infer_kind(cls_a: SetClass, cls_b: SetClass) -> Kind:
-    if cls_a is SetClass.NEITHER or cls_b is SetClass.NEITHER:
+def _compatible_kind(code_a: int, code_b: int, kind: Kind) -> bool:
+    """Whether both operand codes lie in the family the union closes in."""
+    if kind is Kind.CONVERGENT:
+        return code_a & code_b & 1 != 0
+    if kind is Kind.DIVERGENT:
+        return code_a & code_b & 2 != 0
+    if kind is Kind.BOTH:
+        return code_a & code_b == 3
+    raise ValueError(f"causal unions close in CONVERGENT, DIVERGENT or BOTH, not {kind}")
+
+
+def _infer_kind(code_a: int, code_b: int) -> Kind:
+    if not (code_a and code_b):
         raise ValueError("causal union operands must be causal sets")
-    if cls_a is SetClass.BOTH and cls_b is SetClass.BOTH:
+    if code_a == code_b == 3:
         return Kind.BOTH
-    if SetClass.STRICTLY_CONVERGENT in (cls_a, cls_b):
+    if 1 in (code_a, code_b):
         return Kind.CONVERGENT
     return Kind.DIVERGENT
 
@@ -356,19 +370,20 @@ def intersect_causal(c: Causality, a: PointSet, b: PointSet) -> tuple[PointSet, 
     crossing property is consulted only when the intersection has left a
     family holding both operands, the one case the theorem covers.
     """
-    cls_a = class_of_mask(c, a.mask)
-    cls_b = class_of_mask(c, b.mask)
+    code_a = _code_of(c, a.mask)
+    code_b = _code_of(c, b.mask)
     inter = a & b
-    cls_i = class_of_mask(c, inter.mask)
-    for kind in (Kind.CONVERGENT, Kind.DIVERGENT):
-        test = _KIND_TEST[kind]
-        if (test(cls_a.value) and test(cls_b.value) and not test(cls_i.value)
-                and has_crossing_property(c).holds):
-            raise TheoremViolation(
-                f"crossing property holds but {a.ids()} ∩ {b.ids()} "
-                f"is not {kind.value}"
-            )
-    return inter, cls_i
+    code_i = _code_of(c, inter.mask)
+    # family bits (1 convergent, 2 divergent) that hold both operands but
+    # not their intersection
+    left = code_a & code_b & ~code_i
+    if left and has_crossing_property(c).holds:
+        kind = Kind.CONVERGENT if left & 1 else Kind.DIVERGENT
+        raise TheoremViolation(
+            f"crossing property holds but {a.ids()} ∩ {b.ids()} "
+            f"is not {kind.value}"
+        )
+    return inter, _CLASSES[code_i]
 
 
 # ---------------------------------------------------------------------------

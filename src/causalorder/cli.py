@@ -192,9 +192,22 @@ def _cmd_verify(args) -> int:
 
     with _open_out(args.output) as fp:
         for entry in lines:
-            fp.write(json.dumps(entry, sort_keys=True) + "\n")
+            entry["counterexample"] = _spelled_out(entry["counterexample"])
+            fp.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
         fp.write(json.dumps({"summary": {"all_hold": ok}}, sort_keys=True) + "\n")
     return 0 if ok else 2
+
+
+def _spelled_out(value):
+    """``value`` with each non-finite float written as the string "inf",
+    "-inf" or "nan", as measure files spell them, so the JSON is strict."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _spelled_out(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled_out(v) for v in value]
+    return value
 
 
 def _cmd_reconstruct(args) -> int:

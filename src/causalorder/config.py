@@ -7,7 +7,11 @@ command line with ``--max-n``.
 """
 
 # Crossing-property scan only; subset masks are unbounded Python ints.
-MATRIX_CAP = 64
+# The scan is one boolean product per unrelated pair; on one core of a
+# shared 2-core x86 VM it took 0.35 s on grid(14,14) (196 points) and
+# 0.67 s on 100 pairwise unrelated points below a 100-point chain, the
+# slowest 200-point shape tried (grid(16,16), 256 points: 0.8 s).
+MATRIX_CAP = 200
 
 # Full 2^n subset classification (single scans).
 ENUMERATION_CAP = 20

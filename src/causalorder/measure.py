@@ -72,7 +72,11 @@ class CausalMeasure:
         for entry in data["entries"]:
             mask = c.mask_of(entry["set"])
             sigma = entry["sigma"]
-            table[mask] = math.inf if sigma == "inf" else float(sigma)
+            if sigma == "inf":
+                sigma = math.inf
+            elif type(sigma) not in (int, float) or math.isnan(sigma):
+                raise ValueError(f'sigma of {entry["set"]} is {sigma!r}, not a number or "inf"')
+            table[mask] = float(sigma)
         return CausalMeasure(c, kind, table)
 
     def to_dict(self) -> dict:

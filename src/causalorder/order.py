@@ -85,9 +85,9 @@ class Causality:
         # caches filled lazily by other modules
         self._reversed: Causality | None = None
         self._class_table = None
-        self._class_memo: dict[int, object] = {}
+        self._class_memo: dict[int, int] = {}
         self._families: dict[object, object] = {}
-        self._union_cache: dict[tuple[int, int, object], tuple[str, int]] = {}
+        self._union_cache: dict[tuple[int, int, object], object] = {}  # finished causal unions
         self._crossing = None
         self._law_reports: dict[object, object] = {}
 

@@ -27,7 +27,6 @@ from .algebra import (
     LawResult,
     SetClass,
     _union_mask,
-    _OK,
     class_of_mask,
     family_masks,
 )
@@ -201,9 +200,9 @@ def is_regular_ribbon(c: Causality, p: str) -> RegularityReport:
             cc, d = pr2.masks()
             if (a | cc) & (b | d) != bit:
                 continue
-            st_u, u = _union_mask(c, a, cc, Kind.CONVERGENT)
-            st_l, lo = _union_mask(c, b, d, Kind.DIVERGENT)
-            if st_u != _OK or st_l != _OK:
+            u = _union_mask(c, a, cc, Kind.CONVERGENT)
+            lo = _union_mask(c, b, d, Kind.DIVERGENT)
+            if u is None or lo is None:
                 return RegularityReport(
                     p, False, False, "undefined-union", (pr1, pr2)
                 )
@@ -221,9 +220,9 @@ def is_regular_ribbon(c: Causality, p: str) -> RegularityReport:
 def _congruent_masks(c: Causality, bit: int, m1: tuple[int, int], m2: tuple[int, int]) -> bool:
     a, b = m1
     cc, d = m2
-    st_u, u = _union_mask(c, a, cc, Kind.CONVERGENT)
-    st_l, lo = _union_mask(c, b, d, Kind.DIVERGENT)
-    if st_u != _OK or st_l != _OK:
+    u = _union_mask(c, a, cc, Kind.CONVERGENT)
+    lo = _union_mask(c, b, d, Kind.DIVERGENT)
+    if u is None or lo is None:
         raise NotCongruentDecidable(
             "a causal union needed by the congruence test is undefined"
         )
@@ -327,11 +326,11 @@ def _statement_one(
         a, b = pr1.masks()
         for pr2 in gamma:
             cc, d = pr2.masks()
-            st_u, u = _union_mask(c, a, cc, Kind.CONVERGENT)
-            if st_u != _OK or (u, d) not in gamma_set:
+            u = _union_mask(c, a, cc, Kind.CONVERGENT)
+            if u is None or (u, d) not in gamma_set:
                 return False
-            st_l, lo = _union_mask(c, b, d, Kind.DIVERGENT)
-            if st_l != _OK or (a, lo) not in alpha_set:
+            lo = _union_mask(c, b, d, Kind.DIVERGENT)
+            if lo is None or (a, lo) not in alpha_set:
                 return False
     return True
 
@@ -522,16 +521,16 @@ def is_regular_causality(c: Causality) -> RegularCausalityReport:
             bound = c.pred_masks[ip] if kind is Kind.STRICTLY_CONVERGENT else c.succ_masks[ip]
             for i, a in enumerate(fam):
                 for b in fam[i:]:
-                    status, u = _union_mask(c, a, b, union_kind)
+                    u = _union_mask(c, a, b, union_kind)
                     if (
-                        status != _OK
+                        u is None
                         or class_of_mask(c, u) is not strict_cls
                         or u & ~bound
                     ):
                         diag[key] = {
                             "a": c.ids_of(a),
                             "b": c.ids_of(b),
-                            "reason": "undefined union" if status != _OK
+                            "reason": "undefined union" if u is None
                             else "union is not a strict vertex set at the point",
                         }
                         break

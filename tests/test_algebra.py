@@ -18,12 +18,20 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Direction, Kind, PointSet, SetClass, config
-from causalorder.algebra import _NONE, _class_code, _class_table, _union_tables, family_masks
+from causalorder.algebra import (
+    _NONE,
+    _class_code,
+    _class_table,
+    _union_mask,
+    _union_tables,
+    family_masks,
+)
 
 from conftest import (
     NOT_DENSE_7_RELATION,
     oracle_causal_union,
     oracle_class,
+    oracle_crossing,
     oracle_family,
     random_poset,
 )
@@ -249,6 +257,197 @@ def test_union_tables_match_oracle(seed, n, p_edge):
                 assert i_idx[i, j] == index.get(a & b, -1)
 
 
+# ---------------------------------------------------------------------------
+# Public query path against the oracles, cold and warm
+# ---------------------------------------------------------------------------
+
+_UNION_KINDS = (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH, None)
+_OPERANDS = {  # the operand classes each union kind accepts
+    "convergent": ("strictly_convergent", "both"),
+    "divergent": ("strictly_divergent", "both"),
+    "both": ("both",),
+}
+
+
+def _oracle_union(c, a, b, kind, classes, families):
+    """What causal_union returns or raises, straight off the definitions:
+    ("ok", mask) or (exception name, message, NotClosed's mask)."""
+    cls_a, cls_b = classes[a], classes[b]
+    if {cls_a, cls_b} == {"strictly_convergent", "strictly_divergent"}:
+        return "ok", 0
+    if kind is None:
+        if "neither" in (cls_a, cls_b):
+            return "ValueError", "causal union operands must be causal sets", None
+        kind = ("both" if cls_a == cls_b == "both"
+                else "convergent" if "strictly_convergent" in (cls_a, cls_b) else "divergent")
+    else:
+        kind = kind.value
+    if cls_a not in _OPERANDS[kind] or cls_b not in _OPERANDS[kind]:
+        return ("ValueError", f"operand classes {cls_a.upper()}, {cls_b.upper()} "
+                f"are not compatible with kind {kind.upper()}", None)
+    want = oracle_causal_union(c, a, b, kind, families[kind])
+    if want is None:
+        return "NoCausalSuperset", f"no {kind} set contains {sorted([*a, *b])}", None
+    if classes[want] not in _OPERANDS[kind]:
+        return ("NotClosed", f"the intersection of all {kind} supersets is not {kind}",
+                c.mask_of(want))
+    return "ok", c.mask_of(want)
+
+
+def _oracle_intersect(c, a, b, classes, crossing):
+    inter = a & b
+    for kind in ("convergent", "divergent"):
+        ok = _OPERANDS[kind]
+        if classes[a] in ok and classes[b] in ok and classes[inter] not in ok and crossing:
+            return ("TheoremViolation", f"crossing property holds but {c.ids_of(c.mask_of(a))} ∩ "
+                    f"{c.ids_of(c.mask_of(b))} is not {kind}", None)
+    return "ok", (c.mask_of(inter), classes[inter])
+
+
+def _answer(call):
+    """A query's outcome in the oracle's form."""
+    try:
+        out = call()
+    except (ValueError, co.CausalOrderError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "intersection_mask", None)
+    if isinstance(out, PointSet):
+        return "ok", out.mask
+    if isinstance(out, SetClass):
+        return "ok", out.name.lower()
+    return "ok", (out[0].mask, out[1].name.lower())
+
+
+def _random_queries(c, families, rng, count=12):
+    """(op, a, b, kind) with masks a and b: members of each oracle family,
+    mixed with arbitrary subsets."""
+    pools = [[c.mask_of(u) for u in fam] for fam in families.values()]
+    pools.append(list(range(1 << c.n)))
+
+    def draw():
+        pool = pools[rng.integers(len(pools))]
+        return pool[rng.integers(len(pool))]
+
+    out = [("classify", draw(), 0, None) for _ in range(count)]
+    out += [("intersect", draw(), draw(), None) for _ in range(count)]
+    out += [("union", draw(), draw(), kind) for kind in _UNION_KINDS for _ in range(count)]
+    return out
+
+
+def _all_queries(c, families):
+    """Every subset classified; every ordered pair of family members
+    intersected and united in every union kind."""
+    members = sorted({c.mask_of(u) for fam in families.values() for u in fam})
+    out = [("classify", m, 0, None) for m in range(1 << c.n)]
+    out += [("intersect", a, b, None) for a in members for b in members]
+    out += [("union", a, b, kind) for kind in _UNION_KINDS for a in members for b in members]
+    return out
+
+
+def _run(c, queries):
+    calls = {
+        "classify": lambda a, b, kind: co.classify(c, PointSet(c, a)),
+        "intersect": lambda a, b, kind: co.intersect_causal(c, PointSet(c, a), PointSet(c, b)),
+        "union": lambda a, b, kind: co.causal_union(c, PointSet(c, a), PointSet(c, b), kind),
+    }
+    return [_answer(lambda: calls[op](a, b, kind)) for op, a, b, kind in queries]
+
+
+def _check_public_queries(make, pick):
+    """The answers to the queries ``pick(c, families)`` lists equal the
+    oracle's on a fresh causality cold, then warm, then on another fresh
+    one whose union cache verify_union_laws and _union_mask filled first.
+    Returns the oracle's answers."""
+    cold = make()
+    subsets = {m: frozenset(cold.ids_of(m)) for m in range(1 << cold.n)}
+    classes = {u: oracle_class(cold, u) for u in subsets.values()}
+    families = {k: oracle_family(cold, k) for k in _OPERANDS}
+    crossing = oracle_crossing(cold)
+    queries = pick(cold, families)
+    want = []
+    for op, a, b, kind in queries:
+        a, b = subsets[a], subsets[b]
+        if op == "classify":
+            want.append(("ok", classes[a]))
+        elif op == "intersect":
+            want.append(_oracle_intersect(cold, a, b, classes, crossing))
+        else:
+            want.append(_oracle_union(cold, a, b, kind, classes, families))
+    assert _run(cold, queries) == want
+    assert _run(cold, queries) == want  # warm: every union answer is cached
+    filled = make()
+    co.verify_union_laws(filled)
+    for _, a, b, _ in queries:
+        for kind in (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH):
+            _union_mask(filled, a, b, kind)
+    assert _run(filled, queries) == want
+    return want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.floats(0.0, 0.8))
+def test_public_queries_match_oracle_on_random_posets(seed, n, p_edge):
+    _check_public_queries(
+        lambda: random_poset(n, p_edge, np.random.default_rng(seed)),
+        lambda c, families: _random_queries(c, families, np.random.default_rng(seed + 1)))
+
+
+@pytest.mark.parametrize("make, outcomes", [
+    (lambda: co.chain(3), {"ok"}),
+    (co.diamond4, {"ok", "ValueError"}),
+    (co.star5, {"ok", "ValueError", "NoCausalSuperset"}),
+    (lambda: co.grid(3, 3), {"ok", "ValueError"}),
+    (lambda: co.antichain(3), {"ok", "NoCausalSuperset"}),
+    (lambda: co.validate_causality([f"v{i}" for i in range(7)],
+                                   np.array(NOT_DENSE_7_RELATION, dtype=bool)),
+     {"ok", "ValueError", "NoCausalSuperset", "NotClosed"}),
+], ids=["chain3", "d4", "l5", "l33", "anti3", "not_dense_7"])
+def test_public_queries_match_oracle_on_fixtures(make, outcomes):
+    want = _check_public_queries(make, _all_queries)
+    assert {answer[0] for answer in want} == outcomes
+
+
+@pytest.mark.parametrize("fixture", ["chain3", "d4", "l5", "l33", "anti3", "not_dense_7"])
+def test_union_mask_and_causal_union_share_answers(fixture, request):
+    c = request.getfixturevalue(fixture)
+    for kind in (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH):
+        fam = co.enumerate_causal_sets(c, kind)
+        for i, a in enumerate(fam):
+            for j, b in enumerate(fam):
+                first_mask = (i + j) % 2 == 0  # either call may fill the entry
+                mask = _union_mask(c, a.mask, b.mask, kind) if first_mask else None
+                try:
+                    got = co.causal_union(c, a, b, kind).mask
+                except (co.NoCausalSuperset, co.NotClosed):
+                    got = None
+                if not first_mask:
+                    mask = _union_mask(c, a.mask, b.mask, kind)
+                assert mask == got
+
+
+def _traceback_depth(exc):
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+@pytest.mark.parametrize("fixture, a, b, kind, error", [
+    ("l5", ["tl"], ["tr"], Kind.CONVERGENT, co.NoCausalSuperset),
+    ("not_dense_7", ["v0"], ["v1"], Kind.CONVERGENT, co.NotClosed),
+])
+def test_undefined_union_raises_fresh_instances(fixture, a, b, kind, error, request):
+    c = request.getfixturevalue(fixture)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            co.causal_union(c, c.subset(a), c.subset(b), kind)
+        raised.append(info.value)
+    assert len({id(exc) for exc in raised}) == 3
+    assert len({_traceback_depth(exc) for exc in raised}) == 1
+    assert len({str(exc) for exc in raised}) == 1
+    assert len({getattr(exc, "intersection_mask", None) for exc in raised}) == 1
+
+
 def test_union_no_superset_on_star5(l5):
     with pytest.raises(co.NoCausalSuperset):
         co.causal_union(l5, l5.subset(["tl"]), l5.subset(["tr"]), Kind.CONVERGENT)
@@ -317,7 +516,7 @@ def test_intersection_examples(d4):
 def test_intersection_above_crossing_cap():
     # the theorem needs no crossing scan when the intersection stays in
     # the family, so the scan's cap does not apply
-    c = co.chain(65)
+    c = co.chain(config.MATRIX_CAP + 1)
     inter, cls = co.intersect_causal(c, c.subset(["0"]), c.subset(["1"]))
     assert inter.mask == 0 and cls is SetClass.BOTH
     inter, cls = co.intersect_causal(c, c.subset(["0", "1"]), c.subset(["1", "2"]))
@@ -331,6 +530,16 @@ def test_intersection_may_leave_family_without_crossing():
         ["x", "y", "z", "w"], [("x", "z"), ("y", "z"), ("x", "w"), ("y", "w")]
     )
     assert not co.has_crossing_property(c).holds
+    inter, cls = co.intersect_causal(c, c.subset(["x", "y", "z"]), c.subset(["x", "y", "w"]))
+    assert inter.ids() == ("x", "y") and cls is SetClass.NEITHER
+
+
+def test_intersection_leaving_family_on_65_points():
+    # the poset above plus 61 isolated points: the crossing scan it needs
+    # runs below MATRIX_CAP, where 64 points used to raise GroundSetTooLarge
+    points = ["x", "y", "z", "w"] + [f"i{k}" for k in range(61)]
+    c = co.from_cover_pairs(points, [("x", "z"), ("y", "z"), ("x", "w"), ("y", "w")])
+    assert c.n == 65
     inter, cls = co.intersect_causal(c, c.subset(["x", "y", "z"]), c.subset(["x", "y", "w"]))
     assert inter.ids() == ("x", "y") and cls is SetClass.NEITHER
 

@@ -132,6 +132,35 @@ def test_verify_measure_suite(chain3_file, tmp_path, chain3):
     assert rc == 0
 
 
+def test_verify_infinite_measure_writes_strict_json(chain3_file, tmp_path, chain3):
+    # every singleton at "inf", every other set at 2.0: the counterexamples
+    # hold infinite and NaN floats, which must come out as strings
+    doc = co.constant_measure(chain3).to_dict()
+    for entry in doc["entries"]:
+        entry["sigma"] = "inf" if len(entry["set"]) == 1 else 2.0
+    mfile, out = tmp_path / "measure.json", tmp_path / "m.jsonl"
+    mfile.write_text(json.dumps(doc))
+    rc = run("verify", "--input", chain3_file, "--suite", "measure-axioms,monotonicity",
+             "--measure", str(mfile), "--output", str(out))
+    assert rc == 2
+    lines = [strict_loads(line) for line in out.read_text().splitlines()]
+    examples = {e["law"]: e["counterexample"] for e in lines if "law" in e}
+    assert examples["super-multiplicativity"]["bound"] == "nan"
+    assert examples["super-multiplicativity"]["sigma_union"] == "inf"
+    assert examples["family-pairs"]["sigma_a"] == "inf"
+    assert lines[-1] == {"summary": {"all_hold": False}}
+
+
+@pytest.mark.parametrize("sigma", ["NaN", '"2.0"', "null", "true"])
+def test_verify_measure_with_bad_sigma_exits_2(chain3_file, tmp_path, chain3, sigma):
+    text = json.dumps(co.constant_measure(chain3).to_dict()).replace("1.0", sigma, 1)
+    mfile, out = tmp_path / "measure.json", tmp_path / "m.jsonl"
+    mfile.write_text(text)
+    assert run("verify", "--input", chain3_file, "--suite", "measure-axioms",
+               "--measure", str(mfile), "--output", str(out)) == 2
+    assert not out.exists()  # rejected on load, not reported as a failed law
+
+
 def test_verify_measure_suite_needs_measure(chain3_file):
     assert run("verify", "--input", chain3_file, "--suite", "measure-axioms") == 1
 

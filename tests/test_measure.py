@@ -328,6 +328,14 @@ def test_measure_json_roundtrip(d4):
     assert entry["sigma"] == "inf"
 
 
+@pytest.mark.parametrize("sigma", [math.nan, "2.0", "-inf", None, True, [1.0]])
+def test_measure_from_dict_rejects_nan_and_non_numbers(d4, sigma):
+    doc = co.constant_measure(d4).to_dict()
+    doc["entries"][0]["sigma"] = sigma
+    with pytest.raises(ValueError, match="not a number"):
+        co.CausalMeasure.from_dict(d4, doc)
+
+
 def test_measure_value_lookup(d4):
     m = co.constant_measure(d4)
     assert m.value(d4.subset(["p", "q", "r"])) == 1.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder import Direction, OrderReversal, PointSet
+from causalorder import Direction, OrderReversal, PointSet, config
 
 from conftest import (
     fan_relation,
@@ -293,7 +293,7 @@ def test_reverse_distributes_over_meet_join(l5):
 
 
 def test_crossing_cap():
-    big = co.antichain(65)
+    big = co.antichain(config.MATRIX_CAP + 1)
     with pytest.raises(co.GroundSetTooLarge):
         co.has_crossing_property(big)
 
