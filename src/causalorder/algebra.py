@@ -370,6 +370,8 @@ def intersect_causal(c: Causality, a: PointSet, b: PointSet) -> tuple[PointSet, 
     crossing property is consulted only when the intersection has left a
     family holding both operands, the one case the theorem covers.
     """
+    if a.parent is not c or b.parent is not c:
+        raise ValueError("operands must belong to this causality")
     code_a = _code_of(c, a.mask)
     code_b = _code_of(c, b.mask)
     inter = a & b

@@ -29,7 +29,7 @@ from .errors import (
     InvalidRelation,
     MissingValue,
 )
-from .io import causality_from_dict, causality_to_dict
+from .io import _causality_json, causality_from_dict
 from .measure import CausalMeasure, check_monotonicity, verify_measure_axioms
 from .minkowski import (
     ConeKind,
@@ -141,9 +141,11 @@ def _cmd_sprinkle(args) -> int:
         mode=SprinkleMode(args.mode),
     )
     result = sprinkle(cfg)
-    doc = {"events": [list(e) for e in result.events],
-           "causality": causality_to_dict(result.causality)}
-    _write_out(args.output, json.dumps(doc, sort_keys=True, allow_nan=False))
+    # json.dumps({"causality": ..., "events": ...}, sort_keys=True), with
+    # the relation written in bulk rather than one list entry at a time
+    events = json.dumps([list(e) for e in result.events], allow_nan=False)
+    text = '{"causality": ' + _causality_json(result.causality) + ', "events": ' + events + "}"
+    _write_out(args.output, text)
     return 0
 
 

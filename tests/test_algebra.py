@@ -513,6 +513,14 @@ def test_intersection_examples(d4):
     assert inter.mask == 0 and cls is SetClass.BOTH
 
 
+@pytest.mark.parametrize("a, b", [(["p", "q"], ["q", "r"]), (["s"], ["s"])])
+def test_intersection_rejects_operands_of_another_causality(d4, a, b):
+    # the first pair used to return a set of d4 classified in chain(3),
+    # the second an IndexError
+    with pytest.raises(ValueError, match="operands must belong to this causality"):
+        co.intersect_causal(co.chain(3), d4.subset(a), d4.subset(b))
+
+
 def test_intersection_above_crossing_cap():
     # the theorem needs no crossing scan when the intersection stays in
     # the family, so the scan's cap does not apply

@@ -180,6 +180,13 @@ def test_relation_entry_2_exits_2(tmp_path, command):
     assert run(command, "--input", str(path), "--output", str(tmp_path / "r")) == 2
 
 
+def test_verify_ragged_relation_exits_2(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "relation": [[1, 0], [1]]}))
+    assert run("verify", "--input", str(path), "--output", str(tmp_path / "r")) == 2
+    assert "relation row 1 has 1 entries, not 2" in capsys.readouterr().err
+
+
 def test_verify_relation_behind_256_paths_exits_2(tmp_path):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps({
@@ -289,6 +296,7 @@ def test_entropy_non_finite_exits_2_without_output(tmp_path, argv):
      "--seed", "6"],
     ["entropy", "--t", "2", "--kind", "past", "--apex", "3,0,0,0",
      "--bekenstein-hawking", "--kB", "2", "--planck-length", "0.5"],
+    ["sprinkle", "--dim", "3", "--box", "0:1,0:1,0:1,0:1", "--n", "300", "--seed", "5"],
 ])
 def test_output_bytes_match_pure_python_encoder(tmp_path, argv):
     # json.dump(doc, fp, sort_keys=True) writes exactly these bytes

@@ -8,8 +8,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import causalorder as co
+from causalorder.io import _relation_json
 
 
 def test_json_roundtrip_explicit(l33):
@@ -129,3 +133,93 @@ def test_relation_entries_may_be_json_booleans(chain3):
     assert doc["relation"][0] == [True, True, True]
     c = co.causality_from_dict(doc)
     assert np.array_equal(c.relation, chain3.relation)
+
+
+def test_ragged_relation_names_the_first_short_row():
+    doc = {"points": ["a", "b"], "relation": [[1, 0], [1]]}
+    with pytest.raises(ValueError, match=re.escape("relation row 1 has 1 entries, not 2")):
+        co.causality_from_dict(doc)
+    doc = {"points": ["a", "b", "c"], "relation": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    with pytest.raises(ValueError, match=re.escape("relation row 0 has 4 entries, not 3")):
+        co.causality_from_dict(doc)
+
+
+# causality_from_dict of {"points": ["a", "b"], "relation": R}: the matrix
+# it returns, or the exception type and message, as before the bulk decoder
+T, F = True, False
+_NOT_0_OR_1 = "relation entry (0, 1) is {}, not 0 or 1"
+FROM_DICT_PARITY = [
+    ([[T, T], [F, T]], [[1, 1], [0, 1]]),
+    ([[1, 1], [0, 1]], [[1, 1], [0, 1]]),
+    ([[1.0, 1.0], [0.0, 1.0]], [[1, 1], [0, 1]]),
+    ([[T, 1.0], [0, 1]], [[1, 1], [0, 1]]),
+    ([[1, 2], [0, 1]], (ValueError, _NOT_0_OR_1.format("2"))),
+    ([[1, -1], [0, 1]], (ValueError, _NOT_0_OR_1.format("-1"))),
+    ([[1, 0.5], [0, 1]], (ValueError, _NOT_0_OR_1.format("0.5"))),
+    ([[1, 256], [0, 1]], (ValueError, _NOT_0_OR_1.format("256"))),
+    ([[1, 2**70], [0, 1]], (ValueError, _NOT_0_OR_1.format(2**70))),
+    ([[1, float("nan")], [0, 1]], (ValueError, _NOT_0_OR_1.format("nan"))),
+    ([[1, "1"], [0, 1]], (ValueError, _NOT_0_OR_1.format("'1'"))),
+    ([[1, None], [0, 1]], (ValueError, _NOT_0_OR_1.format("None"))),
+    ([[[1], [1]], [[0], [1]]], (ValueError, "relation must be a square matrix")),
+    (["11", "01"], (ValueError, "relation must be a matrix of 0 and 1 entries")),
+    ([[1, 1], [1, 1]], (co.NotAntisymmetric,
+                        "relation is not antisymmetric: indices 0 and 1 precede each other")),
+    ([[0, 1], [0, 1]], (co.NotReflexive, "relation is not reflexive at index 0")),
+    ([], (ValueError, "relation must be a square matrix")),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (ValueError, "points and relation size disagree")),
+    ([[1, 0, 0], [0, 1, 0]], (ValueError, "relation must be a square matrix")),
+    (1, (ValueError, "relation must be a square matrix")),
+    (None, (ValueError, "relation must be a matrix of 0 and 1 entries")),
+    ("1101", (ValueError, "relation must be a matrix of 0 and 1 entries")),
+]
+
+
+@pytest.mark.parametrize("relation, expected", FROM_DICT_PARITY, ids=repr)
+def test_from_dict_parity(relation, expected):
+    doc = {"points": ["a", "b"], "relation": relation}
+    if isinstance(expected, tuple):
+        exc, message = expected
+        with pytest.raises(exc) as info:
+            co.causality_from_dict(doc)
+        assert type(info.value) is exc and str(info.value) == message
+    else:
+        assert co.causality_from_dict(doc).relation.tolist() == np.array(expected, bool).tolist()
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(0, 40).flatmap(
+    lambda n: hnp.arrays(bool, (n, n)) | st.sampled_from([np.ones((n, n), bool),
+                                                          np.zeros((n, n), bool)])))
+def test_relation_json_equals_json_dumps(rel):
+    assert _relation_json(rel) == json.dumps(rel.astype(int).tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_relation_json_at_sizes_0_and_1(n):
+    for rel in (np.zeros((n, n), bool), np.ones((n, n), bool)):
+        assert _relation_json(rel) == json.dumps(rel.astype(int).tolist())
+
+
+def _assert_dump_matches_pure_python_encoder(c):
+    buf, ref = io.StringIO(), io.StringIO()
+    co.dump_causality(c, buf)
+    json.dump(co.causality_to_dict(c), ref, indent=1, sort_keys=True)
+    assert buf.getvalue() == ref.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("name", ["chain3", "d4", "l5", "l33", "anti3", "not_dense_7"])
+def test_dump_causality_bytes_match_pure_python_encoder(request, name):
+    _assert_dump_matches_pure_python_encoder(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_dump_causality_bytes_at_sizes_0_and_1(n):
+    _assert_dump_matches_pure_python_encoder(co.chain(n))
+
+
+def test_dump_causality_bytes_of_300_point_sprinkle():
+    cfg = co.SprinkleConfig(d=3, box=((0, 1),) * 4, n=300, seed=4)
+    c = co.sprinkle(cfg).causality
+    assert 0 < c.relation.sum() - c.n < c.n * c.n
+    _assert_dump_matches_pure_python_encoder(c)
