@@ -28,9 +28,8 @@ from .order import (
     Direction,
     PointSet,
     bits,
+    bounded_mask,
     complete_mask,
-    convergent_mask,
-    divergent_mask,
     has_crossing_property,
     reverse_structure,
 )
@@ -79,7 +78,8 @@ class Kind(Enum):
 
     # Members are singletons, so identity is their equality; hashing by it
     # runs in C, where Enum.__hash__ hashes the name in Python.  Kinds key
-    # the per-call union cache.
+    # the derived-data store, the finished union answers on the per-call
+    # path among them.
     __hash__ = object.__hash__
 
 
@@ -110,23 +110,18 @@ def _class_code(c: Causality, mask: int) -> int:
     convergent and bit 1 for divergent."""
     if not complete_mask(c, mask):
         return 0
-    return convergent_mask(c, mask) | divergent_mask(c, mask) << 1
+    return bounded_mask(c, mask, c.succ_masks) | bounded_mask(c, mask, c.pred_masks) << 1
 
 
 def _code_of(c: Causality, mask: int) -> int:
     """The class code of a subset, read off the class table once it is
-    built, else computed by _class_code and memoized per causality."""
-    table = c._class_table
-    if table is not None:
-        return table.item(mask)
-    code = c._class_memo.get(mask)
-    if code is None:
-        code = c._class_memo[mask] = _class_code(c, mask)
-    return code
+    built, else computed by _class_code."""
+    table = c._derived.get("class_table")
+    return _class_code(c, mask) if table is None else table.item(mask)
 
 
 def class_of_mask(c: Causality, mask: int) -> SetClass:
-    """Classify a subset given as a bit-mask (memoized per causality)."""
+    """Classify a subset given as a bit-mask."""
     return _CLASSES[_code_of(c, mask)]
 
 
@@ -191,7 +186,8 @@ def _class_table(c: Causality) -> np.ndarray:
     pair at a time.  At n = 20 this takes milliseconds, and the 2^n-byte
     table is the largest allocation.
     """
-    if c._class_table is None:
+    table = c._derived.get("class_table")
+    if table is None:
         # ENUMERATION_CAP also keeps every subset mask below 2^64, which
         # the uint64 arrays here and in reconstruction rely on.
         if c.n > config.ENUMERATION_CAP:
@@ -199,20 +195,19 @@ def _class_table(c: Causality) -> np.ndarray:
         complete = _complete_masks(c)
         conv = _bounded(c, complete, c.succ_masks)
         div = _bounded(c, complete, c.pred_masks)
-        table = np.zeros(1 << c.n, dtype=np.uint8)
+        table = c._derived["class_table"] = np.zeros(1 << c.n, dtype=np.uint8)
         table[complete] = conv | div.astype(np.uint8) << 1
-        c._class_table = table
-    return c._class_table
+    return table
 
 
 def family_masks(c: Causality, kind: Kind) -> list[int]:
     """All subset masks of the requested kind, ascending (cached, along
     with the uint64 array of the same masks that causal unions scan)."""
-    hit = c._families.get(kind)
+    hit = c._derived.get(("family", kind))
     if hit is None:
         sel = np.flatnonzero(_KIND_TEST[kind](_class_table(c)))
-        c._families["arr", kind] = sel.astype(np.uint64)
-        hit = c._families[kind] = sel.tolist()
+        c._derived["family_arr", kind] = sel.astype(np.uint64)
+        hit = c._derived["family", kind] = sel.tolist()
     return hit
 
 
@@ -250,10 +245,10 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _family_array(c: Causality, kind: Kind) -> np.ndarray:
-    hit = c._families.get(("arr", kind))
+    hit = c._derived.get(("family_arr", kind))
     if hit is None:
         family_masks(c, kind)
-        hit = c._families["arr", kind]
+        hit = c._derived["family_arr", kind]
     return hit
 
 
@@ -278,11 +273,12 @@ def _unions(c: Causality, targets: np.ndarray, kind: Kind) -> tuple[np.ndarray, 
 
 
 def _union_answer(c: Causality, a: int, b: int, kind: Kind):
-    """The finished answer of the kind-union of masks a and b (cached per
-    causality): the result PointSet, or the (exception class, constructor
-    arguments) that causal_union raises a fresh instance of."""
+    """The finished answer of the kind-union of masks a and b (kept in the
+    store under (a, b, kind) with a <= b): the result PointSet, or the
+    (exception class, constructor arguments) that causal_union raises a
+    fresh instance of."""
     key = (a, b, kind) if a <= b else (b, a, kind)
-    hit = c._union_cache.get(key)
+    hit = c._derived.get(key)
     if hit is None:
         meets, closed = _unions(c, np.array([a | b], dtype=np.uint64), kind)
         meet = int(meets[0])
@@ -294,7 +290,7 @@ def _union_answer(c: Causality, a: int, b: int, kind: Kind):
         else:
             hit = NotClosed, (
                 f"the intersection of all {kind.value} supersets is not {kind.value}", meet)
-        c._union_cache[key] = hit
+        c._derived[key] = hit
     return hit
 
 
@@ -462,6 +458,23 @@ def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, w
     return _fail(law, n_checked, n_scanned - n_checked, **witness(*cell))
 
 
+def _slabs(law: str, f: int, slab, witness) -> LawResult:
+    """The result of scanning f slabs of f x f cells, one per first index
+    i: ``slab(i)`` gives the (defined, bad) cells.  Every cell of a scanned
+    slab counts, as checked where defined and skipped elsewhere; the first
+    slab with a bad cell fails with the counterexample ``witness(i, *cell)``
+    of its first bad cell in row-major order."""
+    checked = skipped = 0
+    for i in range(f):
+        defined, bad = slab(i)
+        n_defined = int(np.count_nonzero(defined))
+        checked += n_defined
+        skipped += defined.size - n_defined
+        if bad.any():
+            return _fail(law, checked, skipped, **witness(i, *map(int, np.argwhere(bad)[0])))
+    return LawResult(law, "holds", None, checked, skipped)
+
+
 # ---------------------------------------------------------------------------
 # Union laws I-V
 # ---------------------------------------------------------------------------
@@ -486,14 +499,14 @@ def _union_tables(c: Causality, kind: Kind):
     undefined (no superset / not closed).  i_idx[i, j] holds the family
     index of the plain intersection, or -1 when it leaves the family.
     """
-    hit = c._families.get(("unions", kind))
+    hit = c._derived.get(("unions", kind))
     if hit is None:
         fam = _family_array(c, kind)
         meets = np.empty((len(fam), len(fam)), dtype=np.uint64)
         for i in range(len(fam)):  # one row at a time: f x f temporaries
             meets[i, i:] = meets[i:, i] = _unions(c, fam[i:] | fam[i], kind)[0]
         hit = fam, meets, _index_in(fam, meets), _index_in(fam, fam[:, None] & fam)
-        c._families["unions", kind] = hit
+        c._derived["unions", kind] = hit
     return hit
 
 
@@ -517,7 +530,7 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     exactly when the union is.
     """
     kinds = tuple(kinds)
-    cached = c._law_reports.get(("union_laws", kinds))
+    cached = c._derived.get(("union_laws", kinds))
     if cached is not None:
         return cached
     _law_cap(c, "union-law verification")
@@ -542,67 +555,38 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
             f"II[{tag}]", np.ones(f, dtype=bool), diag, diag & (np.diagonal(u_idx) != np.arange(f)),
             lambda i: dict(a=c.ids_of(fam[i]))))
 
-        # law III: associativity, triples, vectorized with chunking over i
-        res = LawResult(f"III[{tag}]", "holds")
-        for i in range(f):
+        # laws III-V: triples, one f x f slab per first index
+        def triple(i, j, k):
+            return dict(a=c.ids_of(fam[i]), b=c.ids_of(fam[j]), c=c.ids_of(fam[k]))
+
+        def associativity(i):  # (A ∪c B) ∪c C = A ∪c (B ∪c C), slab over A
             ui = u_idx[i]                          # (f,) union i,b
             left = np.where(ui[:, None] >= 0, u_idx[np.clip(ui, 0, None), :], -1)
-            right_in = u_idx                       # (f, f) union b,d
-            right = np.where(right_in >= 0, u_idx[i, np.clip(right_in, 0, None)], -1)
+            right = np.where(union_ok, u_idx[i, np.clip(u_idx, 0, None)], -1)
             defined = (left >= 0) & (right >= 0)
-            res.skipped += int((~defined).sum())
-            res.checked += int(defined.sum())
-            bad = defined & (left != right)
-            if bad.any():
-                b, d = map(int, np.argwhere(bad)[0])
-                res = _fail(res.law, res.checked, res.skipped,
-                            a=c.ids_of(fam[i]), b=c.ids_of(fam[b]), c=c.ids_of(fam[d]))
-                break
-        report.results.append(res)
+            return defined, defined & (left != right)
 
-        # law IV: C ∩ (A ∪c B) = (C ∩ A) ∪c (C ∩ B), chunked over C
-        res = LawResult(f"IV[{tag}]", "holds")
-        for k in range(f):
-            ca = i_idx[k]                          # index of fam[k] & fam[a]
-            lhs = fam_arr[k] & u_mask              # (f, f)
-            ca_ok = ca >= 0
+        def meet_over_union(k):  # C ∩ (A ∪c B) = (C ∩ A) ∪c (C ∩ B), slab over C
+            ca = np.clip(i_idx[k], 0, None)        # index of fam[k] & fam[a]
+            ca_ok = i_idx[k] >= 0
             pair_ok = ca_ok[:, None] & ca_ok[None, :]
-            rhs_idx = np.where(
-                pair_ok, u_idx[np.clip(ca, 0, None)[:, None], np.clip(ca, 0, None)[None, :]], -1
-            )
-            defined = (u_idx >= 0) & pair_ok & (rhs_idx >= 0)
-            res.skipped += int((~defined).sum())
-            res.checked += int(defined.sum())
-            rhs = fam_arr[np.clip(rhs_idx, 0, None)]
-            bad = defined & (lhs != rhs)
-            if bad.any():
-                a, b = map(int, np.argwhere(bad)[0])
-                res = _fail(res.law, res.checked, res.skipped,
-                            a=c.ids_of(fam[a]), b=c.ids_of(fam[b]), c=c.ids_of(fam[k]))
-                break
-        report.results.append(res)
+            rhs_idx = np.where(pair_ok, u_idx[ca[:, None], ca[None, :]], -1)
+            defined = union_ok & pair_ok & (rhs_idx >= 0)
+            return defined, defined & ((fam_arr[k] & u_mask) != fam_arr[np.clip(rhs_idx, 0, None)])
 
-        # law V: A ∪c (B ∩ C) = (A ∪c B) ∩ (A ∪c C), chunked over A
-        res = LawResult(f"V[{tag}]", "holds")
-        for i in range(f):
-            bc = i_idx                             # (f, f) index of b & c
-            lhs_idx = np.where(bc >= 0, u_idx[i, np.clip(bc, 0, None)], -1)
-            lhs = fam_arr[np.clip(lhs_idx, 0, None)]
-            ub = u_idx[i]                          # (f,)
-            both = (ub[:, None] >= 0) & (ub[None, :] >= 0)
+        def union_over_meet(i):  # A ∪c (B ∩ C) = (A ∪c B) ∩ (A ∪c C), slab over A
+            lhs_idx = np.where(i_idx >= 0, u_idx[i, np.clip(i_idx, 0, None)], -1)
+            ub = u_idx[i] >= 0
+            defined = (lhs_idx >= 0) & ub[:, None] & ub[None, :]
             rhs = u_mask[i][:, None] & u_mask[i][None, :]
-            defined = (lhs_idx >= 0) & both
-            res.skipped += int((~defined).sum())
-            res.checked += int(defined.sum())
-            bad = defined & (lhs != rhs)
-            if bad.any():
-                b, k = map(int, np.argwhere(bad)[0])
-                res = _fail(res.law, res.checked, res.skipped,
-                            a=c.ids_of(fam[i]), b=c.ids_of(fam[b]), c=c.ids_of(fam[k]))
-                break
-        report.results.append(res)
+            return defined, defined & (fam_arr[np.clip(lhs_idx, 0, None)] != rhs)
 
-    c._law_reports["union_laws", kinds] = report
+        report.results.append(_slabs(f"III[{tag}]", f, associativity, triple))
+        report.results.append(_slabs(f"IV[{tag}]", f, meet_over_union,
+                                     lambda k, i, j: triple(i, j, k)))
+        report.results.append(_slabs(f"V[{tag}]", f, union_over_meet, triple))
+
+    c._derived["union_laws", kinds] = report
     return report
 
 
@@ -624,7 +608,7 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     the empty set is empty and images commute with intersection and
     plain union.  Any bijective point map commutes with both as well.
     """
-    cached = c._law_reports.get("algebra_axioms")
+    cached = c._derived.get("algebra_axioms")
     if cached is not None:
         return cached
     _law_cap(c, "algebra-axiom verification")
@@ -676,5 +660,5 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
         skipped=sum(r.skipped for r in laws.results),
     )
     report.results.append(res)
-    c._law_reports["algebra_axioms"] = report
+    c._derived["algebra_axioms"] = report
     return report

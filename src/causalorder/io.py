@@ -112,7 +112,7 @@ def _relation_matrix(rows) -> np.ndarray:
 def causality_from_dict(data: dict) -> Causality:
     points = [str(p) for p in data["points"]]
     rel = _relation_matrix(data["relation"])
-    if not points:
+    if not points and not rel.size:  # [] is the 0 x 0 matrix
         rel = rel.reshape(0, 0)
     mode = data.get("closure", "explicit")
     if mode == "cover":

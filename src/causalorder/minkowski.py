@@ -257,6 +257,11 @@ def horizon_entropy(desc: ConeSetDescriptor, alpha: float) -> float:
     return alpha * 4.0 * math.pi * r * r
 
 
+# Sample rows drawn per block: the draws and hit count are those of one
+# draw of every sample, without holding all of them at once.
+_MC_BLOCK = 1 << 16
+
+
 def monte_carlo_cross_section(
     desc: ConeSetDescriptor, t: float, samples: int, seed: int = 0
 ) -> float:
@@ -276,9 +281,11 @@ def monte_carlo_cross_section(
     eps = 0.05 * r
     half = r + eps
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-half, half, size=(samples, 3))
-    dist = np.linalg.norm(pts, axis=1)
-    hits = int(np.count_nonzero(np.abs(dist - r) <= eps / 2))
+    hits = 0
+    for start in range(0, samples, _MC_BLOCK):
+        pts = rng.uniform(-half, half, size=(min(_MC_BLOCK, samples - start), 3))
+        dist = np.linalg.norm(pts, axis=1)
+        hits += int(np.count_nonzero(np.abs(dist - r) <= eps / 2))
     volume = (2.0 * half) ** 3
     return hits / samples * volume / eps
 

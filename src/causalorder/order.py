@@ -61,9 +61,12 @@ class Causality:
     """A finite poset: ordered point identifiers plus a dense relation matrix.
 
     ``relation[i, j]`` is true iff point i precedes point j.  Instances are
-    immutable after construction and cache derived data (bit-masks per row
-    and column, subset classifications, the reversed structure) on first
-    use, so all operations on them are pure.
+    immutable after construction, so all operations on them are pure.  The
+    bit-masks per row and column are built at once; everything else derived
+    from the order (the subset class table, the families, causal unions,
+    law reports, the crossing property, the reversed structure) is kept on
+    first use in the one dict ``_derived``, keyed by what each entry
+    depends on.
     """
 
     def __init__(self, points: Sequence[str], relation, _checked: bool = False):
@@ -82,14 +85,7 @@ class Causality:
         self.succ_masks = _row_masks(rel)
         self.pred_masks = _row_masks(rel.T)
         self.full_mask = (1 << len(pts)) - 1
-        # caches filled lazily by other modules
-        self._reversed: Causality | None = None
-        self._class_table = None
-        self._class_memo: dict[int, int] = {}
-        self._families: dict[object, object] = {}
-        self._union_cache: dict[tuple[int, int, object], object] = {}  # finished causal unions
-        self._crossing = None
-        self._law_reports: dict[object, object] = {}
+        self._derived: dict[object, object] = {}
 
     @property
     def n(self) -> int:
@@ -226,13 +222,9 @@ class PointSet:
 # Diamonds
 # ---------------------------------------------------------------------------
 
-def diamond_mask(c: Causality, ix: int, iy: int) -> int:
-    return c.succ_masks[ix] & c.pred_masks[iy]
-
-
 def diamond(c: Causality, x: str, y: str) -> PointSet:
     """All points z with x <= z <= y.  May be empty; diamond(x, x) = {x}."""
-    return PointSet(c, diamond_mask(c, c.index[x], c.index[y]))
+    return PointSet(c, c.succ_masks[c.index[x]] & c.pred_masks[c.index[y]])
 
 
 def incomplete_diamond(c: Causality, x: str, direction: Direction) -> PointSet:
@@ -247,37 +239,28 @@ def incomplete_diamond(c: Causality, x: str, direction: Direction) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Completeness / convergence / divergence (mask-level versions are used by
-# the enumeration code, which classifies thousands of subsets per call)
+# Completeness / convergence / divergence of one subset: the two tests the
+# class table in causalorder.algebra runs over every subset at once
 # ---------------------------------------------------------------------------
 
 def complete_mask(c: Causality, mask: int) -> bool:
+    """↓S ∩ ↑S = S: the points below some member and above some member are
+    the union of the diamonds between members, which contains S."""
+    down = up = 0
     for x in bits(mask):
-        inside_above = c.succ_masks[x] & mask
-        for y in bits(inside_above):
-            if diamond_mask(c, x, y) & ~mask:
-                return False
-    return True
+        down |= c.pred_masks[x]
+        up |= c.succ_masks[x]
+    return down & up == mask
 
 
-def convergent_mask(c: Causality, mask: int) -> bool:
-    members = list(bits(mask))
-    for a, x in enumerate(members):
-        for y in members[a + 1:]:
-            if c.relation[x, y] or c.relation[y, x]:
-                continue
-            if not (c.succ_masks[x] & c.succ_masks[y] & mask):
-                return False
-    return True
-
-
-def divergent_mask(c: Causality, mask: int) -> bool:
-    members = list(bits(mask))
-    for a, x in enumerate(members):
-        for y in members[a + 1:]:
-            if c.relation[x, y] or c.relation[y, x]:
-                continue
-            if not (c.pred_masks[x] & c.pred_masks[y] & mask):
+def bounded_mask(c: Causality, mask: int, bound_masks: list[int]) -> bool:
+    """Whether each unrelated pair of members has a common bound inside:
+    a member of ``bound_masks[x] & bound_masks[y]`` (succ_masks for upper
+    bounds, pred_masks for lower ones)."""
+    for x in bits(mask):
+        # members after x that x is unrelated to
+        for y in bits(mask & -(2 << x) & ~(c.succ_masks[x] | c.pred_masks[x])):
+            if not bound_masks[x] & bound_masks[y] & mask:
                 return False
     return True
 
@@ -289,12 +272,12 @@ def is_causally_complete(c: Causality, u: PointSet) -> bool:
 
 def is_convergent(c: Causality, u: PointSet) -> bool:
     """True iff every unrelated pair in ``u`` has a common upper bound in ``u``."""
-    return convergent_mask(c, u.mask)
+    return bounded_mask(c, u.mask, c.succ_masks)
 
 
 def is_divergent(c: Causality, u: PointSet) -> bool:
     """True iff every unrelated pair in ``u`` has a common lower bound in ``u``."""
-    return divergent_mask(c, u.mask)
+    return bounded_mask(c, u.mask, c.pred_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +305,9 @@ def has_crossing_property(c: Causality) -> CrossingResult:
     each unrelated pair are downward directed: any two members of U have
     a common lower bound in U.  That is one boolean product per pair.
     """
-    if c._crossing is not None:
-        return c._crossing
+    hit = c._derived.get("crossing")
+    if hit is not None:
+        return hit
     n = c.n
     if n > config.MATRIX_CAP:
         raise GroundSetTooLarge(n, config.MATRIX_CAP, "crossing-property scan")
@@ -339,7 +323,7 @@ def has_crossing_property(c: Causality) -> CrossingResult:
             z, w = ups[apart[0]]
             result = CrossingResult(False, tuple(c.points[i] for i in (x, y, z, w)))
             break
-    c._crossing = result
+    c._derived["crossing"] = result
     return result
 
 
@@ -391,11 +375,11 @@ class OrderReversal:
 def reverse_structure(c: Causality) -> Causality:
     """The same points under the transposed relation.  Cached; the reverse
     of the reverse is the original object."""
-    if c._reversed is None:
-        rev = Causality(c.points, c.relation.T.copy(), _checked=True)
-        rev._reversed = c
-        c._reversed = rev
-    return c._reversed
+    rev = c._derived.get("reversed")
+    if rev is None:
+        rev = c._derived["reversed"] = Causality(c.points, c.relation.T.copy(), _checked=True)
+        rev._derived["reversed"] = c
+    return rev
 
 
 def reverse(c: Causality, reversal: OrderReversal, u: PointSet) -> PointSet:

@@ -31,7 +31,10 @@ from conftest import (
     NOT_DENSE_7_RELATION,
     oracle_causal_union,
     oracle_class,
+    oracle_complete,
+    oracle_convergent,
     oracle_crossing,
+    oracle_divergent,
     oracle_family,
     random_poset,
 )
@@ -68,6 +71,33 @@ def test_classify_matches_oracle_random(seed, n, p_edge):
     for mask in range(1 << n):
         u = PointSet(c, mask)
         assert co.classify(c, u).name.lower() == oracle_class(c, set(u.ids()))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(65, 80), st.floats(0.02, 0.3))
+def test_per_mask_classifier_matches_oracle_above_64_points(seed, n, p_edge):
+    # No class table exists above ENUMERATION_CAP, so every answer here
+    # comes from the per-mask tests, on masks wider than 64 bits.
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    z = int(rng.integers(60, n))
+    window = (1 << z + 9) - (1 << z - 8)  # points z-8 .. z+8
+    # z with up to three points below it, above it, or anywhere near it
+    for rows in (c.pred_masks, c.succ_masks, [c.full_mask] * n):
+        pool = [i for i in range(n) if rows[z] & window >> i & 1]
+        picks = rng.choice(pool, size=min(3, len(pool)), replace=False)
+        mask = 1 << z | c.mask_of(c.points[i] for i in picks)
+        down = up = 0
+        for i in co.order.bits(mask):
+            down |= c.pred_masks[i]
+            up |= c.succ_masks[i]
+        for u in (PointSet(c, mask), PointSet(c, down & up)):  # as drawn, completed
+            ids = set(u.ids())
+            assert co.is_causally_complete(c, u) == oracle_complete(c, ids)
+            assert co.is_convergent(c, u) == oracle_convergent(c, ids)
+            assert co.is_divergent(c, u) == oracle_divergent(c, ids)
+            assert co.classify(c, u).name.lower() == oracle_class(c, ids)
+    assert "class_table" not in c._derived
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +149,7 @@ def test_enumeration_cap_checked_before_allocation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert c._class_table is None
+    assert "class_table" not in c._derived
     assert peak < 64 * 1024  # the 2^21-byte table, or one OR table, would show
 
 
@@ -422,6 +452,32 @@ def test_union_mask_and_causal_union_share_answers(fixture, request):
                 if not first_mask:
                     mask = _union_mask(c, a.mask, b.mask, kind)
                 assert mask == got
+
+
+def test_derived_data_kept_only_in_the_store(l33):
+    c = l33
+    attrs = set(vars(c))
+    assert {a for a in attrs if a.startswith("_")} == {"_derived"}
+    rev = co.reverse_structure(c)
+    co.has_crossing_property(c)
+    co.verify_union_laws(c)
+    co.verify_algebra_axioms(c)
+    co.verify_reversal_theorem(c)
+    measure = co.constant_measure(c)
+    co.verify_measure_axioms(c, measure)
+    co.check_monotonicity(c, measure)
+    co.reconstruct_order(c)
+    fam = co.enumerate_causal_sets(c, Kind.DIVERGENT)
+    for _ in range(2):  # cold, then warm
+        for a in fam[:6]:
+            for b in fam[-6:]:
+                co.classify(c, a)
+                co.intersect_causal(c, a, b)
+                try:
+                    co.causal_union(c, a, b, Kind.DIVERGENT)
+                except (co.NoCausalSuperset, co.NotClosed):
+                    pass
+    assert set(vars(c)) == attrs and set(vars(rev)) == attrs
 
 
 def _traceback_depth(exc):

@@ -66,6 +66,12 @@ def test_empty_causality_roundtrip():
     assert co.causality_to_dict(c)["points"] == []
 
 
+@pytest.mark.parametrize("relation", [[[1]], [[1, 0], [0, 1]]])
+def test_relation_without_points_is_a_size_mismatch(relation):
+    with pytest.raises(ValueError, match="^points and relation size disagree$"):
+        co.causality_from_dict({"points": [], "relation": relation})
+
+
 def test_cover_relation_is_transitive_reduction(l33):
     covers = set(co.cover_relation(l33))
     # covers of the grid: one-step moves

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,25 @@ def test_mc_requires_enough_samples():
     desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=1.0)
     with pytest.raises(ValueError):
         co.monte_carlo_cross_section(desc, 1.0, 100, seed=1)
+
+
+def test_mc_blocks_equal_one_draw_in_less_memory():
+    desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=1.0)
+    samples, seed = 200_003, 4  # three full blocks and a partial one
+    r = 1.0
+    eps, half = 0.05 * r, 1.05 * r
+    pts = np.random.default_rng(seed).uniform(-half, half, size=(samples, 3))
+    hits = int(np.count_nonzero(np.abs(np.linalg.norm(pts, axis=1) - r) <= eps / 2))
+    reference = hits / samples * (2.0 * half) ** 3 / eps
+    del pts
+    tracemalloc.start()
+    try:
+        got = co.monte_carlo_cross_section(desc, r, samples, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference
+    assert peak < samples * 3 * 8  # one draw of every sample at once
 
 
 def test_mc_deterministic_per_seed():
