@@ -29,7 +29,7 @@ from .errors import (
     InvalidRelation,
     MissingValue,
 )
-from .io import _causality_json, causality_from_dict
+from .io import _causality_json, load_causality
 from .measure import CausalMeasure, check_monotonicity, verify_measure_axioms
 from .minkowski import (
     ConeKind,
@@ -41,7 +41,7 @@ from .minkowski import (
     monte_carlo_cross_section,
     sprinkle,
 )
-from .order import has_crossing_property
+from .order import Causality, has_crossing_property
 from .reconstruction import reconstruct_order, verify_reversal_theorem
 
 DEFAULT_SUITES = ("crossing", "union-laws", "algebra-axioms", "reversal")
@@ -127,9 +127,18 @@ def _write_out(path: str, text: str) -> None:
         fp.write(text + "\n")
 
 
+def _open_in(path: str) -> ContextManager[IO[str]]:
+    return nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _load_json(path: str) -> dict:
-    with (nullcontext(sys.stdin) if path == "-" else open(path)) as fp:
+    with _open_in(path) as fp:
         return json.load(fp)
+
+
+def _load_causality(path: str) -> Causality:
+    with _open_in(path) as fp:
+        return load_causality(fp)
 
 
 def _cmd_sprinkle(args) -> int:
@@ -154,7 +163,7 @@ def _cmd_verify(args) -> int:
     unknown = set(suites) - set(ALL_SUITES)
     if unknown:
         raise _UsageError(f"unknown suites: {sorted(unknown)}")
-    c = causality_from_dict(_load_json(args.input))
+    c = _load_causality(args.input)
     if c.n > args.max_n:
         raise GroundSetTooLarge(c.n, args.max_n, "verify input")
 
@@ -213,7 +222,7 @@ def _spelled_out(value):
 
 
 def _cmd_reconstruct(args) -> int:
-    c = causality_from_dict(_load_json(args.input))
+    c = _load_causality(args.input)
     if c.n > args.max_n:
         raise GroundSetTooLarge(c.n, args.max_n, "reconstruction input")
     report = reconstruct_order(c)

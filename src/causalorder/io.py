@@ -8,6 +8,9 @@ Causality JSON format::
 
 With ``"closure": "cover"`` the matrix holds only the cover (Hasse)
 relation and the loader computes the reflexive-transitive closure.
+:func:`load_causality` reads a relation framed as this module writes it
+(flat, or with ``indent=1``) at fixed strides, and any other text with
+``json.loads``; the result is the same either way.
 """
 
 from __future__ import annotations
@@ -50,21 +53,26 @@ def _brackets(indent: int | None, level: int) -> tuple[str, str, str]:
     return "[" + inner, "," + inner, "\n" + " " * (indent * level) + "]"
 
 
-def _relation_json(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> str:
-    """``json.dumps(rel.astype(int).tolist())`` of a square bool matrix,
-    framed by the (opening, separator, closing) triples of the outer list
-    and of each row.  One byte template per row, its digits raised by the
-    relation, decoded once."""
+def _relation_bytes(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> bytes:
+    """``json.dumps(rel.astype(int).tolist())`` of a square bool matrix, as
+    ASCII bytes, framed by the (opening, separator, closing) triples of the
+    outer list and of each row.  One byte template per row, its digits
+    raised by the relation."""
     n = len(rel)
     if n == 0:
-        return "[]"
+        return b"[]"
     cell_open, cell_sep, cell_close = (s.encode() for s in cells)
     row_sep = rows[1].encode()
     line = cell_open + cell_sep.join([b"0"] * n) + cell_close + row_sep
     text = np.tile(np.frombuffer(line, np.uint8), (n, 1))
     step = 1 + len(cell_sep)
     text[:, len(cell_open):len(cell_open) + n * step:step] |= rel
-    return rows[0] + text.ravel()[:-len(row_sep)].tobytes().decode("ascii") + rows[2]
+    return rows[0].encode() + text.ravel()[:-len(row_sep)].tobytes() + rows[2].encode()
+
+
+def _relation_json(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> str:
+    """:func:`_relation_bytes` decoded once."""
+    return _relation_bytes(rel, rows, cells).decode("ascii")
 
 
 def _causality_json(c: Causality, indent: int | None = None) -> str:
@@ -81,7 +89,10 @@ def _relation_matrix(rows) -> np.ndarray:
     """The relation of a file as a bool matrix.  Entries must be 0 or 1
     (JSON true and false count as 1 and 0); anything else raises
     ValueError naming the first bad entry, or the first row of a ragged
-    matrix whose length differs from the number of rows."""
+    matrix whose length differs from the number of rows.  A bool ndarray,
+    as :func:`load_causality` reads it, is returned as it is."""
+    if isinstance(rows, np.ndarray) and rows.dtype == bool:
+        return rows
     n = len(rows) if type(rows) is list else 0
     if n and all(type(row) is list for row in rows):
         lengths = {len(row) for row in rows}
@@ -109,7 +120,23 @@ def _relation_matrix(rows) -> np.ndarray:
     raise ValueError("relation must be a matrix of 0 and 1 entries")
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "number", float: "number", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    """The JSON name of a parsed value's type, for error messages."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def causality_from_dict(data: dict) -> Causality:
+    if not isinstance(data, dict):
+        raise ValueError(f"causality document must be an object, got {_json_type(data)}")
+    for key in ("points", "relation"):
+        if key not in data:
+            raise ValueError(f'causality document has no "{key}"')
+    if not isinstance(data["points"], list):
+        raise ValueError(f'"points" must be an array, got {_json_type(data["points"])}')
     points = [str(p) for p in data["points"]]
     rel = _relation_matrix(data["relation"])
     if not points and not rel.size:  # [] is the 0 x 0 matrix
@@ -129,8 +156,78 @@ def dump_causality(c: Causality, fp: IO[str]) -> None:
     fp.write(_causality_json(c, indent=1) + "\n")
 
 
+# The relation framings the library writes: flat (CLI sprinkle, and
+# json.dumps of causality_to_dict) and indent=1 (dump_causality).
+_FRAMINGS = [(_brackets(None, 1), _brackets(None, 2)), (_brackets(1, 1), _brackets(1, 2))]
+_RELATION_KEY = '"relation": '
+_HOLE = object()  # what the placeholder of the relation parses to
+
+
+def _framed_relation(text: str) -> tuple[int, int, np.ndarray] | None:
+    """``(start, end, rel)`` when ``text[start:end]`` follows the first
+    ``"relation": `` key that opens a framing of :data:`_FRAMINGS` and is
+    exactly what :func:`_relation_bytes` writes for ``rel`` in it.  Inside
+    a JSON string every ``"`` is escaped, so ``relation"`` ends a key."""
+    for rows, cells in _FRAMINGS:
+        at = text.find(_RELATION_KEY + rows[0] + cells[0])
+        if at >= 0:
+            break
+    else:
+        return None
+    start = at + len(_RELATION_KEY)
+    first = start + len(rows[0])  # where the first row opens
+    (cell_open, cell_sep, cell_close), row_sep = cells, rows[1]
+    row_len = text.find(cell_close, first) + len(cell_close) - first
+    step = 1 + len(cell_sep)  # from one digit to the next
+    n, extra = divmod(row_len - len(cell_open) - len(cell_close) + len(cell_sep), step)
+    stride = row_len + len(row_sep)  # from one row to the next
+    end = first + n * stride - len(row_sep) + len(rows[2])
+    span = text[start:end]
+    if n < 1 or extra or len(span) != end - start or not span.isascii():
+        return None
+    raw = span.encode()
+    # the n x n digits, read in place; ndarray checks they lie inside raw
+    digits = np.ndarray((n, n), np.uint8, raw, len(rows[0]) + len(cell_open),
+                        (stride, step)) - ord("0")
+    if not (digits <= 1).all():
+        return None
+    rel = digits.view(bool)
+    if _relation_bytes(rel, rows, cells) != raw:
+        return None
+    return start, end, rel
+
+
+def _fast_document(text) -> dict | None:
+    """The document ``json.loads(text)`` gives, with its relation as a bool
+    matrix, when the relation is framed as the library writes it; else
+    None.  The text outside the relation is parsed with a ``NaN`` in its
+    place: the document must hold no other NaN or Infinity token, and that
+    one must be the value of its top-level ``"relation"``, the one
+    ``json.loads`` keeps when the key is repeated."""
+    found = _framed_relation(text) if isinstance(text, str) else None
+    if found is None:
+        return None
+    start, end, rel = found
+    constants = []
+    try:
+        doc = json.loads(text[:start] + "NaN" + text[end:],
+                         parse_constant=lambda token: constants.append(token) or _HOLE)
+    except ValueError:
+        return None
+    if constants == ["NaN"] and isinstance(doc, dict) and doc.get("relation") is _HOLE:
+        doc["relation"] = rel
+        return doc
+    return None
+
+
 def load_causality(fp: IO[str]) -> Causality:
-    return causality_from_dict(json.load(fp))
+    """Read a causality document.  A relation framed as the library writes
+    it is read at fixed strides; any other text goes to ``json.loads``.
+    Either way the result, or the exception, is that of
+    ``causality_from_dict(json.load(fp))``."""
+    text = fp.read()
+    doc = _fast_document(text)
+    return causality_from_dict(json.loads(text) if doc is None else doc)
 
 
 def cover_relation(c: Causality) -> list[tuple[str, str]]:

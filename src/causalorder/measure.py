@@ -27,6 +27,7 @@ from .algebra import (
     family_masks,
 )
 from .errors import MissingValue
+from .io import _json_type
 from .order import Causality, PointSet
 
 __all__ = [
@@ -67,9 +68,29 @@ class CausalMeasure:
 
     @staticmethod
     def from_dict(c: Causality, data: dict) -> "CausalMeasure":
+        """The measure of a measure document.  Raises ValueError naming the
+        missing key, the wrong type or the unknown point id of an invalid
+        one."""
+        if not isinstance(data, dict):
+            raise ValueError(f"measure document must be an object, got {_json_type(data)}")
         kind = Kind(data.get("kind", "divergent"))
+        if "entries" not in data:
+            raise ValueError('measure document has no "entries"')
+        if not isinstance(data["entries"], list):
+            raise ValueError(f'"entries" must be an array, got {_json_type(data["entries"])}')
         table = {}
-        for entry in data["entries"]:
+        for i, entry in enumerate(data["entries"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"measure entry {i} must be an object, got {_json_type(entry)}")
+            for key in ("set", "sigma"):
+                if key not in entry:
+                    raise ValueError(f'measure entry {i} has no "{key}"')
+            if not isinstance(entry["set"], list):
+                raise ValueError(f'"set" of measure entry {i} must be an array, '
+                                 f'got {_json_type(entry["set"])}')
+            for p in entry["set"]:
+                if not isinstance(p, str) or p not in c.index:
+                    raise ValueError(f"measure entry {i} names unknown point {p!r}")
             mask = c.mask_of(entry["set"])
             sigma = entry["sigma"]
             if sigma == "inf":

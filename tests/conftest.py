@@ -255,3 +255,12 @@ def random_poset(n, p_edge, rng):
     for k in range(n):
         rel |= np.outer(rel[:, k], rel[k, :])
     return validate_causality([f"v{i}" for i in range(n)], rel)
+
+
+# well-formed JSON that is no causality document, and the ValueError message
+MALFORMED_CAUSALITY = [
+    ([{"points": ["a"], "relation": [[1]]}], "causality document must be an object, got array"),
+    ({"relation": [[1]]}, 'causality document has no "points"'),
+    ({"points": ["a"]}, 'causality document has no "relation"'),
+    ({"points": "ab", "relation": [[1, 0], [0, 1]]}, '"points" must be an array, got string'),
+]

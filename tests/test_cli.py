@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -10,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder.cli import main
+from causalorder.cli import ALL_SUITES, main
 
-from conftest import fan_relation
+from conftest import MALFORMED_CAUSALITY, fan_relation
 
 
 def run(*argv):
@@ -159,6 +162,91 @@ def test_verify_measure_with_bad_sigma_exits_2(chain3_file, tmp_path, chain3, si
     assert run("verify", "--input", chain3_file, "--suite", "measure-axioms",
                "--measure", str(mfile), "--output", str(out)) == 2
     assert not out.exists()  # rejected on load, not reported as a failed law
+
+
+MALFORMED_MEASURES = [
+    ({"kind": "divergent", "entries": [{"set": ["00"], "sigma": 1.0}]},
+     "measure entry 0 names unknown point '00'"),
+    ({"kind": "divergent"}, 'measure document has no "entries"'),
+    ([{"set": ["a"], "sigma": 1.0}], "measure document must be an object, got array"),
+    ({"entries": [{"set": "abc", "sigma": 1.0}]},
+     '"set" of measure entry 0 must be an array, got string'),
+    ({"entries": {"set": ["a"]}}, '"entries" must be an array, got object'),
+    ({"entries": [{"set": ["a"], "sigma": 1.0}, ["b"]]},
+     "measure entry 1 must be an object, got array"),
+    ({"entries": [{"set": ["a"]}]}, 'measure entry 0 has no "sigma"'),
+    ({"entries": [{"set": ["a", 1], "sigma": 1.0}]}, "measure entry 0 names unknown point 1"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_MEASURES, ids=repr)
+def test_verify_malformed_measure_exits_2(chain3_file, tmp_path, capsys, doc, message):
+    mfile, out = tmp_path / "measure.json", tmp_path / "m.jsonl"
+    mfile.write_text(json.dumps(doc))
+    assert run("verify", "--input", chain3_file, "--suite", "measure-axioms",
+               "--measure", str(mfile), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+@pytest.mark.parametrize("doc, message", MALFORMED_CAUSALITY, ids=repr)
+def test_malformed_causality_exits_2(tmp_path, capsys, command, doc, message):
+    path, out = tmp_path / "c.json", tmp_path / "r"
+    path.write_text(json.dumps(doc))
+    assert run(command, "--input", str(path), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _slots(node, found):
+    """Every (container, key) at or below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        found.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, found)
+    return found
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one key or item dropped, one value of another type,
+    or one string (a point id, a kind, a closure mode) renamed."""
+    holder = [copy.deepcopy(doc)]
+    how = draw(st.sampled_from(["drop", "retype", "rename"]))
+    slots = _slots(holder, [])
+    if how == "rename":
+        slots = [(node, key) for node, key in slots if isinstance(node[key], str)]
+    elif how == "drop":
+        slots = slots[1:]  # not the document itself
+    node, key = draw(st.sampled_from(slots))
+    if how == "drop":
+        del node[key]
+    elif how == "retype":
+        node[key] = draw(st.sampled_from([None, True, 0, 2.5, "ab", [], {}, [["a"]]]))
+    else:
+        node[key] = draw(st.sampled_from(["a", "b", "c", "zz", ""]))
+    return holder[0]
+
+
+_CHAIN3 = co.chain(3)
+_CAUSALITY_DOC = co.causality_to_dict(_CHAIN3)
+_MEASURE_DOC = co.constant_measure(_CHAIN3).to_dict()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=st.tuples(_mutated(_CAUSALITY_DOC), st.just(_MEASURE_DOC))
+       | st.tuples(st.just(_CAUSALITY_DOC), _mutated(_MEASURE_DOC)))
+def test_mutated_documents_exit_0_2_or_3(tmp_path, docs):
+    # the command returns: no exception escapes main, so no traceback
+    cfile, mfile, out = tmp_path / "c.json", tmp_path / "m.json", str(tmp_path / "out")
+    cfile.write_text(json.dumps(docs[0]))
+    mfile.write_text(json.dumps(docs[1]))
+    assert run("verify", "--input", str(cfile), "--suite", ",".join(ALL_SUITES),
+               "--measure", str(mfile), "--output", out) in (0, 2, 3)
+    assert run("reconstruct", "--input", str(cfile), "--output", out) in (0, 2, 3)
 
 
 def test_verify_measure_suite_needs_measure(chain3_file):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import re
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import causalorder as co
-from causalorder.io import _relation_json
+from causalorder.io import _fast_document, _relation_json
+
+from conftest import MALFORMED_CAUSALITY, random_poset
 
 
 def test_json_roundtrip_explicit(l33):
@@ -229,3 +232,126 @@ def test_dump_causality_bytes_of_300_point_sprinkle():
     c = co.sprinkle(cfg).causality
     assert 0 < c.relation.sum() - c.n < c.n * c.n
     _assert_dump_matches_pure_python_encoder(c)
+
+
+# ---------------------------------------------------------------------------
+# malformed documents and the fixed-stride reader
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("doc, message", MALFORMED_CAUSALITY, ids=repr)
+def test_malformed_causality_document_rejected(doc, message):
+    for read in (co.causality_from_dict, lambda d: co.load_causality(io.StringIO(json.dumps(d)))):
+        with pytest.raises(ValueError) as info:
+            read(doc)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_library_framings_take_the_fast_path(n):
+    # a change to the writer's framing must fail here, not fall back quietly
+    c = random_poset(n, 0.2, np.random.default_rng(n))
+    doc = co.causality_to_dict(c)
+    dumped = io.StringIO()
+    co.dump_causality(c, dumped)
+    texts = [dumped.getvalue(), json.dumps(doc),
+             json.dumps({k: doc[k] for k in ("points", "closure", "relation")})]
+    for text in texts:
+        fast = _fast_document(text)
+        assert fast is not None, text[:60]
+        assert isinstance(fast["relation"], np.ndarray)
+        assert np.array_equal(fast["relation"], c.relation)
+        back = co.load_causality(io.StringIO(text))
+        assert back.points == c.points and np.array_equal(back.relation, c.relation)
+
+
+def _outcome(read):
+    """The points and relation ``read()`` returns, or its exception's type and message."""
+    try:
+        c = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.points, c.relation.tolist()
+
+
+def _cells(doc, f):
+    doc["relation"] = [[f(v) for v in row] for row in doc["relation"]]
+
+
+def _set_cell(doc, value):
+    if doc["relation"]:
+        doc["relation"][-1][0] = value
+
+
+def _insert(text, entry, at_start):
+    """``text`` with the member ``entry`` added first or last in its top-level object."""
+    if at_start:
+        return "{" + entry + ", " + text[1:]
+    return text.rstrip()[:-1] + ", " + entry + "}"
+
+
+def _put_first(doc, key, value):
+    rest = dict(doc)
+    doc.clear()
+    doc[key] = value
+    doc.update(rest)
+
+
+# (name, doc -> None) edits of the parsed document
+DOC_MUTATIONS = {
+    "none": lambda doc: None,
+    "booleans": lambda doc: _cells(doc, bool),
+    "floats": lambda doc: _cells(doc, float),
+    "a 2": lambda doc: _set_cell(doc, 2),
+    "ragged": lambda doc: doc["relation"] and doc["relation"][0].pop(),
+    "extra point": lambda doc: doc["points"].append("zz"),
+    "missing point": lambda doc: doc["points"] and doc["points"].pop(),
+    "nested key first": lambda doc: _put_first(doc, "meta", {"relation": doc["relation"]}),
+    "escaped key first": lambda doc: _put_first(doc, 'x"relation', doc["relation"]),
+    "NaN elsewhere": lambda doc: doc.update({"weight": float("nan")}),
+    "ids holding the key": lambda doc: doc["points"] and doc["points"].__setitem__(
+        0, 'x": 0, "relation": [[1]], "y'),
+    "id ending in relation": lambda doc: doc["points"] and doc["points"].__setitem__(
+        0, 'x"relation'),
+    "no closure": lambda doc: doc.pop("closure"),
+    "cover": lambda doc: doc.update({"closure": "cover"}),
+}
+
+
+def _widen_last_cell(text):
+    """The last " 0" or " 1" of ``text`` made "10" or "11": a cell of the
+    same width as the framing's, but not 0 or 1."""
+    i = max(text.rfind(" 0"), text.rfind(" 1"))
+    return text if i < 0 else text[:i] + "1" + text[i + 1:]
+
+
+# (name, text -> text) edits of the written document
+TEXT_MUTATIONS = {
+    "none": lambda text: text,
+    "compact": lambda text: json.dumps(json.loads(text), separators=(",", ":")),
+    "indent 2": lambda text: json.dumps(json.loads(text), indent=2),
+    "padded": lambda text: "  \n" + text.replace('"relation": ', '"relation" :  ') + " \n",
+    "two-digit cell": lambda text: _widen_last_cell(text),
+    "trailing comma": lambda text: text.rstrip()[:-1] + ",}",
+    "list": lambda text: "[" + text + "]",
+    "duplicate 0 after": lambda text: _insert(text, '"relation": 0', False),
+    "duplicate 0 before": lambda text: _insert(text, '"relation": 0', True),
+    "duplicate matrix after": lambda text: _insert(text, '"relation": [[1]]', False),
+    "duplicate NaN after": lambda text: _insert(text, '"relation": NaN', False),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(0, 6), p_edge=st.floats(0, 1), seed=st.integers(0, 2**16),
+       order=st.permutations(["points", "closure", "relation"]),
+       indent=st.sampled_from([None, 1]))
+def test_reader_matches_json_loads(n, p_edge, seed, order, indent):
+    # every edit of the document, then every edit of its text
+    full = co.causality_to_dict(random_poset(n, p_edge, np.random.default_rng(seed)))
+    for doc_edit in DOC_MUTATIONS.values():
+        doc = copy.deepcopy({k: full[k] for k in order})
+        doc_edit(doc)
+        for text_edit in TEXT_MUTATIONS.values():
+            text = text_edit(json.dumps(doc, indent=indent))
+            fast = _outcome(lambda: co.load_causality(io.StringIO(text)))
+            slow = _outcome(lambda: co.causality_from_dict(json.loads(text)))
+            assert fast == slow, text
