@@ -166,9 +166,9 @@ def validate_causality(points: Sequence[str], relation) -> Causality:
     Raises :class:`NotReflexive`, :class:`NotAntisymmetric` or
     :class:`NotTransitive` with a witness tuple of indices.
     """
-    rel = np.asarray(relation)
+    rel = np.asarray(relation, dtype=bool)  # no copy of a bool array
     validate_matrix(rel)
-    return Causality(points, rel.astype(bool), _checked=True)
+    return Causality(points, rel, _checked=True)  # which copies it once
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,8 @@ def incomplete_diamond(c: Causality, x: str, direction: Direction) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Completeness / convergence / divergence of one subset: the two tests the
-# class table in causalorder.algebra runs over every subset at once
+# Completeness / convergence / divergence of one subset: the tests the class
+# table in causalorder.algebra runs over every subset at once
 # ---------------------------------------------------------------------------
 
 def complete_mask(c: Causality, mask: int) -> bool:
@@ -253,16 +253,23 @@ def complete_mask(c: Causality, mask: int) -> bool:
     return down & up == mask
 
 
-def bounded_mask(c: Causality, mask: int, bound_masks: list[int]) -> bool:
-    """Whether each unrelated pair of members has a common bound inside:
-    a member of ``bound_masks[x] & bound_masks[y]`` (succ_masks for upper
-    bounds, pred_masks for lower ones)."""
+def vertex_bit(c: Causality, mask: int, direction: Direction) -> int:
+    """The bit of the member of ``mask`` above (UPPER) or below (LOWER)
+    every member, or 0 when there is none.
+
+    This is the vertex test.  A finite S is convergent (each unrelated pair
+    has a common upper bound in S) iff it is empty or has a greatest
+    member: take m maximal in S; a member x unrelated to m would need a
+    bound u >= m in S, so u = m and x <= m after all.  Divergence is the
+    dual, with a least member.
+    """
+    rows = c.succ_masks if direction is Direction.UPPER else c.pred_masks
+    common = mask
     for x in bits(mask):
-        # members after x that x is unrelated to
-        for y in bits(mask & -(2 << x) & ~(c.succ_masks[x] | c.pred_masks[x])):
-            if not bound_masks[x] & bound_masks[y] & mask:
-                return False
-    return True
+        common &= rows[x]
+        if not common:
+            break
+    return common
 
 
 def is_causally_complete(c: Causality, u: PointSet) -> bool:
@@ -271,13 +278,15 @@ def is_causally_complete(c: Causality, u: PointSet) -> bool:
 
 
 def is_convergent(c: Causality, u: PointSet) -> bool:
-    """True iff every unrelated pair in ``u`` has a common upper bound in ``u``."""
-    return bounded_mask(c, u.mask, c.succ_masks)
+    """True iff every unrelated pair in ``u`` has a common upper bound in
+    ``u``: iff ``u`` is empty or has a greatest member (see vertex_bit)."""
+    return u.mask == 0 or vertex_bit(c, u.mask, Direction.UPPER) != 0
 
 
 def is_divergent(c: Causality, u: PointSet) -> bool:
-    """True iff every unrelated pair in ``u`` has a common lower bound in ``u``."""
-    return bounded_mask(c, u.mask, c.pred_masks)
+    """True iff every unrelated pair in ``u`` has a common lower bound in
+    ``u``: iff ``u`` is empty or has a least member (see vertex_bit)."""
+    return u.mask == 0 or vertex_bit(c, u.mask, Direction.LOWER) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from causalorder.algebra import (
     _NONE,
     _class_code,
     _class_table,
+    _closed_union,
     _union_mask,
     _union_tables,
     family_masks,
@@ -29,6 +30,7 @@ from causalorder.algebra import (
 
 from conftest import (
     NOT_DENSE_7_RELATION,
+    naturally_labelled_posets,
     oracle_causal_union,
     oracle_class,
     oracle_complete,
@@ -287,6 +289,49 @@ def test_union_tables_match_oracle(seed, n, p_edge):
                 assert i_idx[i, j] == index.get(a & b, -1)
 
 
+def _check_closed_form(c, pairs):
+    """_closed_union of each mask pair (a, b) in each union kind equals the
+    oracle's intersection of every kind-superset of a | b: the result
+    mask, or the exception type and NotClosed's mask."""
+    subsets = [frozenset(c.ids_of(m)) for m in range(1 << c.n)]
+    classes = {u: oracle_class(c, u) for u in subsets}
+    for kind in (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH):
+        family = [u for u in subsets if classes[u] in _OPERANDS[kind.value]]
+        for a, b in pairs:
+            want = oracle_causal_union(c, subsets[a], subsets[b], kind.value, family)
+            if want is None:
+                want = "NoCausalSuperset", None
+            elif classes[want] in _OPERANDS[kind.value]:
+                want = "ok", c.mask_of(want)
+            else:
+                want = "NotClosed", c.mask_of(want)
+            got = _closed_union(c, a, b, kind)
+            if isinstance(got, PointSet):
+                got = "ok", got.mask
+            else:
+                got = got[0].__name__, got[1][1] if got[0] is co.NotClosed else None
+            assert got == want, (c.relation.tolist(), a, b, kind)
+
+
+def test_closed_form_union_on_every_small_poset():
+    # every poset up to 5 points up to isomorphism, every a | b
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            _check_closed_form(c, [(x, 0) for x in range(1 << n)])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.floats(0.0, 0.8))
+def test_closed_form_union_matches_oracle(seed, n, p_edge):
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    members = [m for kind in (Kind.CONVERGENT, Kind.DIVERGENT) for m in family_masks(c, kind)]
+    draws = rng.integers(0, len(members), size=(40, 2))
+    pairs = [(members[i], members[j]) for i, j in draws]
+    pairs += [tuple(map(int, p)) for p in rng.integers(0, 1 << n, size=(20, 2))]
+    _check_closed_form(c, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Public query path against the oracles, cold and warm
 # ---------------------------------------------------------------------------
@@ -419,6 +464,39 @@ def test_public_queries_match_oracle_on_random_posets(seed, n, p_edge):
     _check_public_queries(
         lambda: random_poset(n, p_edge, np.random.default_rng(seed)),
         lambda c, families: _random_queries(c, families, np.random.default_rng(seed + 1)))
+
+
+def _named(c, outcome):
+    """An outcome of _answer or _oracle_union with its masks as point ids."""
+    return tuple(c.ids_of(v) if type(v) is int else v for v in outcome)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(65, 80), st.integers(1, 8), st.floats(0.0, 0.8))
+def test_unions_match_oracle_above_64_points(seed, n, k, p_edge):
+    """causal_union and classify on n = 65-80 points, where no class table
+    exists: the operand classes come from the per-mask tests and the
+    union from the closed form, on masks wider than 64 bits.  The top k
+    points form a random poset P that no lower point is related to, so a
+    set of the kind holding a subset of P meets P in one, and the oracle
+    answers on P alone."""
+    rng = np.random.default_rng(seed)
+    part = random_poset(k, p_edge, rng)
+    rel = np.zeros((n, n), dtype=bool)
+    rel[:n - k, :n - k] = random_poset(n - k, 0.1, rng).relation
+    rel[n - k:, n - k:] = part.relation
+    c = co.validate_causality([f"u{i}" for i in range(n - k)] + list(part.points), rel)
+    classes = {u: oracle_class(part, u) for u in map(frozenset, map(part.ids_of, range(1 << k)))}
+    families = {kind: oracle_family(part, kind) for kind in _OPERANDS}
+    queries = [q for q in _random_queries(part, families, rng) if q[0] != "intersect"]
+    want = []
+    for op, a, b, kind in queries:
+        a, b = frozenset(part.ids_of(a)), frozenset(part.ids_of(b))
+        want.append(("ok", classes[a]) if op == "classify"
+                    else _oracle_union(part, a, b, kind, classes, families))
+    shifted = [(op, a << n - k, b << n - k, kind) for op, a, b, kind in queries]
+    assert [_named(c, w) for w in _run(c, shifted)] == [_named(part, w) for w in want]
+    assert "class_table" not in c._derived
 
 
 @pytest.mark.parametrize("make, outcomes", [
@@ -706,6 +784,47 @@ def test_distributivity_inclusions_hold_on_crossing_fixtures(chain3, d4, l33):
                             lhs, u_ac = union(a, b & k3), union(a, k3)
                             if lhs is not None and u_ac is not None:
                                 assert lhs.issubset(u_ab & u_ac)
+
+
+def _associativity_scan(u_idx):
+    """Law III scanned cell by cell, as verify_union_laws did before it
+    counted the triples: (verdict, checked, skipped) over the f^3 triples
+    (A, B, C), one f x f slab per A, from the family's union index table.
+    A triple is checked when both (A ∪c B) ∪c C and A ∪c (B ∪c C) are
+    defined, else skipped; the first slab with unequal sides fails."""
+    f = len(u_idx)
+    union_ok = u_idx >= 0
+    checked = skipped = 0
+    for i in range(f):
+        ui = u_idx[i]
+        left = np.where(ui[:, None] >= 0, u_idx[np.clip(ui, 0, None), :], -1)
+        right = np.where(union_ok, u_idx[i, np.clip(u_idx, 0, None)], -1)
+        defined = (left >= 0) & (right >= 0)
+        checked += int(np.count_nonzero(defined))
+        skipped += f * f - int(np.count_nonzero(defined))
+        if (defined & (left != right)).any():
+            return "fails", checked, skipped
+    return "holds", checked, skipped
+
+
+def _check_associativity_counts(c):
+    kinds = (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH)
+    report = co.verify_union_laws(c, kinds)
+    for kind in kinds:
+        res = report.result(f"III[{kind.value}]")
+        want = _associativity_scan(_union_tables(c, kind)[2])
+        assert (res.verdict, res.checked, res.skipped) == want, (kind, c.relation.tolist())
+
+
+@pytest.mark.parametrize("fixture", ["chain3", "d4", "l5", "l33"])
+def test_associativity_counts_equal_the_scan(fixture, request):
+    _check_associativity_counts(request.getfixturevalue(fixture))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.floats(0.0, 0.8))
+def test_associativity_counts_equal_the_scan_on_random_posets(seed, n, p_edge):
+    _check_associativity_counts(random_poset(n, p_edge, np.random.default_rng(seed)))
 
 
 def test_law_skips_counted_on_star5(l5):

@@ -66,6 +66,17 @@ def test_duplicate_point_ids_rejected():
         co.validate_causality(["a", "a"], np.eye(2, dtype=bool))
 
 
+@pytest.mark.parametrize("dtype", [bool, np.int64])
+def test_validated_relation_is_a_read_only_copy(dtype):
+    rel = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=dtype)
+    c = co.validate_causality(["a", "b", "c"], rel)
+    rel[0, 1] = rel[2, 2] = 0  # the caller's array, after validation
+    assert c.relation.tolist() == [[True, True, False], [False, True, False], [False, False, True]]
+    assert not c.relation.flags.writeable
+    with pytest.raises(ValueError):
+        c.relation[0, 2] = True
+
+
 # ---------------------------------------------------------------------------
 # Diamonds
 # ---------------------------------------------------------------------------
