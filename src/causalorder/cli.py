@@ -15,6 +15,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="causalorder", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

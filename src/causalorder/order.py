@@ -9,6 +9,7 @@ raw material for the set algebra in :mod:`causalorder.algebra`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -64,9 +65,9 @@ class Causality:
     immutable after construction, so all operations on them are pure.  The
     bit-masks per row and column are built at once; everything else derived
     from the order (the subset class table, the families, causal unions,
-    law reports, the crossing property, the reversed structure) is kept on
-    first use in the one dict ``_derived``, keyed by what each entry
-    depends on.
+    law reports, the crossing property, the reversed structure, each
+    point's strict sets and ribbon) is kept on first use in the one dict
+    ``_derived``, keyed by what each entry depends on.
     """
 
     def __init__(self, points: Sequence[str], relation, _checked: bool = False):
@@ -383,11 +384,17 @@ class OrderReversal:
 
 def reverse_structure(c: Causality) -> Causality:
     """The same points under the transposed relation.  Cached; the reverse
-    of the reverse is the original object."""
+    of the reverse is the original object while that object lives.
+
+    The reverse refers back to the original through a weak reference, so
+    the pair forms no cycle and a finished causality is freed at once,
+    without waiting for the cyclic garbage collector."""
     rev = c._derived.get("reversed")
+    if type(rev) is weakref.ref:
+        rev = rev()
     if rev is None:
         rev = c._derived["reversed"] = Causality(c.points, c.relation.T.copy(), _checked=True)
-        rev._derived["reversed"] = c
+        rev._derived["reversed"] = weakref.ref(c)
     return rev
 
 

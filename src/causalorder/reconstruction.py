@@ -26,9 +26,9 @@ from .algebra import (
     LawReport,
     LawResult,
     SetClass,
+    _family_array,
     _union_mask,
     class_of_mask,
-    family_masks,
 )
 from .errors import (
     GroundSetTooLarge,
@@ -90,9 +90,32 @@ def _cap(c: Causality, what: str) -> None:
         raise GroundSetTooLarge(c.n, config.RIBBON_CAP, what)
 
 
-def _strict_through(c: Causality, ip: int, kind: Kind) -> list[int]:
-    bit = 1 << ip
-    return [m for m in family_masks(c, kind) if m & bit]
+def _strict_through(c: Causality, ip: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strictly convergent and the strictly divergent sets through
+    point ip, as ascending uint64 mask arrays (cached)."""
+    hit = c._derived.get(("strict", ip))
+    if hit is None:
+        bit = np.uint64(1 << ip)
+        ups = _family_array(c, Kind.STRICTLY_CONVERGENT)
+        downs = _family_array(c, Kind.STRICTLY_DIVERGENT)
+        hit = c._derived["strict", ip] = (ups[(ups & bit) != 0], downs[(downs & bit) != 0])
+    return hit
+
+
+def _ribbon_masks(c: Causality, ip: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ribbon over point ip as two aligned uint64 arrays, the upper
+    and the lower component of each pair, ascending by (upper, lower)
+    (cached).  Row-major order of the ups × downs grid gives that order."""
+    hit = c._derived.get(("ribbon", ip))
+    if hit is None:
+        ups, downs = _strict_through(c, ip)
+        i, j = np.nonzero((ups[:, None] & downs[None, :]) == np.uint64(1 << ip))
+        hit = c._derived["ribbon", ip] = (ups[i], downs[j])
+    return hit
+
+
+def _pair(c: Causality, a: int, b: int) -> RibbonPair:
+    return RibbonPair(PointSet(c, a), PointSet(c, b))
 
 
 def ribbon(c: Causality, p: str) -> Ribbon:
@@ -102,58 +125,45 @@ def ribbon(c: Causality, p: str) -> Ribbon:
     both kinds, hence never strict.
     """
     _cap(c, "ribbon computation")
-    ip = c.index[p]
-    bit = 1 << ip
-    ups = _strict_through(c, ip, Kind.STRICTLY_CONVERGENT)
-    downs = _strict_through(c, ip, Kind.STRICTLY_DIVERGENT)
-    pairs = [
-        RibbonPair(PointSet(c, a), PointSet(c, b))
-        for a in ups
-        for b in downs
-        if a & b == bit
-    ]
-    return Ribbon(p, tuple(pairs))
+    upper, lower = _ribbon_masks(c, c.index[p])
+    return Ribbon(p, tuple(_pair(c, a, b) for a, b in zip(upper.tolist(), lower.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # Density and regularity
 # ---------------------------------------------------------------------------
 
-def _cut_masks(c: Causality, ip: int, base: int) -> list[int]:
-    """Non-trivial cuts of ``base`` by strict sets through the point.
+def _cut_masks(c: Causality, ip: int, base: int) -> np.ndarray:
+    """Non-trivial cuts of ``base`` by strict sets through the point,
+    ascending.
 
     Non-trivial means different from the bare singleton {p}; every cut
     contains p because both operands do.
     """
-    bit = 1 << ip
-    pool = _strict_through(c, ip, Kind.STRICTLY_CONVERGENT) + _strict_through(
-        c, ip, Kind.STRICTLY_DIVERGENT
-    )
-    cuts = {base & v for v in pool}
-    cuts.discard(bit)
-    return sorted(cuts)
+    cuts = np.unique(np.concatenate(_strict_through(c, ip)) & np.uint64(base))
+    return cuts[cuts != np.uint64(1 << ip)]
 
 
-def _dense_witness(c: Causality, p: str, pair: RibbonPair, rib: Ribbon | None = None):
-    """None when the pair is dense, else the failing (cut of upper, cut of lower)."""
-    ip = c.index[p]
-    if rib is None:
-        rib = ribbon(c, p)
-    cuts_a = _cut_masks(c, ip, pair.upper.mask)
-    cuts_b = _cut_masks(c, ip, pair.lower.mask)
-    if not cuts_a or not cuts_b:
+def _density_gap(c: Causality, ip: int, a: int, b: int) -> tuple[int, int] | None:
+    """None when the pair (a, b) over point ip is dense, else the first
+    (cut of a, cut of b) that no ribbon pair refines."""
+    cuts_a, cuts_b = _cut_masks(c, ip, a), _cut_masks(c, ip, b)
+    if not cuts_a.size or not cuts_b.size:
         return None
-    x_arr = np.array([q.upper.mask for q in rib.pairs], dtype=np.uint64)
-    y_arr = np.array([q.lower.mask for q in rib.pairs], dtype=np.uint64)
-    ca = np.array(cuts_a, dtype=np.uint64)
-    cb = np.array(cuts_b, dtype=np.uint64)
-    sub_a = (x_arr[None, :] & ~ca[:, None]) == 0
-    sub_b = (y_arr[None, :] & ~cb[:, None]) == 0
+    upper, lower = _ribbon_masks(c, ip)
+    sub_a = (upper[None, :] & ~cuts_a[:, None]) == 0
+    sub_b = (lower[None, :] & ~cuts_b[:, None]) == 0
     bad = np.argwhere(~_compose(sub_a, sub_b.T))
     if bad.size == 0:
         return None
-    i, j = map(int, bad[0])
-    return (PointSet(c, cuts_a[i]), PointSet(c, cuts_b[j]))
+    i, j = bad[0]
+    return int(cuts_a[i]), int(cuts_b[j])
+
+
+def _dense_witness(c: Causality, p: str, pair: RibbonPair):
+    """None when the pair is dense, else the failing (cut of upper, cut of lower)."""
+    gap = _density_gap(c, c.index[p], pair.upper.mask, pair.lower.mask)
+    return None if gap is None else (PointSet(c, gap[0]), PointSet(c, gap[1]))
 
 
 def is_dense(c: Causality, p: str, pair: RibbonPair) -> bool:
@@ -185,31 +195,32 @@ def is_regular_ribbon(c: Causality, p: str) -> RegularityReport:
     reported distinctly.
     """
     _cap(c, "ribbon regularity")
-    rib = ribbon(c, p)
-    if not rib.pairs:
+    ip = c.index[p]
+    upper, lower = _ribbon_masks(c, ip)
+    if not upper.size:
         return RegularityReport(p, True, True)
-    for pair in rib.pairs:
-        w = _dense_witness(c, p, pair, rib)
-        if w is not None:
-            return RegularityReport(p, False, False, "density", (pair, *w))
-    bit = 1 << c.index[p]
-    pairs = rib.pairs
-    for i, pr1 in enumerate(pairs):
-        a, b = pr1.masks()
-        for pr2 in pairs[i:]:
-            cc, d = pr2.masks()
+    pairs = list(zip(upper.tolist(), lower.tolist()))
+    for a, b in pairs:
+        gap = _density_gap(c, ip, a, b)
+        if gap is not None:
+            witness = (_pair(c, a, b), PointSet(c, gap[0]), PointSet(c, gap[1]))
+            return RegularityReport(p, False, False, "density", witness)
+    bit = 1 << ip
+    for i, (a, b) in enumerate(pairs):
+        for cc, d in pairs[i:]:
             if (a | cc) & (b | d) != bit:
                 continue
             u = _union_mask(c, a, cc, Kind.CONVERGENT)
             lo = _union_mask(c, b, d, Kind.DIVERGENT)
             if u is None or lo is None:
-                return RegularityReport(
-                    p, False, False, "undefined-union", (pr1, pr2)
-                )
-            if u & lo != bit:
-                return RegularityReport(
-                    p, False, False, "union-pair-meets-beyond-basepoint", (pr1, pr2)
-                )
+                failing = "undefined-union"
+            elif u & lo != bit:
+                failing = "union-pair-meets-beyond-basepoint"
+            else:
+                continue
+            return RegularityReport(
+                p, False, False, failing, (_pair(c, a, b), _pair(c, cc, d))
+            )
     return RegularityReport(p, True, False)
 
 
@@ -347,9 +358,9 @@ def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> Reco
     diagnostics: dict[str, dict] = {}
     classes_by_point: dict[str, tuple] = {}
     domain: list[str] = []
-    for p in c.points:
+    for ip, p in enumerate(c.points):
         reg = is_regular_ribbon(c, p)
-        rib_size = len(ribbon(c, p))
+        rib_size = len(_ribbon_masks(c, ip)[0])
         diag = {
             "ribbon_pairs": rib_size,
             "regular": reg.regular,
@@ -495,8 +506,12 @@ class RegularCausalityReport:
 
 def _bounded_strict(c: Causality, ip: int, kind: Kind) -> list[int]:
     """Strict sets through point ip whose vertex is ip itself."""
-    bound = c.pred_masks[ip] if kind is Kind.STRICTLY_CONVERGENT else c.succ_masks[ip]
-    return [m for m in _strict_through(c, ip, kind) if m & ~bound == 0]
+    ups, downs = _strict_through(c, ip)
+    if kind is Kind.STRICTLY_CONVERGENT:
+        fam, bound = ups, c.pred_masks[ip]
+    else:
+        fam, bound = downs, c.succ_masks[ip]
+    return fam[(fam & np.uint64(c.full_mask & ~bound)) == 0].tolist()
 
 
 def is_regular_causality(c: Causality) -> RegularCausalityReport:

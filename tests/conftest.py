@@ -163,6 +163,23 @@ def oracle_causal_union(c, a, b, kind, family=None):
     return out
 
 
+def oracle_ribbon(c, p, families=None):
+    """The ribbon over p straight off the definition: every pair of a
+    strictly convergent A and a strictly divergent B with A ∩ B = {p}, as
+    frozenset pairs ascending by the bit-masks of (A, B).  ``families``
+    may pass in the two strict oracle families computed once."""
+    if families is None:
+        families = (oracle_family(c, "strictly_convergent"),
+                    oracle_family(c, "strictly_divergent"))
+    ups, downs = families
+
+    def mask(u):
+        return sum(1 << c.index[x] for x in u)
+
+    pairs = [(a, b) for a in ups for b in downs if a & b == {p}]
+    return sorted(pairs, key=lambda ab: (mask(ab[0]), mask(ab[1])))
+
+
 def oracle_crossing_witness(c):
     """The first failing quadruple (x, y, z, w) straight off the definition,
     in point order (x before y, then z, then w), or None."""

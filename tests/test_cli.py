@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder.cli import ALL_SUITES, main
+from causalorder.cli import ALL_SUITES, _build_parser, main
 
 from conftest import MALFORMED_CAUSALITY, fan_relation
 
@@ -415,3 +415,34 @@ def test_stdin_input_leaves_stdin_open(monkeypatch, chain3, tmp_path):
     assert run("reconstruct", "--input", "-", "--output", str(out)) == 0
     assert not stdin.closed
     assert strict_loads(out.read_text())["diagnostics"].keys() == {"a", "b", "c"}
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_one_parser_serves_successive_calls(chain3_file, l33_file, tmp_path, capsys):
+    """A usage error, verify and reconstruct run one after another on the
+    process's one parser, and each gives the exit code, output bytes and
+    standard error of a call on a freshly built parser."""
+    jobs = [
+        ["verify", "--output"],  # no --input: a usage error
+        ["verify", "--input", chain3_file, "--output"],
+        ["reconstruct", "--input", l33_file, "--output"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for k, argv in enumerate(jobs):
+            if fresh:
+                _build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}.out"
+            rc = main([*argv, str(out)])
+            got.append((rc, out.read_bytes() if out.exists() else None,
+                        capsys.readouterr().err))
+        return got
+
+    assert _build_parser() is _build_parser()
+    shared = outcomes(fresh=False)
+    assert [rc for rc, _, _ in shared] == [1, 2, 0]
+    assert shared == outcomes(fresh=True)

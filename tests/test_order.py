@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +234,21 @@ def test_structural_reverse_roundtrip(l5):
     rev = co.reverse_structure(l5)
     assert co.reverse_structure(rev) is l5
     assert np.array_equal(rev.relation, l5.relation.T)
+
+
+def test_finished_causality_freed_without_cycle_collector():
+    # the reverse refers back weakly, so a causality whose reversal was
+    # verified (a reconstruction on each side) forms no reference cycle
+    # and is freed as soon as its last reference goes
+    c = co.grid(3, 3)
+    assert co.verify_reversal_theorem(c).all_hold
+    alive = weakref.ref(c), weakref.ref(co.reverse_structure(c))
+    gc.disable()
+    try:
+        del c
+        assert [r() for r in alive] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_reverse_empty_set(d4):

@@ -19,9 +19,14 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Kind, SetClass
-from causalorder.reconstruction import _assert_partial_order, _congruent_masks
+from causalorder.algebra import _union_mask, family_masks
+from causalorder.reconstruction import (
+    _assert_partial_order,
+    _congruent_masks,
+    _dense_witness,
+)
 
-from conftest import random_poset
+from conftest import naturally_labelled_posets, oracle_family, oracle_ribbon, random_poset
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +96,10 @@ def test_no_dense_pair_on_fixtures(d4, l5, l33, not_dense_7):
 
 
 def test_density_witness_is_a_real_cut(l33):
-    from causalorder.reconstruction import _dense_witness
-
     for p in l33.points:
         rib = co.ribbon(l33, p)
         for pair in rib.pairs:
-            witness = _dense_witness(l33, p, pair, rib)
+            witness = _dense_witness(l33, p, pair)
             assert witness is not None
             cut_a, cut_b = witness
             bit = 1 << l33.index[p]
@@ -107,6 +110,103 @@ def test_density_witness_is_a_real_cut(l33):
                 assert not (
                     other.upper.issubset(cut_a) and other.lower.issubset(cut_b)
                 )
+
+
+# ---------------------------------------------------------------------------
+# Ribbon arrays against the oracle and the pair scan
+# ---------------------------------------------------------------------------
+
+def _pair_scan(c, ip):
+    """The ribbon over point ip as the pair scan found it before ribbons
+    became mask arrays: (its pairs as mask tuples, every strict set
+    through ip).  Each (strictly convergent, strictly divergent) pair
+    through ip is tested in a Python loop."""
+    bit = 1 << ip
+    ups = [m for m in family_masks(c, Kind.STRICTLY_CONVERGENT) if m & bit]
+    downs = [m for m in family_masks(c, Kind.STRICTLY_DIVERGENT) if m & bit]
+    return [(a, b) for a in ups for b in downs if a & b == bit], ups + downs
+
+
+def _scan_witness(c, ip, a, b):
+    """Density of the pair (a, b) over point ip by the cut x pair scan:
+    None when dense, else the first (cut of a, cut of b), in ascending
+    order, that no ribbon pair refines."""
+    pairs, pool = _pair_scan(c, ip)
+    cuts_a = sorted({a & v for v in pool} - {1 << ip})
+    cuts_b = sorted({b & v for v in pool} - {1 << ip})
+    for ca in cuts_a:
+        for cb in cuts_b:
+            if not any(x & ~ca == 0 and y & ~cb == 0 for x, y in pairs):
+                return ca, cb
+    return None
+
+
+def _scan_regularity(c, ip):
+    """(regular, empty, failing_condition, witness as masks) of the ribbon
+    over point ip by the pair and cut x pair scans."""
+    bit = 1 << ip
+    pairs, _ = _pair_scan(c, ip)
+    if not pairs:
+        return True, True, None, None
+    for a, b in pairs:
+        gap = _scan_witness(c, ip, a, b)
+        if gap is not None:
+            return False, False, "density", ((a, b), *gap)
+    for i, (a, b) in enumerate(pairs):
+        for cc, d in pairs[i:]:
+            if (a | cc) & (b | d) != bit:
+                continue
+            u = _union_mask(c, a, cc, Kind.CONVERGENT)
+            lo = _union_mask(c, b, d, Kind.DIVERGENT)
+            if u is None or lo is None:
+                return False, False, "undefined-union", ((a, b), (cc, d))
+            if u & lo != bit:
+                return False, False, "union-pair-meets-beyond-basepoint", ((a, b), (cc, d))
+    return True, False, None, None
+
+
+def _check_ribbons(c):
+    families = (oracle_family(c, "strictly_convergent"),
+                oracle_family(c, "strictly_divergent"))
+    for ip, p in enumerate(c.points):
+        rib = co.ribbon(c, p)
+        got = [(frozenset(pr.upper.ids()), frozenset(pr.lower.ids())) for pr in rib.pairs]
+        assert got == oracle_ribbon(c, p, families), (p, c.relation.tolist())
+        for pair in rib.pairs:
+            w = _dense_witness(c, p, pair)
+            assert (None if w is None else (w[0].mask, w[1].mask)) == _scan_witness(
+                c, ip, *pair.masks())
+        reg = co.is_regular_ribbon(c, p)
+        witness = reg.witness and tuple(
+            x.masks() if isinstance(x, co.RibbonPair) else x.mask for x in reg.witness)
+        assert (reg.regular, reg.empty, reg.failing_condition, witness) == _scan_regularity(
+            c, ip), (p, c.relation.tolist())
+
+
+def test_ribbons_match_oracle_on_every_small_poset():
+    # every poset up to 5 points up to isomorphism
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            _check_ribbons(c)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 9), st.floats(0.1, 0.7))
+def test_ribbons_match_oracle_on_random_posets(seed, n, p_edge):
+    _check_ribbons(random_poset(n, p_edge, np.random.default_rng(seed)))
+
+
+def test_ribbons_stored_as_arrays_once(l33, not_dense_7):
+    # the store keeps no PointSet, which would point back at the causality
+    for c in (l33, not_dense_7):
+        co.reconstruct_order(c)
+        keys = set(c._derived)
+        for ip in range(c.n):
+            for tag in ("strict", "ribbon"):
+                entry = c._derived[tag, ip]
+                assert all(type(a) is np.ndarray for a in entry), (tag, ip)
+        co.reconstruct_order(c)
+        assert set(c._derived) == keys
 
 
 # ---------------------------------------------------------------------------
