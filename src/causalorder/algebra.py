@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class Kind(Enum):
 
 
 # class code bit 0 = convergent family, bit 1 = divergent family
-# (each test takes an int code or a uint8 array of codes)
 _KIND_TEST = {
     Kind.CONVERGENT: lambda code: code & 1 != 0,
     Kind.DIVERGENT: lambda code: code & 2 != 0,
@@ -118,14 +117,16 @@ def _class_code(c: Causality, mask: int) -> int:
 
 
 def _code_of(c: Causality, mask: int) -> int:
-    """The class code of a subset, read off the class table once it is
+    """The class code of a subset, read off the class codes once they are
     built, else computed by _class_code."""
-    table = c._derived.get("class_table")
-    return _class_code(c, mask) if table is None else table.item(mask)
+    codes = c._derived.get("class_codes")
+    return _class_code(c, mask) if codes is None else codes.get(mask, 0)
 
 
 def class_of_mask(c: Causality, mask: int) -> SetClass:
     """Classify a subset given as a bit-mask."""
+    if mask & ~c.full_mask:  # as PointSet checks it; negative masks included
+        raise ValueError("membership mask exceeds the ground set")
     return _CLASSES[_code_of(c, mask)]
 
 
@@ -133,80 +134,52 @@ def classify(c: Causality, u: PointSet) -> SetClass:
     """Classify a subset of the causality's ground set."""
     if u.parent is not c:
         raise ValueError("point set does not belong to this causality")
-    return class_of_mask(c, u.mask)
+    return _CLASSES[_code_of(c, u.mask)]
 
 
-# Subset bits whose OR and AND tables (_fold_table) are built whole; the
-# remaining high bits get tables of their own (_complete_masks walks them
-# one block of 2^_LOW_BITS subsets at a time), so the temporaries stay at a
-# few 2^_LOW_BITS-word arrays for any n.
-_LOW_BITS = 14
+def _vertex_sets(rows: list[int], cones: list[int]) -> Iterator[int]:
+    """Every nonempty causal set with a vertex, once each: with
+    (succ_masks, pred_masks) the convergent sets, with (pred_masks,
+    succ_masks) the divergent ones.
 
-
-def _fold_table(masks: list[int], op: np.ufunc) -> np.ndarray:
-    """``t[s]`` = ``op`` (bitwise OR or AND) of ``masks[i]`` over the set
-    bits i of s, for every s < 2^len(masks), built by doubling.  t[0] is
-    the identity of op: 0 for OR, every bit for AND."""
-    t = np.full(1, op.identity).astype(np.uint64)
-    for m in masks:
-        t = np.concatenate((t, op(t, np.uint64(m))))
-    return t
-
-
-def _fold(c: Causality, masks: np.ndarray, rows: list[int], op: np.ufunc) -> np.ndarray:
-    """``op`` of ``rows[i]`` over the set bits i of each uint64 mask: two
-    gathers, from the fold tables of the low and of the high bits."""
-    low = min(c.n, _LOW_BITS)
-    lo = _fold_table(rows[:low], op)[masks & np.uint64((1 << low) - 1)]
-    return op(lo, _fold_table(rows[low:], op)[masks >> np.uint64(low)])
-
-
-def _complete_masks(c: Causality) -> np.ndarray:
-    """Every causally complete subset mask, ascending.
-
-    The down-set ↓S (OR of pred_masks over S) meets the up-set ↑S (OR of
-    succ_masks over S) in exactly the union of the diamonds between
-    members of S, which contains S; so S is complete iff ↓S ∩ ↑S = S.
+    A convergent set S with top v lies in ↓v and, being complete, holds
+    ↑S ∩ ↓v; so the convergent sets with top v are the nonempty up-sets of
+    ↓v, and each of these is complete with top v.  They are found by
+    branching on the lowest undecided point x of ↓v: include ↑x, or
+    exclude ↓x.  Both choices stay consistent (the included points form an
+    up-set, the excluded ones a down-set), so every leaf is a distinct
+    up-set and the work is proportional to the output.  The one empty
+    leaf per v is the one that excludes v.
     """
-    low = min(c.n, _LOW_BITS)
-    or_ = np.bitwise_or
-    down_lo, up_lo = _fold_table(c.pred_masks[:low], or_), _fold_table(c.succ_masks[:low], or_)
-    down_hi, up_hi = _fold_table(c.pred_masks[low:], or_), _fold_table(c.succ_masks[low:], or_)
-    lo = np.arange(1 << low, dtype=np.uint64)
-    blocks = []
-    for h in range(len(down_hi)):
-        s = lo | np.uint64(h << low)
-        blocks.append(s[((down_lo | down_hi[h]) & (up_lo | up_hi[h])) == s])
-    return np.concatenate(blocks)
+    for cone in cones:
+        stack = [(0, 0)]  # (included, excluded), both within the cone
+        while stack:
+            inc, exc = stack.pop()
+            free = cone & ~(inc | exc)
+            if free:
+                x = (free & -free).bit_length() - 1
+                stack.append((inc, exc | cones[x]))
+                stack.append((inc | rows[x] & cone, exc))
+            elif inc:
+                yield inc
 
 
-def _class_table(c: Causality) -> np.ndarray:
-    """The SetClass value of every subset, indexed by mask (cached).
-
-    Completeness is read off OR tables of the row masks (↓S ∩ ↑S = S,
-    see _complete_masks) in O(2^n) numpy word operations.  A complete S
-    is then convergent iff it is empty or the AND of succ_masks over S
-    (the points above all of S) meets S, and divergent likewise with
-    pred_masks (the vertex test, order.vertex_bit).  Those ANDs come from
-    AND tables built like the OR tables, gathered at the complete masks
-    only.  At n = 20 this takes milliseconds, and the 2^n-byte table is
-    the largest allocation.
-    """
-    table = c._derived.get("class_table")
-    if table is None:
+def _class_codes(c: Causality) -> dict[int, int]:
+    """The class code of every causal set, by mask (cached); every subset
+    missing from it is NEITHER.  Built from the vertex theorem: a nonempty
+    convergent set has a top, a divergent one a bottom (_vertex_sets)."""
+    codes = c._derived.get("class_codes")
+    if codes is None:
         # ENUMERATION_CAP also keeps every subset mask below 2^64, which
         # the uint64 arrays here and in reconstruction rely on.
         if c.n > config.ENUMERATION_CAP:
             raise GroundSetTooLarge(c.n, config.ENUMERATION_CAP, "subset enumeration")
-        complete = _complete_masks(c)
-        code = (complete == 0).astype(np.uint8) * 3  # ∅ is in both families
-        for shift, rows in enumerate((c.succ_masks, c.pred_masks)):
-            # the members above (below) every member: the vertex, or none
-            vertex = _fold(c, complete, rows, np.bitwise_and) & complete
-            code |= (vertex != 0).astype(np.uint8) << shift
-        table = c._derived["class_table"] = np.zeros(1 << c.n, dtype=np.uint8)
-        table[complete] = code
-    return table
+        codes = dict.fromkeys(_vertex_sets(c.succ_masks, c.pred_masks), 1)
+        for m in _vertex_sets(c.pred_masks, c.succ_masks):
+            codes[m] = codes.get(m, 0) | 2
+        codes[0] = 3  # ∅ is in both families
+        c._derived["class_codes"] = codes
+    return codes
 
 
 def family_masks(c: Causality, kind: Kind) -> list[int]:
@@ -214,21 +187,18 @@ def family_masks(c: Causality, kind: Kind) -> list[int]:
     with the uint64 array of the same masks that causal unions scan)."""
     hit = c._derived.get(("family", kind))
     if hit is None:
-        sel = np.flatnonzero(_KIND_TEST[kind](_class_table(c)))
-        c._derived["family_arr", kind] = sel.astype(np.uint64)
-        hit = c._derived["family", kind] = sel.tolist()
+        test = _KIND_TEST[kind]
+        hit = c._derived["family", kind] = sorted(m for m, code in _class_codes(c).items() if test(code))
+        c._derived["family_arr", kind] = np.array(hit, dtype=np.uint64)
     return hit
 
 
 def enumerate_causal_sets(c: Causality, kind: Kind) -> list[PointSet]:
     """Materialize every subset with the requested classification.
 
-    Reads the 2^n subset classification table, capped at ENUMERATION_CAP
-    points: a subset S is complete iff ↓S ∩ ↑S = S (the points below some
-    member and above some member are exactly S), which numpy checks for
-    all 2^n subsets in milliseconds at n = 20; convergence and divergence
-    are tested on the complete subsets only.  Results come in ascending
-    bit-mask order.
+    Capped at ENUMERATION_CAP points.  The sets are enumerated by vertex
+    (_vertex_sets), so the work is proportional to the family, not to the
+    2^n subsets.  Results come in ascending bit-mask order.
     """
     return [PointSet(c, m) for m in family_masks(c, kind)]
 
@@ -257,7 +227,8 @@ def _family_array(c: Causality, kind: Kind) -> np.ndarray:
 
 
 # Every bit set: the mark of a union with no superset in the union
-# tables.  No subset mask below ENUMERATION_CAP points has it.
+# tables.  No subset mask of at most ENUMERATION_CAP points has it, and it
+# is the identity of the AND fold (_fold).
 _NONE = np.uint64(2**64 - 1)
 
 # The sides on which the sets of each union kind have their vertex: a top
@@ -361,8 +332,8 @@ def causal_union(
     Computed in closed form (_closed_union).  With X = a | b, the
     convergent union is ↑X ∩ ↓j for the least common upper bound j of X,
     the divergent one ↓X ∩ ↑m for the greatest common lower bound m, and
-    the BOTH union is the interval [m, j].  No 2^n table is needed: the
-    operand classes come from the class table when one is built and from
+    the BOTH union is the interval [m, j].  No family is needed: the
+    operand classes come from the class codes when they are built and from
     the per-mask tests otherwise, so this answers above ENUMERATION_CAP
     and above 64 points.  A strictly convergent operand combined with a
     strictly divergent one yields the empty set regardless of kind.  When
@@ -547,14 +518,23 @@ def _index_in(fam: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.where(fam[pos] == masks, pos, -1)
 
 
+def _fold(fam: np.ndarray, rows: list[int], op: np.ufunc) -> np.ndarray:
+    """``op`` (bitwise OR or AND) of ``rows[i]`` over the set bits i of
+    each mask of the uint64 array ``fam``, reduced over its (f x n)
+    membership matrix; ∅ gets the identity of op, 0 or _NONE."""
+    member = (fam[:, None] >> np.arange(len(rows), dtype=np.uint64)) & np.uint64(1) != 0
+    identity = _NONE if op is np.bitwise_and else np.uint64(0)
+    return op.reduce(np.where(member, np.array(rows, dtype=np.uint64), identity), axis=1)
+
+
 def _vertices(c: Causality, fam: np.ndarray, side: Direction) -> tuple[np.ndarray, np.ndarray]:
     """For each mask of the uint64 array ``fam``: the index of its vertex
     on ``side`` (c.n when it has none, as ∅), and its reach away from that
     side (↑S for UPPER), as _bound_meet gives them for one mask."""
     rows = c.succ_masks if side is Direction.UPPER else c.pred_masks
-    bit = _fold(c, fam, rows, np.bitwise_and) & fam
+    bit = _fold(fam, rows, np.bitwise_and) & fam
     index = np.where(bit == 0, c.n, np.log2(np.maximum(bit, 1)).astype(np.intp))
-    return index, _fold(c, fam, rows, np.bitwise_or)
+    return index, _fold(fam, rows, np.bitwise_or)
 
 
 def _bound_table(c: Causality, side: Direction) -> np.ndarray:
@@ -744,19 +724,19 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
         return cached
     _law_cap(c, "algebra-axiom verification")
     report = LawReport("algebra axioms")
-    table = _class_table(c)
+    codes = _class_codes(c)
 
     res = LawResult("empty-set-in-both", "holds", checked=1)
-    if table[0] != 3:
-        res = _fail(res.law, 1, 0, empty_class=SetClass(int(table[0])).name)
+    if codes.get(0, 0) != 3:
+        res = _fail(res.law, 1, 0, empty_class=_CLASSES[codes.get(0, 0)].name)
     report.results.append(res)
 
     res = LawResult("singletons-in-both", "holds")
     for i in range(c.n):
         res.checked += 1
-        if table[1 << i] != 3:
+        if codes.get(1 << i, 0) != 3:
             res = _fail(res.law, res.checked, 0, point=c.points[i],
-                        got=SetClass(int(table[1 << i])).name)
+                        got=_CLASSES[codes.get(1 << i, 0)].name)
             break
     report.results.append(res)
 

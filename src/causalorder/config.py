@@ -1,9 +1,9 @@
 """Size caps for the exhaustive machinery.
 
-Every scan in this library enumerates subsets of the ground set, so all
-caps are point counts. They are configuration values, not algorithmic
-constants: raise them if you have the patience, or lower them from the
-command line with ``--max-n``.
+Every exhaustive scan in this library enumerates causal sets or subsets
+of the ground set, so all caps are point counts. They are configuration
+values, not algorithmic constants: raise them if you have the patience,
+or lower them from the command line with ``--max-n``.
 """
 
 # Crossing-property scan only; subset masks are unbounded Python ints.
@@ -13,7 +13,8 @@ command line with ``--max-n``.
 # slowest 200-point shape tried (grid(16,16), 256 points: 0.8 s).
 MATRIX_CAP = 200
 
-# Full 2^n subset classification (single scans).
+# Family enumeration: every convergent and divergent set, listed by vertex.
+# A family can hold 2^(n-1) sets (an antichain below one top point).
 ENUMERATION_CAP = 20
 
 # Law and axiom verification, which scans pairs/triples of causal sets.

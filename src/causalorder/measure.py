@@ -70,7 +70,7 @@ class CausalMeasure:
     def from_dict(c: Causality, data: dict) -> "CausalMeasure":
         """The measure of a measure document.  Raises ValueError naming the
         missing key, the wrong type or the unknown point id of an invalid
-        one."""
+        one, or the two entries that name one set."""
         if not isinstance(data, dict):
             raise ValueError(f"measure document must be an object, got {_json_type(data)}")
         kind = Kind(data.get("kind", "divergent"))
@@ -78,7 +78,7 @@ class CausalMeasure:
             raise ValueError('measure document has no "entries"')
         if not isinstance(data["entries"], list):
             raise ValueError(f'"entries" must be an array, got {_json_type(data["entries"])}')
-        table = {}
+        table, first = {}, {}  # mask -> sigma, and the entry that named it
         for i, entry in enumerate(data["entries"]):
             if not isinstance(entry, dict):
                 raise ValueError(f"measure entry {i} must be an object, got {_json_type(entry)}")
@@ -92,6 +92,9 @@ class CausalMeasure:
                 if not isinstance(p, str) or p not in c.index:
                     raise ValueError(f"measure entry {i} names unknown point {p!r}")
             mask = c.mask_of(entry["set"])
+            if mask in first:
+                raise ValueError(f"measure entries {first[mask]} and {i} name the same set")
+            first[mask] = i
             sigma = entry["sigma"]
             if sigma == "inf":
                 sigma = math.inf

@@ -64,10 +64,10 @@ class Causality:
     ``relation[i, j]`` is true iff point i precedes point j.  Instances are
     immutable after construction, so all operations on them are pure.  The
     bit-masks per row and column are built at once; everything else derived
-    from the order (the subset class table, the families, causal unions,
-    law reports, the crossing property, the reversed structure, each
-    point's strict sets and ribbon) is kept on first use in the one dict
-    ``_derived``, keyed by what each entry depends on.
+    from the order (the class codes of the causal sets, the families,
+    causal unions, law reports, the crossing property, the reversed
+    structure, each point's strict sets and ribbon) is kept on first use in
+    the one dict ``_derived``, keyed by what each entry depends on.
     """
 
     def __init__(self, points: Sequence[str], relation, _checked: bool = False):
@@ -240,8 +240,8 @@ def incomplete_diamond(c: Causality, x: str, direction: Direction) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Completeness / convergence / divergence of one subset: the tests the class
-# table in causalorder.algebra runs over every subset at once
+# Completeness / convergence / divergence of one subset: the per-mask
+# classifier of causalorder.algebra
 # ---------------------------------------------------------------------------
 
 def complete_mask(c: Causality, mask: int) -> bool:
@@ -363,6 +363,9 @@ class OrderReversal:
         """Validate ``mapping`` as an order-reversing involution on ``c``."""
         perm = [None] * c.n
         for src, dst in mapping.items():
+            for p in (src, dst):
+                if p not in c.index:
+                    raise InvalidReversal(f"mapping names unknown point {p!r}")
             perm[c.index[src]] = c.index[dst]
         if any(v is None for v in perm):
             raise InvalidReversal("mapping must cover every point")
@@ -372,13 +375,11 @@ class OrderReversal:
                 raise InvalidReversal(
                     f"mapping is not an involution at {c.points[i]}"
                 )
-        for i in range(c.n):
-            for j in range(c.n):
-                if c.relation[perm[i], perm[j]] != c.relation[j, i]:
-                    raise InvalidReversal(
-                        "mapping does not reverse the order at "
-                        f"({c.points[i]}, {c.points[j]})"
-                    )
+        # the first cell in row-major order where rel[perm[i], perm[j]] != rel[j, i]
+        bad = np.argwhere(c.relation[np.ix_(perm, perm)] != c.relation.T)
+        if len(bad):
+            i, j = bad[0]
+            raise InvalidReversal(f"mapping does not reverse the order at ({c.points[i]}, {c.points[j]})")
         return OrderReversal(ReversalMode.POINT_MAP, perm)
 
 

@@ -21,10 +21,11 @@ from causalorder import Direction, Kind, PointSet, SetClass, config
 from causalorder.algebra import (
     _NONE,
     _class_code,
-    _class_table,
     _closed_union,
     _union_mask,
     _union_tables,
+    _vertex_sets,
+    class_of_mask,
     family_masks,
 )
 
@@ -78,7 +79,7 @@ def test_classify_matches_oracle_random(seed, n, p_edge):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(65, 80), st.floats(0.02, 0.3))
 def test_per_mask_classifier_matches_oracle_above_64_points(seed, n, p_edge):
-    # No class table exists above ENUMERATION_CAP, so every answer here
+    # No class codes exist above ENUMERATION_CAP, so every answer here
     # comes from the per-mask tests, on masks wider than 64 bits.
     c = random_poset(n, p_edge, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
@@ -99,7 +100,7 @@ def test_per_mask_classifier_matches_oracle_above_64_points(seed, n, p_edge):
             assert co.is_convergent(c, u) == oracle_convergent(c, ids)
             assert co.is_divergent(c, u) == oracle_divergent(c, ids)
             assert co.classify(c, u).name.lower() == oracle_class(c, ids)
-    assert "class_table" not in c._derived
+    assert "class_codes" not in c._derived
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +148,66 @@ def test_enumeration_cap_checked_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(co.GroundSetTooLarge):
-            _class_table(c)
+            family_masks(c, Kind.CONVERGENT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "class_table" not in c._derived
-    assert peak < 64 * 1024  # the 2^21-byte table, or one OR table, would show
+    assert "class_codes" not in c._derived
+    assert peak < 64 * 1024  # any table over the 2^21 subsets would show
+
+
+@pytest.mark.parametrize("make", [lambda: co.grid(4, 5), lambda: co.antichain(20)],
+                         ids=["grid45", "antichain20"])
+def test_families_built_without_a_subset_table(make):
+    """All five families come from the causal sets themselves: a 2^20-entry
+    table over the subsets would peak at megabytes."""
+    c = make()
+    tracemalloc.start()
+    try:
+        for kind in Kind:
+            family_masks(c, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_vertex_sets_are_the_families_on_every_small_poset(n):
+    for c in naturally_labelled_posets(n):
+        conv, div = set(oracle_family(c, "convergent")), set(oracle_family(c, "divergent"))
+        want = {Kind.CONVERGENT: conv, Kind.DIVERGENT: div, Kind.BOTH: conv & div,
+                Kind.STRICTLY_CONVERGENT: conv - div, Kind.STRICTLY_DIVERGENT: div - conv}
+        for rows, cones, kind in ((c.succ_masks, c.pred_masks, Kind.CONVERGENT),
+                                  (c.pred_masks, c.succ_masks, Kind.DIVERGENT)):
+            sets = list(_vertex_sets(rows, cones))  # every nonempty set of the family
+            assert len(sets) == len(set(sets))
+            assert {frozenset(c.ids_of(m)) for m in [0, *sets]} == want[kind]
+        for kind in Kind:
+            assert {frozenset(c.ids_of(m)) for m in family_masks(c, kind)} == want[kind]
+
+
+def test_class_of_mask_rejects_masks_outside_the_ground_set(d4):
+    for built in (False, True):
+        if built:
+            family_masks(d4, Kind.CONVERGENT)
+        for mask in (-1, -16, 1 << d4.n, d4.full_mask + 5):
+            with pytest.raises(ValueError, match="exceeds the ground set"):
+                class_of_mask(d4, mask)
+        assert class_of_mask(d4, d4.full_mask) is SetClass.BOTH
+    assert "class_codes" in d4._derived
 
 
 def _per_mask_table(c):
     return np.array([_class_code(c, m) for m in range(1 << c.n)], dtype=np.uint8)
+
+
+def _table_after_families(c):
+    """The class of every subset as class_of_mask reads it once the
+    families, and with them the class codes, are built."""
+    family_masks(c, Kind.CONVERGENT)
+    assert "class_codes" in c._derived
+    return np.array([class_of_mask(c, m).value for m in range(1 << c.n)], dtype=np.uint8)
 
 
 @pytest.mark.parametrize("make", [
@@ -170,17 +221,14 @@ def _per_mask_table(c):
 ], ids=["grid44", "star5", "not_dense_7", "antichain12", "chain16", "n0", "n1"])
 def test_class_table_equals_per_mask_codes(make):
     c = make()
-    table = _class_table(c)
-    assert table.dtype == np.uint8
-    np.testing.assert_array_equal(table, _per_mask_table(c))
+    np.testing.assert_array_equal(_table_after_families(c), _per_mask_table(c))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.floats(0.0, 0.8))
 def test_class_table_matches_oracle(seed, n, p_edge):
     c = random_poset(n, p_edge, np.random.default_rng(seed))
-    table = _class_table(c)
-    assert len(table) == 1 << n
+    table = _table_after_families(c)
     for mask in range(1 << n):
         assert SetClass(int(table[mask])).name.lower() == oracle_class(c, set(c.ids_of(mask)))
 
@@ -474,8 +522,8 @@ def _named(c, outcome):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(65, 80), st.integers(1, 8), st.floats(0.0, 0.8))
 def test_unions_match_oracle_above_64_points(seed, n, k, p_edge):
-    """causal_union and classify on n = 65-80 points, where no class table
-    exists: the operand classes come from the per-mask tests and the
+    """causal_union and classify on n = 65-80 points, where no class codes
+    exist: the operand classes come from the per-mask tests and the
     union from the closed form, on masks wider than 64 bits.  The top k
     points form a random poset P that no lower point is related to, so a
     set of the kind holding a subset of P meets P in one, and the oracle
@@ -496,7 +544,7 @@ def test_unions_match_oracle_above_64_points(seed, n, k, p_edge):
                     else _oracle_union(part, a, b, kind, classes, families))
     shifted = [(op, a << n - k, b << n - k, kind) for op, a, b, kind in queries]
     assert [_named(c, w) for w in _run(c, shifted)] == [_named(part, w) for w in want]
-    assert "class_table" not in c._derived
+    assert "class_codes" not in c._derived
 
 
 @pytest.mark.parametrize("make, outcomes", [

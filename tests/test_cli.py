@@ -176,6 +176,11 @@ MALFORMED_MEASURES = [
      "measure entry 1 must be an object, got array"),
     ({"entries": [{"set": ["a"]}]}, 'measure entry 0 has no "sigma"'),
     ({"entries": [{"set": ["a", 1], "sigma": 1.0}]}, "measure entry 0 names unknown point 1"),
+    ({"entries": [{"set": ["a"], "sigma": 1}, {"set": ["a"], "sigma": 5}]},
+     "measure entries 0 and 1 name the same set"),
+    ({"entries": [{"set": ["a", "b"], "sigma": 1}, {"set": ["c"], "sigma": 1},
+                  {"set": ["b", "a"], "sigma": 1}]},
+     "measure entries 0 and 2 name the same set"),
 ]
 
 

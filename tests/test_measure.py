@@ -336,6 +336,15 @@ def test_measure_from_dict_rejects_nan_and_non_numbers(d4, sigma):
         co.CausalMeasure.from_dict(d4, doc)
 
 
+@pytest.mark.parametrize("first, second", [(["p"], ["p"]), (["p", "q"], ["q", "p"]),
+                                           (["q", "r", "s"], ["s", "q", "r", "q"])])
+def test_measure_from_dict_rejects_a_set_named_twice(d4, first, second):
+    doc = {"kind": "divergent", "entries": [
+        {"set": first, "sigma": 1}, {"set": ["r"], "sigma": 1}, {"set": second, "sigma": 5}]}
+    with pytest.raises(ValueError, match="^measure entries 0 and 2 name the same set$"):
+        co.CausalMeasure.from_dict(d4, doc)
+
+
 def test_measure_value_lookup(d4):
     m = co.constant_measure(d4)
     assert m.value(d4.subset(["p", "q", "r"])) == 1.0

@@ -306,6 +306,56 @@ def test_point_map_validation_rejects_order_preserving(chain3):
         OrderReversal.point_map(chain3, {"a": "a", "b": "b", "c": "c"})
 
 
+@pytest.mark.parametrize("mapping, unknown", [
+    ({"a": "c", "b": "b", "c": "a", "z": "a"}, "'z'"),
+    ({"a": "c", "b": "zz", "c": "a"}, "'zz'"),
+], ids=["source", "target"])
+def test_point_map_validation_names_unknown_point(chain3, mapping, unknown):
+    with pytest.raises(co.InvalidReversal, match=f"mapping names unknown point {unknown}"):
+        OrderReversal.point_map(chain3, mapping)
+
+
+def _involutions(n, start=0):
+    """Every involution of range(start, n), as a dict point -> image."""
+    if start == n:
+        yield {}
+        return
+    for rest in _involutions(n, start + 1):
+        yield {**rest, start: start}
+        for j in range(start + 1, n):
+            if rest[j] == j:
+                yield {**rest, start: j, j: start}
+
+
+def _first_unreversed_pair(c, perm):
+    for i in range(c.n):
+        for j in range(c.n):
+            if c.relation[perm[i], perm[j]] != c.relation[j, i]:
+                return i, j
+    return None
+
+
+def test_point_map_validation_names_first_unreversed_pair(d4):
+    # swapping the two middle points keeps the order; the first pair in
+    # row-major order it fails to reverse is (p, q): p <= r but not q <= p
+    with pytest.raises(co.InvalidReversal) as err:
+        OrderReversal.point_map(d4, {"p": "p", "q": "r", "r": "q", "s": "s"})
+    assert str(err.value) == "mapping does not reverse the order at (p, q)"
+    for c in (co.chain(3), d4, co.star5(), co.grid(2, 2)):
+        for inv in _involutions(c.n):
+            mapping = {c.points[i]: c.points[j] for i, j in inv.items()}
+            pair = _first_unreversed_pair(c, [inv[i] for i in range(c.n)])
+            if pair is None:
+                assert OrderReversal.point_map(c, mapping).mapping == tuple(
+                    inv[i] for i in range(c.n))
+                continue
+            with pytest.raises(co.InvalidReversal) as err:
+                OrderReversal.point_map(c, mapping)
+            i, j = pair
+            assert str(err.value) == (
+                f"mapping does not reverse the order at ({c.points[i]}, {c.points[j]})")
+
+
 def test_reverse_distributes_over_meet_join(l5):
     # image of intersections/unions equals intersections/unions of images,
     # exhaustively over all subset pairs up to 8 points
