@@ -64,9 +64,10 @@ print("agrees with reference on the domain:", rep.agrees)
 # The reversal theorem holds (here trivially, on the empty domain).
 print("reversal theorem:", co.verify_reversal_theorem(l33).all_hold)
 
-# The order-theoretic regularity bullets, unlike ribbon density, do hold
-# on the lattice: unions of vertex cones keep their vertex, and bounded
-# strict sets extend along the order.
+# The order-theoretic regularity bullets, unlike ribbon density, hold on
+# every finite causality: unions of vertex cones keep their vertex, and
+# bounded strict sets extend along the order.  Only the crossing property
+# can fail.
 causal_reg = co.is_regular_causality(l33)
 print("\nregular causality:", causal_reg.regular,
       " crossing:", causal_reg.crossing,

@@ -22,7 +22,6 @@ import sys
 from contextlib import nullcontext
 from typing import ContextManager, IO
 
-from . import config
 from .algebra import verify_algebra_axioms, verify_union_laws
 from .errors import (
     CausalOrderError,
@@ -80,14 +79,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--suite", default=",".join(DEFAULT_SUITES),
                    help="comma-separated: " + ",".join(ALL_SUITES))
     p.add_argument("--measure", help="measure JSON for the measure suites")
-    p.add_argument("--max-n", type=int, default=config.LAW_SCAN_CAP,
-                   help="refuse inputs larger than this")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("reconstruct", help="rebuild the order from the set algebra")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-n", type=int, default=config.RIBBON_CAP)
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("entropy", help="horizon entropy of a truncated cone")
@@ -166,8 +162,6 @@ def _cmd_verify(args) -> int:
     if unknown:
         raise _UsageError(f"unknown suites: {sorted(unknown)}")
     c = _load_causality(args.input)
-    if c.n > args.max_n:
-        raise GroundSetTooLarge(c.n, args.max_n, "verify input")
 
     measure = None
     if any(s in suites for s in ("measure-axioms", "monotonicity")):
@@ -225,8 +219,6 @@ def _spelled_out(value):
 
 def _cmd_reconstruct(args) -> int:
     c = _load_causality(args.input)
-    if c.n > args.max_n:
-        raise GroundSetTooLarge(c.n, args.max_n, "reconstruction input")
     report = reconstruct_order(c)
     _write_out(args.output, report.to_json(indent=1))
     return 0

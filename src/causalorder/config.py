@@ -2,8 +2,7 @@
 
 Every exhaustive scan in this library enumerates causal sets or subsets
 of the ground set, so all caps are point counts. They are configuration
-values, not algorithmic constants: raise them if you have the patience,
-or lower them from the command line with ``--max-n``.
+values, not algorithmic constants: raise them if you have the patience.
 """
 
 # Crossing-property scan only; subset masks are unbounded Python ints.
@@ -17,7 +16,8 @@ MATRIX_CAP = 200
 # A family can hold 2^(n-1) sets (an antichain below one top point).
 ENUMERATION_CAP = 20
 
-# Law and axiom verification, which scans pairs/triples of causal sets.
+# Law, axiom and measure verification, which scans pairs/triples of
+# causal sets.
 LAW_SCAN_CAP = 12
 
 # Ribbons, congruence, density and order reconstruction.

@@ -21,7 +21,8 @@ import numpy as np
 from .algebra import (
     Kind,
     LawReport,
-    LawResult,
+    _family_array,
+    _law_cap,
     _scan,
     _union_tables,
     family_masks,
@@ -130,39 +131,35 @@ def verify_measure_axioms(
     Pairs whose causal union is undefined, or whose intersection leaves
     the family, fall outside the axiom and are counted as skipped.
     Raises MissingValue if the table lacks any enumerated family set.
+
+    Normalization checks the value 1 on the empty set and on each
+    singleton, then the codomain [1, inf] on each family set, in that
+    order, and stops at the first failure.
     """
+    _law_cap(c, "measure-axiom verification")
     fam = family_masks(c, measure.kind)
     for m in fam:
         if m not in measure.table:
             raise MissingValue(f"measure has no value for {c.ids_of(m)}")
     report = LawReport("measure axioms")
 
-    res = LawResult("normalization", "holds")
-    checks = [(0, "empty set")] + [(1 << i, c.points[i]) for i in range(c.n)]
-    for mask, label in checks:
-        res.checked += 1
-        if measure.table[mask] != 1.0:
-            res = LawResult(
-                "normalization", "fails",
-                {"set": label, "sigma": measure.table[mask]}, res.checked,
-            )
-            break
-    if res.verdict == "holds":
-        for m in fam:
-            res.checked += 1
-            if not measure.table[m] >= 1.0:
-                res = LawResult(
-                    "normalization", "fails",
-                    {"set": c.ids_of(m), "sigma": measure.table[m],
-                     "reason": "below the codomain [1, inf]"},
-                    res.checked,
-                )
-                break
-    report.results.append(res)
+    units = [0] + [1 << i for i in range(c.n)]  # ∅, then each singleton
+    sigma = np.array([measure.table[m] for m in fam], dtype=float)
+    bad = np.concatenate([
+        np.array([measure.table[m] for m in units], dtype=float) != 1.0, ~(sigma >= 1.0)])
+
+    def normalization_witness(k):
+        if k < len(units):
+            return {"set": c.points[k - 1] if k else "empty set", "sigma": measure.table[units[k]]}
+        m = fam[k - len(units)]
+        return {"set": c.ids_of(m), "sigma": measure.table[m],
+                "reason": "below the codomain [1, inf]"}
+
+    every = np.ones(len(bad), dtype=bool)
+    report.results.append(_scan("normalization", every, every, bad, normalization_witness))
 
     # every pair at once, from the family's union and intersection tables
     fam_arr, meets, u_idx, i_idx = _union_tables(c, measure.kind)
-    sigma = np.array([measure.table[m] for m in fam], dtype=float)
     pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
     ok = (u_idx >= 0) & (i_idx >= 0)
     with np.errstate(all="ignore"):
@@ -257,27 +254,23 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     - a NaN table entry never wins Python's ``max``/``min`` against the
       non-NaN start values 0.0 and inf, so neither extension is NaN.
     """
+    _law_cap(c, "monotonicity check")
     fam = family_masks(c, measure.kind)
-    report = LawReport("measure monotonicity")
+    fam_arr = _family_array(c, measure.kind)
+    sigma = np.array([measure.table[m] for m in fam], dtype=float)
+    # the nested pairs fam[i] ⊆ fam[j], in row-major order
+    i, j = np.nonzero((fam_arr[:, None] & ~fam_arr) == 0)
+    with np.errstate(invalid="ignore"):  # inf - inf in _isclose
+        bad = (sigma[i] > sigma[j]) & ~_isclose(sigma[i], sigma[j], EQUALITY_RTOL)
 
-    res = LawResult("family-pairs", "holds")
-    for a in fam:
-        for b in fam:
-            if a & ~b:
-                continue
-            res.checked += 1
-            sa, sb = measure.table[a], measure.table[b]
-            if sa > sb and not math.isclose(sa, sb, rel_tol=EQUALITY_RTOL):
-                res = LawResult(
-                    res.law, "fails",
-                    {"a": c.ids_of(a), "b": c.ids_of(b),
-                     "sigma_a": sa, "sigma_b": sb},
-                    res.checked,
-                )
-                break
-        if res.verdict == "fails":
-            break
-    report.results.append(res)
+    def witness(k):
+        a, b = fam[i[k]], fam[j[k]]
+        return {"a": c.ids_of(a), "b": c.ids_of(b),
+                "sigma_a": measure.table[a], "sigma_b": measure.table[b]}
+
+    every = np.ones(len(i), dtype=bool)
+    report = LawReport("measure monotonicity")
+    report.results.append(_scan("family-pairs", every, every, bad, witness))
     return report
 
 

@@ -10,7 +10,8 @@ unions), and asserts that the result is a partial order.  On finite
 ground sets the density condition turns out to be unsatisfiable for
 non-empty ribbons, so the interesting output is the diagnostics saying
 why each point failed.  Everything here is exhaustive and capped at
-RIBBON_CAP points.
+RIBBON_CAP points, except is_regular_causality, whose one scan is the
+crossing property's.
 """
 
 from __future__ import annotations
@@ -504,83 +505,29 @@ class RegularCausalityReport:
         }
 
 
-def _bounded_strict(c: Causality, ip: int, kind: Kind) -> list[int]:
-    """Strict sets through point ip whose vertex is ip itself."""
-    ups, downs = _strict_through(c, ip)
-    if kind is Kind.STRICTLY_CONVERGENT:
-        fam, bound = ups, c.pred_masks[ip]
-    else:
-        fam, bound = downs, c.succ_masks[ip]
-    return fam[(fam & np.uint64(c.full_mask & ~bound)) == 0].tolist()
-
-
 def is_regular_causality(c: Causality) -> RegularCausalityReport:
     """Check the conditions under which reconstruction provably matches
     the original order: vertex-preserving causal unions of bounded strict
     sets in both directions, extension of bounded strict sets along the
-    order, and the crossing property."""
-    _cap(c, "regular-causality check")
+    order, and the crossing property.
+
+    Only the crossing property is scanned (under MATRIX_CAP); the other
+    two hold on every finite causality.  Call a strictly convergent set
+    with top p bounded at p.
+
+    - Unions: take A and B bounded at p.  p lies in A ∪ B above all of
+      it, so p is their join and the convergent union is U = ↑(A ∪ B) ∩
+      ↓p (algebra._closed_union), which has top p.  Every member of U
+      lies above a member of A ∪ B, so every minimal member of U lies in
+      A ∪ B, and a least member of U would be the least member of A or
+      of B; neither has one.  So U is bounded at p.
+    - Extension: for p ≤ q and A bounded at p, ↑A ∩ ↓q is complete, has
+      top q and contains A, and it has no least member by the same
+      argument, so it is bounded at q.
+
+    Both duals hold the same way.  So no point and no pair fails, and the
+    causality is regular iff it has the crossing property.
+    """
     crossing = has_crossing_property(c).holds
-    point_diag: dict[str, dict] = {}
-    for ip, p in enumerate(c.points):
-        diag = {"cone_union_up": None, "cone_union_down": None}
-        for key, kind, union_kind, strict_cls in (
-            ("cone_union_up", Kind.STRICTLY_CONVERGENT, Kind.CONVERGENT,
-             SetClass.STRICTLY_CONVERGENT),
-            ("cone_union_down", Kind.STRICTLY_DIVERGENT, Kind.DIVERGENT,
-             SetClass.STRICTLY_DIVERGENT),
-        ):
-            fam = _bounded_strict(c, ip, kind)
-            bound = c.pred_masks[ip] if kind is Kind.STRICTLY_CONVERGENT else c.succ_masks[ip]
-            for i, a in enumerate(fam):
-                for b in fam[i:]:
-                    u = _union_mask(c, a, b, union_kind)
-                    if (
-                        u is None
-                        or class_of_mask(c, u) is not strict_cls
-                        or u & ~bound
-                    ):
-                        diag[key] = {
-                            "a": c.ids_of(a),
-                            "b": c.ids_of(b),
-                            "reason": "undefined union" if u is None
-                            else "union is not a strict vertex set at the point",
-                        }
-                        break
-                if diag[key]:
-                    break
-        point_diag[p] = diag
-
-    extension_failures: list[dict] = []
-    for ip, p in enumerate(c.points):
-        ups_p = _bounded_strict(c, ip, Kind.STRICTLY_CONVERGENT)
-        downs_p = _bounded_strict(c, ip, Kind.STRICTLY_DIVERGENT)
-        for iq, q in enumerate(c.points):
-            if ip == iq or not c.relation[ip, iq]:
-                continue
-            ups_q = _bounded_strict(c, iq, Kind.STRICTLY_CONVERGENT)
-            downs_q = _bounded_strict(c, iq, Kind.STRICTLY_DIVERGENT)
-            for a in ups_p:
-                if not any(a & ~b == 0 for b in ups_q):
-                    extension_failures.append(
-                        {"p": p, "q": q, "set": c.ids_of(a),
-                         "reason": "no enclosing vertex set at the later point"}
-                    )
-                    break
-            for a in downs_q:
-                if not any(a & ~b == 0 for b in downs_p):
-                    extension_failures.append(
-                        {"p": p, "q": q, "set": c.ids_of(a),
-                         "reason": "no enclosing vertex set at the earlier point"}
-                    )
-                    break
-
-    regular = (
-        crossing
-        and all(
-            d["cone_union_up"] is None and d["cone_union_down"] is None
-            for d in point_diag.values()
-        )
-        and not extension_failures
-    )
-    return RegularCausalityReport(regular, crossing, point_diag, extension_failures)
+    points = {p: {"cone_union_up": None, "cone_union_down": None} for p in c.points}
+    return RegularCausalityReport(crossing, crossing, points, [])

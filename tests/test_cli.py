@@ -33,18 +33,20 @@ def strict_loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def _causality_file(tmp_path, c, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(co.causality_to_dict(c)))
+    return str(path)
+
+
 @pytest.fixture
 def chain3_file(tmp_path, chain3):
-    path = tmp_path / "chain3.json"
-    path.write_text(json.dumps(co.causality_to_dict(chain3)))
-    return str(path)
+    return _causality_file(tmp_path, chain3, "chain3")
 
 
 @pytest.fixture
 def l33_file(tmp_path, l33):
-    path = tmp_path / "l33.json"
-    path.write_text(json.dumps(co.causality_to_dict(l33)))
-    return str(path)
+    return _causality_file(tmp_path, l33, "l33")
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +291,31 @@ def test_verify_relation_behind_256_paths_exits_2(tmp_path):
     assert run("verify", "--input", str(path), "--output", str(tmp_path / "r")) == 2
 
 
-def test_verify_cap_exits_3(l33_file):
-    assert run("verify", "--input", l33_file, "--max-n", "5") == 3
+def test_verify_cap_exits_3(tmp_path, capsys):
+    # the default suites: crossing passes, then the union-law scan refuses
+    # 13 points and no output file is written
+    path, out = _causality_file(tmp_path, co.chain(13), "chain13"), tmp_path / "r"
+    assert run("verify", "--input", path, "--output", str(out)) == 3
+    assert "union-law verification is capped at 12 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_crossing_above_law_cap_exits_0(tmp_path):
+    # each suite applies the cap of its own scan: MATRIX_CAP for crossing
+    path, out = _causality_file(tmp_path, co.grid(4, 4), "grid44"), tmp_path / "r"
+    assert run("verify", "--input", path, "--suite", "crossing", "--output", str(out)) == 0
+    assert strict_loads(out.read_text().splitlines()[0])["verdict"] == "holds"
+
+
+@pytest.mark.parametrize("suite", ["measure-axioms", "monotonicity"])
+def test_verify_measure_suites_cap_exits_3(tmp_path, capsys, suite):
+    c = co.chain(13)
+    path = _causality_file(tmp_path, c, "chain13")
+    mfile = tmp_path / "measure.json"
+    mfile.write_text(json.dumps(co.constant_measure(c).to_dict()))
+    assert run("verify", "--input", path, "--suite", suite, "--measure", str(mfile),
+               "--output", str(tmp_path / "r")) == 3
+    assert "capped at 12 points" in capsys.readouterr().err
 
 
 def test_verify_missing_file_exits_1():

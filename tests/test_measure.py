@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import causalorder as co
 from causalorder import Kind, PointSet
 from causalorder.algebra import family_masks
-from causalorder.measure import _isclose
+from causalorder.measure import EQUALITY_RTOL, _isclose
 
 from conftest import oracle_causal_union, oracle_family, random_poset
 
@@ -115,6 +115,68 @@ def test_super_multiplicativity_matches_pairwise_check(seed, n, p_edge, kind, rt
     got = (res.verdict, res.counterexample, res.checked, res.skipped)
     # repr, so that a NaN bound compares equal to itself
     assert repr(got) == repr(_pairwise_super_multiplicativity(c, kind, table, rtol))
+
+
+def _loop_normalization(c, measure):
+    """Normalization one set at a time, the reference for the scan."""
+    res = co.LawResult("normalization", "holds")
+    checks = [(0, "empty set")] + [(1 << i, c.points[i]) for i in range(c.n)]
+    for mask, label in checks:
+        res.checked += 1
+        if measure.table[mask] != 1.0:
+            return co.LawResult("normalization", "fails",
+                                {"set": label, "sigma": measure.table[mask]}, res.checked)
+    for m in family_masks(c, measure.kind):
+        res.checked += 1
+        if not measure.table[m] >= 1.0:
+            return co.LawResult("normalization", "fails",
+                                {"set": c.ids_of(m), "sigma": measure.table[m],
+                                 "reason": "below the codomain [1, inf]"}, res.checked)
+    return res
+
+
+def _loop_monotonicity(c, measure):
+    """Monotonicity one nested pair at a time, the reference for the scan."""
+    fam = family_masks(c, measure.kind)
+    res = co.LawResult("family-pairs", "holds")
+    for a in fam:
+        for b in fam:
+            if a & ~b:
+                continue
+            res.checked += 1
+            sa, sb = measure.table[a], measure.table[b]
+            if sa > sb and not math.isclose(sa, sb, rel_tol=EQUALITY_RTOL):
+                return co.LawResult(res.law, "fails", {"a": c.ids_of(a), "b": c.ids_of(b),
+                                                       "sigma_a": sa, "sigma_b": sb},
+                                    res.checked)
+    return res
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.floats(0.1, 0.7),
+       st.sampled_from([Kind.DIVERGENT, Kind.CONVERGENT]), st.data())
+def test_normalization_and_monotonicity_match_the_loops(seed, n, p_edge, kind, data):
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    fam = family_masks(c, kind)
+    # the unit table with a few entries changed, the empty set and the
+    # singletons among them; ints keep their type in the witnesses
+    sigmas = st.sampled_from([1, 2, 1.0 + 1e-12, 1.0 - 1e-12, 0.5, 1.5, 2.0, 3.0,
+                              -1.0, math.inf, -math.inf, math.nan])
+    table = dict.fromkeys(fam, 1.0)
+    table.update(data.draw(st.lists(st.tuples(st.sampled_from(fam), sigmas), max_size=5)))
+    m = co.CausalMeasure(c, kind, table)
+    # repr, so that a NaN witness compares equal to itself
+    got = co.verify_measure_axioms(c, m).result("normalization")
+    assert repr(got) == repr(_loop_normalization(c, m))
+    assert repr(co.check_monotonicity(c, m).results) == repr([_loop_monotonicity(c, m)])
+
+
+def test_measure_scans_cap_before_any_work():
+    c = co.chain(13)
+    m = co.CausalMeasure(c, Kind.DIVERGENT, {})  # no table: the cap comes first
+    for fn in (co.verify_measure_axioms, co.check_monotonicity):
+        with pytest.raises(co.GroundSetTooLarge, match="capped at 12 points, got 13"):
+            fn(c, m)
 
 
 def test_super_multiplicativity_skips_equality_between_infinities(chain3):

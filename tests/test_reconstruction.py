@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Kind, SetClass
-from causalorder.algebra import _union_mask, family_masks
+from causalorder.algebra import _union_mask, class_of_mask, family_masks
 from causalorder.reconstruction import (
     _assert_partial_order,
     _congruent_masks,
     _dense_witness,
+    _strict_through,
 )
 
 from conftest import naturally_labelled_posets, oracle_family, oracle_ribbon, random_poset
@@ -353,7 +354,8 @@ def test_fixtures_are_regular_causalities(chain3, d4, l5, l33, anti3):
 
 
 def test_regular_causality_vertex_closure_is_checked(l33):
-    # the bounded strict sets at the interior point are really unioned
+    # the interior point passes: its bounded strict sets union to bounded
+    # strict sets (proved in the is_regular_causality docstring)
     rep = co.is_regular_causality(l33)
     assert rep.pair_ok("00", "11")
     doc = rep.to_dict()
@@ -363,10 +365,9 @@ def test_regular_causality_vertex_closure_is_checked(l33):
 def test_vertex_sets_union_keeps_vertex(l33):
     # bullet carried out by hand at the interior point: every pair of
     # strictly convergent sets with upper vertex 11 unions to another one
-    from causalorder.reconstruction import _bounded_strict
-
     ip = l33.index["11"]
-    fam = _bounded_strict(l33, ip, Kind.STRICTLY_CONVERGENT)
+    fam = [a for a in family_masks(l33, Kind.STRICTLY_CONVERGENT)
+           if a >> ip & 1 and a & ~l33.pred_masks[ip] == 0]
     assert fam
     for a in fam:
         for b in fam:
@@ -375,6 +376,96 @@ def test_vertex_sets_union_keeps_vertex(l33):
             )
             assert co.classify(l33, u) is SetClass.STRICTLY_CONVERGENT
             assert co.vertex(l33, u, co.Direction.UPPER) == "11"
+
+
+def _bounded_strict(c, ip, kind):
+    """Strict sets through point ip whose vertex is ip itself."""
+    ups, downs = _strict_through(c, ip)
+    if kind is Kind.STRICTLY_CONVERGENT:
+        fam, bound = ups, c.pred_masks[ip]
+    else:
+        fam, bound = downs, c.succ_masks[ip]
+    return fam[(fam & np.uint64(c.full_mask & ~bound)) == 0].tolist()
+
+
+def _scanned_regular_causality(c):
+    """is_regular_causality(c).to_dict() with the cone-union and the
+    extension conditions scanned set by set, the reference for the proofs
+    in its docstring."""
+    crossing = co.has_crossing_property(c).holds
+    point_diag = {}
+    for ip, p in enumerate(c.points):
+        diag = {"cone_union_up": None, "cone_union_down": None}
+        for key, kind, union_kind, strict_cls in (
+            ("cone_union_up", Kind.STRICTLY_CONVERGENT, Kind.CONVERGENT,
+             SetClass.STRICTLY_CONVERGENT),
+            ("cone_union_down", Kind.STRICTLY_DIVERGENT, Kind.DIVERGENT,
+             SetClass.STRICTLY_DIVERGENT),
+        ):
+            fam = _bounded_strict(c, ip, kind)
+            bound = c.pred_masks[ip] if kind is Kind.STRICTLY_CONVERGENT else c.succ_masks[ip]
+            for i, a in enumerate(fam):
+                for b in fam[i:]:
+                    u = _union_mask(c, a, b, union_kind)
+                    if u is None or class_of_mask(c, u) is not strict_cls or u & ~bound:
+                        diag[key] = {"a": c.ids_of(a), "b": c.ids_of(b),
+                                     "reason": "undefined union" if u is None
+                                     else "union is not a strict vertex set at the point"}
+                        break
+                if diag[key]:
+                    break
+        point_diag[p] = diag
+
+    extension_failures = []
+    for ip, p in enumerate(c.points):
+        ups_p = _bounded_strict(c, ip, Kind.STRICTLY_CONVERGENT)
+        downs_p = _bounded_strict(c, ip, Kind.STRICTLY_DIVERGENT)
+        for iq, q in enumerate(c.points):
+            if ip == iq or not c.relation[ip, iq]:
+                continue
+            ups_q = _bounded_strict(c, iq, Kind.STRICTLY_CONVERGENT)
+            downs_q = _bounded_strict(c, iq, Kind.STRICTLY_DIVERGENT)
+            for a in ups_p:
+                if not any(a & ~b == 0 for b in ups_q):
+                    extension_failures.append(
+                        {"p": p, "q": q, "set": c.ids_of(a),
+                         "reason": "no enclosing vertex set at the later point"})
+                    break
+            for a in downs_q:
+                if not any(a & ~b == 0 for b in downs_p):
+                    extension_failures.append(
+                        {"p": p, "q": q, "set": c.ids_of(a),
+                         "reason": "no enclosing vertex set at the earlier point"})
+                    break
+
+    regular = crossing and all(
+        d["cone_union_up"] is None and d["cone_union_down"] is None
+        for d in point_diag.values()) and not extension_failures
+    return {"regular": regular, "crossing": crossing, "points": point_diag,
+            "extension_failures": extension_failures}
+
+
+def test_regular_causality_matches_scan_on_every_small_poset():
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            assert co.is_regular_causality(c).to_dict() == _scanned_regular_causality(c), (
+                c.relation.tolist())
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 10), st.floats(0.1, 0.7))
+def test_regular_causality_matches_scan_on_random_posets(seed, n, p_edge):
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    assert co.is_regular_causality(c).to_dict() == _scanned_regular_causality(c)
+
+
+def test_regular_causality_lists_no_family():
+    # only the crossing scan runs, so no class codes are built, and the
+    # check answers above RIBBON_CAP
+    c = co.grid(4, 4)
+    rep = co.is_regular_causality(c)
+    assert rep.regular and rep.crossing
+    assert "class_codes" not in c._derived
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

@@ -1,0 +1,76 @@
+"""Dead code in the library source: private module-level names that
+nothing in ``src/causalorder`` refers to, and imports a module never uses.
+
+The package ``__init__`` is exempt from the import check, because its
+imports are the public namespace.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import causalorder
+
+SRC = Path(causalorder.__file__).parent
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every identifier the tree reads: bare names, attributes and the
+    names it imports from other modules."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names that start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _load_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    """The names that the module's imports bind, ``__future__`` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def test_every_private_module_name_is_referenced():
+    modules = _modules()
+    used = set().union(*(_used_names(tree) for tree in modules.values()))
+    dead = [f"{name[:-3]}.{d}" for name, tree in modules.items()
+            for d in _private_definitions(tree) if d not in used]
+    assert dead == []
+
+
+def test_every_import_is_used():
+    unused = [f"{name[:-3]}: {imp}" for name, tree in _modules().items()
+              if name != "__init__.py"
+              for imp in _imported_names(tree) if imp not in _load_names(tree)]
+    assert unused == []
