@@ -71,4 +71,4 @@ print("reversal theorem:", co.verify_reversal_theorem(l33).all_hold)
 causal_reg = co.is_regular_causality(l33)
 print("\nregular causality:", causal_reg.regular,
       " crossing:", causal_reg.crossing,
-      " extension failures:", len(causal_reg.extension_failures))
+      " extension failures:", len(causal_reg.to_dict()["extension_failures"]))

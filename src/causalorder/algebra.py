@@ -27,7 +27,7 @@ from .order import (
     Causality,
     Direction,
     PointSet,
-    bits,
+    _bound_meet,
     complete_mask,
     has_crossing_property,
     vertex_bit,
@@ -240,30 +240,6 @@ def _sides(kind: Kind) -> tuple[Direction, ...]:
             f"causal unions close in CONVERGENT, DIVERGENT or BOTH, not {kind}") from None
 
 
-def _bound_meet(c: Causality, x: int, side: Direction) -> tuple[int, int, int]:
-    """The union kernel, for the points of mask x and one side (UPPER or
-    LOWER): (bounds, meet, reach).
-
-    ``bounds`` holds the common bounds of x on that side (UPPER: every q
-    above all of x), ``meet`` is the AND of their cones back toward x (↓q
-    for UPPER), and ``reach`` is the cone of x away from the side (↑x for
-    UPPER).  The bounds have a least element (UPPER; greatest for LOWER),
-    the join of x, iff it lies in ``meet``; ``meet`` is then its cone.
-    """
-    if side is Direction.UPPER:
-        rows, cones = c.succ_masks, c.pred_masks
-    else:
-        rows, cones = c.pred_masks, c.succ_masks
-    bounds, reach = c.full_mask, 0
-    for i in bits(x):
-        bounds &= rows[i]
-        reach |= rows[i]
-    meet = c.full_mask
-    for q in bits(bounds):
-        meet &= cones[q]
-    return bounds, meet, reach
-
-
 def _union_answer(c: Causality, a: int, b: int, kind: Kind):
     """The finished answer of the kind-union of masks a and b (kept in the
     store under (a, b, kind) with a <= b): the result PointSet, or the
@@ -379,11 +355,13 @@ def _infer_kind(code_a: int, code_b: int) -> Kind:
 def intersect_causal(c: Causality, a: PointSet, b: PointSet) -> tuple[PointSet, SetClass]:
     """Intersection of two causal sets of the same kind, with its class.
 
-    When the causality has the crossing property and both operands lie in
-    one family, the intersection provably stays in that family; a
-    violation is surfaced as TheoremViolation, never absorbed.  The
-    crossing property is consulted only when the intersection has left a
-    family holding both operands, the one case the theorem covers.
+    When the causality has the crossing property (every unrelated pair
+    with a common upper bound has a join) and both operands lie in one
+    family, the intersection provably stays in that family; a violation
+    is surfaced as TheoremViolation, never absorbed.  The crossing
+    property is consulted only when the intersection has left a family
+    holding both operands, the one case the theorem covers; its scan is
+    one join-kernel call per unrelated pair, under MATRIX_CAP.
     """
     if a.parent is not c or b.parent is not c:
         raise ValueError("operands must belong to this causality")

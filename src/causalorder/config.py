@@ -6,10 +6,11 @@ values, not algorithmic constants: raise them if you have the patience.
 """
 
 # Crossing-property scan only; subset masks are unbounded Python ints.
-# The scan is one boolean product per unrelated pair; on one core of a
-# shared 2-core x86 VM it took 0.35 s on grid(14,14) (196 points) and
-# 0.67 s on 100 pairwise unrelated points below a 100-point chain, the
-# slowest 200-point shape tried (grid(16,16), 256 points: 0.8 s).
+# The scan is one join-kernel call per unrelated pair, O(n) mask
+# operations each; on one core of a shared 2-core x86 VM it took
+# 0.06-0.09 s on grid(14,14) (196 points) and 0.16-0.22 s on 100 pairwise
+# unrelated points below a 100-point chain, the slowest 200-point shape
+# tried.  Past the cap, grid(16,16) took 0.25 s and grid(32,32) 11.2 s.
 MATRIX_CAP = 200
 
 # Family enumeration: every convergent and divergent set, listed by vertex.

@@ -130,12 +130,16 @@ def verify_measure_axioms(
 
     Pairs whose causal union is undefined, or whose intersection leaves
     the family, fall outside the axiom and are counted as skipped.
-    Raises MissingValue if the table lacks any enumerated family set.
+    Raises MissingValue if the table lacks any enumerated family set, and
+    ValueError, before any work, for an ``rtol`` that is not finite and
+    non-negative (a NaN would silently mean exact equality).
 
     Normalization checks the value 1 on the empty set and on each
     singleton, then the codomain [1, inf] on each family set, in that
     order, and stops at the first failure.
     """
+    if not 0 <= rtol < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be finite and non-negative, got {rtol}")
     _law_cap(c, "measure-axiom verification")
     fam = family_masks(c, measure.kind)
     for m in fam:
@@ -183,9 +187,8 @@ def verify_measure_axioms(
 
 
 def _isclose(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-    """``math.isclose(a, b, rel_tol=rtol)``, elementwise."""
-    if rtol < 0:
-        raise ValueError("tolerances must be non-negative")
+    """``math.isclose(a, b, rel_tol=rtol)``, elementwise, for a finite
+    rtol >= 0."""
     diff = np.abs(a - b)
     finite = np.isfinite(a) & np.isfinite(b)
     return (a == b) | finite & (diff <= rtol * np.maximum(np.abs(a), np.abs(b)))

@@ -273,6 +273,31 @@ def vertex_bit(c: Causality, mask: int, direction: Direction) -> int:
     return common
 
 
+def _bound_meet(c: Causality, x: int, side: Direction) -> tuple[int, int, int]:
+    """The join kernel, for the points of mask x and one side (UPPER or
+    LOWER): (bounds, meet, reach).
+
+    ``bounds`` holds the common bounds of x on that side (UPPER: every q
+    above all of x), ``meet`` is the AND of their cones back toward x (↓q
+    for UPPER), and ``reach`` is the cone of x away from the side (↑x for
+    UPPER).  The bounds have a least element (UPPER; greatest for LOWER),
+    the join of x, iff it lies in ``meet``; ``meet`` is then its cone.
+    The causal union, its tables and the crossing scan all read it.
+    """
+    if side is Direction.UPPER:
+        rows, cones = c.succ_masks, c.pred_masks
+    else:
+        rows, cones = c.pred_masks, c.succ_masks
+    bounds, reach = c.full_mask, 0
+    for i in bits(x):
+        bounds &= rows[i]
+        reach |= rows[i]
+    meet = c.full_mask
+    for q in bits(bounds):
+        meet &= cones[q]
+    return bounds, meet, reach
+
+
 def is_causally_complete(c: Causality, u: PointSet) -> bool:
     """True iff every diamond between members of ``u`` lies inside ``u``."""
     return complete_mask(c, u.mask)
@@ -308,12 +333,20 @@ def has_crossing_property(c: Causality) -> CrossingResult:
 
     For each, at least one of the diamond pairs C[x,z] & C[y,w] or
     C[x,w] & C[y,z] must intersect.  z and w range over ordered pairs
-    including z = w.  Returns the first failing witness, if any.
+    including z = w.  Returns the first failing witness, if any: pairs
+    x < y in point order, then z, then w.
 
     Both intersections are the same set, the points p with x, y <= p and
     p <= z, w.  So the property says that the common upper bounds U of
     each unrelated pair are downward directed: any two members of U have
-    a common lower bound in U.  That is one boolean product per pair.
+    a common lower bound in U.  A finite U is downward directed iff it
+    is empty or has a least member, the join of x and y: a least member
+    is a common lower bound of any two; conversely take m minimal in U,
+    and for u in U a common lower bound of m and u in U is m itself, so
+    m <= u.  So a pair fails iff it has common upper bounds but no join:
+    _bound_meet's meet then holds none of the bounds, and the convergent
+    causal union of {x} and {y} raises NotClosed.  The witness is then the
+    first pair z, w of bounds with no common lower bound in U.
     """
     hit = c._derived.get("crossing")
     if hit is not None:
@@ -321,16 +354,15 @@ def has_crossing_property(c: Causality) -> CrossingResult:
     n = c.n
     if n > config.MATRIX_CAP:
         raise GroundSetTooLarge(n, config.MATRIX_CAP, "crossing-property scan")
-    rel = c.relation
+    # the pairs x < y of unrelated points, in row-major order
+    unrelated = ((x, y) for x in range(n)
+                 for y in bits(c.full_mask & ~((2 << x) - 1 | c.succ_masks[x] | c.pred_masks[x])))
     result = CrossingResult(True)
-    for x, y in zip(*np.nonzero(np.triu(~(rel | rel.T)))):
-        ups = np.flatnonzero(rel[x] & rel[y])
-        if ups.size < 2:  # z = w is its own common lower bound
-            continue
-        below = rel[np.ix_(ups, ups)]  # below[p, z]: p <= z, both in U
-        apart = np.argwhere(~_compose(below.T, below))
-        if apart.size:
-            z, w = ups[apart[0]]
+    for x, y in unrelated:
+        bounds, meet, _ = _bound_meet(c, 1 << x | 1 << y, Direction.UPPER)
+        if bounds and not meet & bounds:
+            z, w = next((z, w) for z in bits(bounds) for w in bits(bounds)
+                        if not bounds & c.pred_masks[z] & c.pred_masks[w])
             result = CrossingResult(False, tuple(c.points[i] for i in (x, y, z, w)))
             break
     c._derived["crossing"] = result

@@ -11,7 +11,8 @@ ground sets the density condition turns out to be unsatisfiable for
 non-empty ribbons, so the interesting output is the diagnostics saying
 why each point failed.  Everything here is exhaustive and capped at
 RIBBON_CAP points, except is_regular_causality, whose one scan is the
-crossing property's.
+crossing property's: a join-kernel call per unrelated pair, under
+MATRIX_CAP.
 """
 
 from __future__ import annotations
@@ -472,36 +473,39 @@ def verify_reversal_theorem(c: Causality) -> LawReport:
 # Regular causalities
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RegularCausalityReport:
-    regular: bool
+    """The regular-causality verdict, which is the crossing verdict: the
+    per-point and per-pair conditions hold on every finite causality (see
+    is_regular_causality), so only the point ids are kept for them."""
+
     crossing: bool
-    point_diagnostics: dict[str, dict]
-    extension_failures: list[dict]
+    points: tuple[str, ...]
+
+    @property
+    def regular(self) -> bool:
+        return self.crossing
 
     def __bool__(self) -> bool:
-        return self.regular
+        return self.crossing
 
     def point_ok(self, p: str) -> bool:
-        d = self.point_diagnostics[p]
-        return d["cone_union_up"] is None and d["cone_union_down"] is None
+        """True for every point of the causality; KeyError for an unknown id."""
+        if p not in self.points:
+            raise KeyError(p)
+        return True
 
     def pair_ok(self, p: str, q: str) -> bool:
-        """True when the per-point conditions hold at p and q and no
-        extension failure involves the ordered pair."""
-        if not (self.point_ok(p) and self.point_ok(q)):
-            return False
-        return not any(
-            f["p"] == p and f["q"] == q or f["p"] == q and f["q"] == p
-            for f in self.extension_failures
-        )
+        """True for any two points of the causality: the per-point and
+        extension conditions hold everywhere; KeyError for an unknown id."""
+        return self.point_ok(p) and self.point_ok(q)
 
     def to_dict(self) -> dict:
         return {
-            "regular": self.regular,
+            "regular": self.crossing,
             "crossing": self.crossing,
-            "points": self.point_diagnostics,
-            "extension_failures": self.extension_failures,
+            "points": {p: {"cone_union_up": None, "cone_union_down": None} for p in self.points},
+            "extension_failures": [],
         }
 
 
@@ -526,8 +530,9 @@ def is_regular_causality(c: Causality) -> RegularCausalityReport:
       argument, so it is bounded at q.
 
     Both duals hold the same way.  So no point and no pair fails, and the
-    causality is regular iff it has the crossing property.
+    causality is regular iff it has the crossing property: iff every
+    unrelated pair with a common upper bound has a join, one join-kernel
+    call per unrelated pair (order.has_crossing_property).  The report
+    keeps that verdict and the point ids, and nothing else.
     """
-    crossing = has_crossing_property(c).holds
-    points = {p: {"cone_union_up": None, "cone_union_down": None} for p in c.points}
-    return RegularCausalityReport(crossing, crossing, points, [])
+    return RegularCausalityReport(has_crossing_property(c).holds, c.points)

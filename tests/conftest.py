@@ -115,8 +115,24 @@ def oracle_divergent(c, u):
     )
 
 
+# oracle_class answers per poset, keyed by the point ids and the
+# relation's bytes (never by the Causality object, whose cached state is
+# the library's), then by the subset
+_ORACLE_CLASSES: dict[tuple, dict[frozenset, str]] = {}
+
+
 def oracle_class(c, u):
-    """Classification as a string, mirroring the four-way split."""
+    """Classification as a string, mirroring the four-way split.  Memoised
+    per poset and subset: a pure function of the relation, the point ids
+    and the subset."""
+    known = _ORACLE_CLASSES.setdefault((c.points, c.relation.tobytes()), {})
+    u = frozenset(u)
+    if u not in known:
+        known[u] = _oracle_class(c, u)
+    return known[u]
+
+
+def _oracle_class(c, u):
     if not oracle_complete(c, u):
         return "neither"
     conv, div = oracle_convergent(c, u), oracle_divergent(c, u)
@@ -197,6 +213,24 @@ def oracle_crossing_witness(c):
                         or oracle_diamond(c, x, w) & oracle_diamond(c, y, z)
                     ):
                         return (x, y, z, w)
+    return None
+
+
+def product_crossing_witness(c):
+    """The first failing quadruple (x, y, z, w), in the order of
+    oracle_crossing_witness, or None, by one boolean product per
+    unrelated pair: (z, w) fails when no common upper bound of x and y
+    lies below both.  The reference where the quadruple scan is too slow."""
+    rel = c.relation
+    for x, y in zip(*np.nonzero(np.triu(~(rel | rel.T)))):
+        ups = np.flatnonzero(rel[x] & rel[y])
+        if ups.size < 2:  # z = w is its own common lower bound
+            continue
+        below = rel[np.ix_(ups, ups)].astype(np.int64)  # below[p, z]: p <= z, both in U
+        apart = np.argwhere(below.T @ below == 0)
+        if apart.size:
+            z, w = ups[apart[0]]
+            return tuple(c.points[i] for i in (x, y, z, w))
     return None
 
 

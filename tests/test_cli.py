@@ -166,6 +166,19 @@ def test_verify_measure_with_bad_sigma_exits_2(chain3_file, tmp_path, chain3, si
     assert not out.exists()  # rejected on load, not reported as a failed law
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_verify_bad_tolerance_exits_2(chain3_file, tmp_path, capsys, chain3, tolerance):
+    # a NaN tolerance once meant exact equality and an infinite one
+    # accepted everything, both with exit 0
+    mfile, out = tmp_path / "measure.json", tmp_path / "m.jsonl"
+    mfile.write_text(json.dumps(co.constant_measure(chain3).to_dict()))
+    assert run("verify", "--input", chain3_file, "--suite", "measure-axioms,monotonicity",
+               "--measure", str(mfile), "--tolerance", tolerance, "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance must be finite and non-negative") and err.count("\n") == 1
+    assert not out.exists()
+
+
 MALFORMED_MEASURES = [
     ({"kind": "divergent", "entries": [{"set": ["00"], "sigma": 1.0}]},
      "measure entry 0 names unknown point '00'"),

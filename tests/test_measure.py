@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder import Kind, PointSet
+from causalorder import Kind, PointSet, config
 from causalorder.algebra import family_masks
 from causalorder.measure import EQUALITY_RTOL, _isclose
 
@@ -199,8 +199,24 @@ def test_isclose_matches_math_isclose():
         with np.errstate(invalid="ignore", over="ignore"):
             got = _isclose(a, b, rtol).tolist()
         assert got == [math.isclose(x, y, rel_tol=rtol) for x, y in zip(a, b)], rtol
+    # _isclose takes a valid tolerance: verify_measure_axioms checks it
     with pytest.raises(ValueError):
-        _isclose(a, b, -1e-9)
+        co.verify_measure_axioms(co.chain(1), co.constant_measure(co.chain(1)), rtol=-1e-9)
+
+
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_measure_axioms_reject_bad_tolerance_before_any_work(rtol):
+    # checked first: the 13-point chain would exceed LAW_SCAN_CAP, and no
+    # family is listed
+    c = co.chain(config.LAW_SCAN_CAP + 1)
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        co.verify_measure_axioms(c, co.CausalMeasure(c, Kind.DIVERGENT, {}), rtol=rtol)
+    assert "class_codes" not in c._derived
+
+
+def test_measure_axioms_accept_zero_and_large_finite_tolerance(chain3):
+    for rtol in (0.0, 1e300):
+        assert co.verify_measure_axioms(chain3, co.constant_measure(chain3), rtol=rtol).all_hold
 
 
 def test_missing_value_raises(d4):

@@ -15,12 +15,14 @@ from causalorder import Direction, OrderReversal, PointSet, config
 
 from conftest import (
     fan_relation,
+    naturally_labelled_posets,
     oracle_complete,
     oracle_convergent,
     oracle_crossing,
     oracle_crossing_witness,
     oracle_diamond,
     oracle_divergent,
+    product_crossing_witness,
     random_poset,
 )
 
@@ -202,6 +204,53 @@ def test_crossing_matches_oracle_random(seed, n, p_edge):
     res = co.has_crossing_property(c)
     assert res.holds == oracle_crossing(c)
     assert res.witness == oracle_crossing_witness(c)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 40), st.floats(0.05, 0.5))
+def test_crossing_matches_product_reference_random(seed, n, p_edge):
+    # sizes where the quadruple oracle is too slow: the per-pair product
+    # gives the reference verdict and witness
+    rng = np.random.default_rng(seed)
+    c = random_poset(n, p_edge, rng)
+    perm = rng.permutation(n)
+    c = co.validate_causality([c.points[i] for i in perm], c.relation[np.ix_(perm, perm)])
+    res = co.has_crossing_property(c)
+    assert res.witness == product_crossing_witness(c)
+    assert res.holds == (res.witness is None)
+
+
+def test_crossing_matches_product_reference_on_every_small_poset(chain3, d4, l5, l33, anti3):
+    posets = [chain3, d4, l5, l33, anti3, co.grid(4, 5)]
+    posets += [c for n in range(6) for c in naturally_labelled_posets(n)]
+    for c in posets:
+        res = co.has_crossing_property(c)
+        assert res.witness == product_crossing_witness(c), c.relation.tolist()
+        assert res.holds == (res.witness is None)
+
+
+def test_crossing_fails_iff_a_singleton_union_is_not_closed():
+    # crossing says every unrelated pair with a common upper bound has a
+    # join, so it fails exactly where the convergent union of two
+    # singletons raises NotClosed, first at the witness's pair
+    failing = 0
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            not_closed = []
+            for i, x in enumerate(c.points):
+                for y in c.points[i + 1:]:
+                    try:
+                        co.causal_union(c, c.subset([x]), c.subset([y]), co.Kind.CONVERGENT)
+                    except co.NotClosed:
+                        not_closed.append((x, y))
+                    except co.NoCausalSuperset:
+                        pass
+            res = co.has_crossing_property(c)
+            assert res.holds == (not not_closed), c.relation.tolist()
+            if not res.holds:
+                assert res.witness[:2] == not_closed[0]
+                failing += 1
+    assert failing  # the sweep reaches failing posets
 
 
 def test_crossing_holds_on_product_lattices():

@@ -350,7 +350,7 @@ def test_fixtures_are_regular_causalities(chain3, d4, l5, l33, anti3):
         rep = co.is_regular_causality(c)
         assert rep.regular and rep.crossing
         assert all(rep.point_ok(p) for p in c.points)
-        assert rep.extension_failures == []
+        assert rep.to_dict()["extension_failures"] == []
 
 
 def test_regular_causality_vertex_closure_is_checked(l33):
