@@ -5,10 +5,12 @@ A ribbon pair over p is a strictly convergent and a strictly divergent
 set meeting exactly at p.  Reconstruction relates points through the
 congruence classes of their ribbons, but only on points whose ribbon is
 *regular* (every pair dense, unions of pairs well-behaved).  At finite
-scale the density condition never holds on a non-empty ribbon: two
-strict sets through a point cut each other down to short chains, and a
-chain contains no strict refinement.  The reports below show exactly
-that, which is the desk-scale verdict on the reconstruction machinery.
+scale the density condition never holds on a non-empty ribbon: for every
+pair, some strict set through the point cuts one component down to two
+points, and a two-point set (a chain or an unrelated pair) contains no
+strict set (proof in the docstring of co.is_dense).  The reports below
+show exactly that, which is the desk-scale verdict on the reconstruction
+machinery.
 """
 
 import causalorder as co

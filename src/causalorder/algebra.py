@@ -174,13 +174,11 @@ def _class_codes(c: Causality) -> dict[int, int]:
 
 
 def family_masks(c: Causality, kind: Kind) -> list[int]:
-    """All subset masks of the requested kind, ascending (cached, along
-    with the uint64 array of the same masks that causal unions scan)."""
+    """All subset masks of the requested kind, ascending (cached)."""
     hit = c._derived.get(("family", kind))
     if hit is None:
         test = _KIND_TEST[kind]
         hit = c._derived["family", kind] = sorted(m for m, code in _class_codes(c).items() if test(code))
-        c._derived["family_arr", kind] = np.array(hit, dtype=np.uint64)
     return hit
 
 
@@ -210,10 +208,11 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _family_array(c: Causality, kind: Kind) -> np.ndarray:
+    """family_masks as a uint64 array, built on first use (cached), so
+    callers that only list the family never build it."""
     hit = c._derived.get(("family_arr", kind))
     if hit is None:
-        family_masks(c, kind)
-        hit = c._derived["family_arr", kind]
+        hit = c._derived["family_arr", kind] = np.array(family_masks(c, kind), dtype=np.uint64)
     return hit
 
 

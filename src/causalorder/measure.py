@@ -5,9 +5,8 @@ equal to 1 on the empty set and on singletons, and super-multiplicative
 under causal union (with equality when the causal union is the plain
 union).  Entropy is the logarithm of the weight.  Measures are supplied
 as explicit tables and verified here; on a finite ground set the axioms
-force the constant measure (peel a maximal element off any divergent
-set: the remainder is still divergent and the equality case applies),
-so non-constant tables exist only to exercise the violation reporting.
+force the constant measure (proof in constant_measure), so non-constant
+tables exist only to exercise the violation reporting.
 """
 
 from __future__ import annotations
@@ -119,7 +118,21 @@ class CausalMeasure:
 
 def constant_measure(c: Causality, kind: Kind = Kind.DIVERGENT) -> CausalMeasure:
     """The unit table on every set of the family; the one measure every
-    finite causality admits."""
+    finite causality admits.
+
+    Take a divergent S of two or more points: it has a bottom b and a
+    maximal point m ≠ b.  S ∖ {m} is complete (a point between two of
+    its members is in S, and it is not m, which is below no other
+    member) and has bottom b, so it is divergent; {m} and the
+    intersection ∅ are in the family too.  S is divergent and holds
+    both, so their causal union is S, the plain union, and the equality
+    case gives σ(S) = σ(S ∖ {m}) σ({m}) / σ(∅) = σ(S ∖ {m}).  By
+    induction on |S|, σ(S) = σ({b}) = 1.  The convergent family is the
+    dual: peel a minimal point off S and end at its top.  So a table
+    that moves one entry of this one off 1 by more than the tolerance
+    fails verify_measure_axioms: normalization on ∅ and singletons, the
+    equality case on every larger set.
+    """
     return CausalMeasure(c, kind, {m: 1.0 for m in family_masks(c, kind)})
 
 

@@ -6,9 +6,11 @@ whose componentwise causal unions are again a ribbon pair are congruent.
 Reconstruction relates two points when the congruence classes of their
 ribbons absorb each other's pairs in the right direction; it applies
 only to points whose ribbon is regular (every pair dense, condition 2 on
-unions), and asserts that the result is a partial order.  On finite
-ground sets the density condition turns out to be unsatisfiable for
-non-empty ribbons, so the interesting output is the diagnostics saying
+unions), and asserts that the result is a partial order.  On a finite
+ground set no ribbon pair is dense: a strict set through p always cuts
+one component down to two points {p, y}, which hold no strict set (proof
+in is_dense).  So only empty ribbons are regular, every reconstruction
+domain is empty, and the interesting output is the diagnostics saying
 why each point failed.  Everything here is exhaustive and capped at
 RIBBON_CAP points, except is_regular_causality, whose one scan is the
 crossing property's: a join-kernel call per unrelated pair, under
@@ -42,7 +44,6 @@ from .errors import (
 from .order import (
     Causality,
     PointSet,
-    _compose,
     has_crossing_property,
     reverse_structure,
     validate_matrix,
@@ -148,17 +149,26 @@ def _cut_masks(c: Causality, ip: int, base: int) -> np.ndarray:
 
 def _density_gap(c: Causality, ip: int, a: int, b: int) -> tuple[int, int] | None:
     """None when the pair (a, b) over point ip is dense, else the first
-    (cut of a, cut of b) that no ribbon pair refines."""
+    (cut of a, cut of b), in ascending order, that no ribbon pair refines.
+
+    Per-cut lemma: a ribbon pair refines the cell (ca, cb) iff ca holds a
+    strictly convergent set through p and cb a strictly divergent one.
+    Two such sets meet inside ca ∩ cb ⊆ a ∩ b = {p} and both contain p,
+    so together they are a ribbon pair.  So each cut is tested once
+    against the strict sets through p, and the first gap is in the first
+    row when some cut of b holds no divergent set, else in the first row
+    whose cut of a holds no convergent set.  Neither cut list is empty:
+    a and b are cuts of themselves.  The collapse in is_dense says a gap
+    always exists; the test does not assume it.
+    """
+    ups, downs = _strict_through(c, ip)
     cuts_a, cuts_b = _cut_masks(c, ip, a), _cut_masks(c, ip, b)
-    if not cuts_a.size or not cuts_b.size:
+    ok_a = ((ups[None, :] & ~cuts_a[:, None]) == 0).any(axis=1)
+    ok_b = ((downs[None, :] & ~cuts_b[:, None]) == 0).any(axis=1)
+    i = int(np.argmin(ok_a)) if ok_b.all() else 0
+    if ok_a[i] and ok_b.all():
         return None
-    upper, lower = _ribbon_masks(c, ip)
-    sub_a = (upper[None, :] & ~cuts_a[:, None]) == 0
-    sub_b = (lower[None, :] & ~cuts_b[:, None]) == 0
-    bad = np.argwhere(~_compose(sub_a, sub_b.T))
-    if bad.size == 0:
-        return None
-    i, j = bad[0]
+    j = int(np.argmin(ok_b)) if ok_a[i] else 0
     return int(cuts_a[i]), int(cuts_b[j])
 
 
@@ -170,7 +180,48 @@ def _dense_witness(c: Causality, p: str, pair: RibbonPair):
 
 def is_dense(c: Causality, p: str, pair: RibbonPair) -> bool:
     """A pair is dense when every non-trivial cut of its components by
-    strict sets through p can be refined back to some ribbon pair."""
+    strict sets through p can be refined back to some ribbon pair.
+
+    No ribbon pair (A, B) of a finite causality is dense.  A two-point
+    set {p, y} holds no strict set through p: {p} is of both kinds, and
+    {p, y} is a chain (top and bottom, so both kinds) or an unrelated
+    pair (neither top nor bottom, so neither kind).  So a strict set
+    through p that cuts A to {p, y} leaves the gap ({p, y}, B), and one
+    that cuts B to {p, z} leaves the gap (A, {p, z}).  One always exists.
+    Let t be the top of A and b the bottom of B, write hull(X) = ↑X ∩ ↓X
+    (complete, and containing X), and recall that a point between two
+    members of A is in A, likewise for B, and that A ∩ B = {p}.
+
+    1. t ≠ p and p not maximal in B.  (A ∩ ↑B) ∖ {p} holds t; take y
+       minimal in it and S = hull(B ∪ {y}).  S has bottom b.  It has no
+       top: B has none, and y above every member of B would be above
+       some q > p in B, putting q in A (p ≤ q ≤ y).  A member x ≠ p of
+       S ∩ A is in ↑B; below a member of B it would be in B and so be
+       p, so x ≤ y, and x = y.  So S is strictly divergent and
+       S ∩ A = {p, y}.
+    2. b ≠ p and p not minimal in A: the dual, with z maximal in
+       (B ∩ ↓A) ∖ {p} and T = hull(A ∪ {z}) strictly convergent,
+       T ∩ B = {p, z}.
+    3. t = b = p.  A has no bottom, so take y maximal in A ∖ {p} and
+       S = hull(B ∪ {y}).  y ≤ p ≤ B, so y is the bottom of S, and S has
+       no top (B has none, and y is not above p).  A member x of S ∩ A
+       has y ≤ x ≤ p, so x is p or, by the choice of y, y.
+    4. Otherwise.  t = p would give b ≠ p (else case 3) and p minimal
+       in A (else case 2), so A = {p}; dually b = p would give B = {p}.
+       So p is maximal in B (else case 1) and minimal in A, and b ≠ p.
+       Take z and T as in case 2: T has top t, meets B in {p, z}, and
+       has a bottom only if z is below all of A.  If some minimal point
+       of A is not above z, T is the set.  Otherwise take
+       y, a minimal point of A other than p (A has no bottom), and
+       S = hull(B ∪ {y}).  b ≤ z ≤ y gives S the bottom b; y is not
+       above p (both are minimal in A), so S has no top.  A member x of
+       S ∩ A below y is y.  One below a member of B is also above one
+       (it is above a member of B or above y ≥ z), so it is in B and
+       x = p.
+
+    So is_dense is false on every pair, and the density test returns the
+    first gap in ascending order, which may lie elsewhere.
+    """
     return _dense_witness(c, p, pair) is None
 
 
@@ -195,6 +246,11 @@ def is_regular_ribbon(c: Causality, p: str) -> RegularityReport:
     An empty ribbon is regular vacuously and flagged as such.  A causal
     union needed by condition 2 that is undefined counts as a failure,
     reported distinctly.
+
+    On a finite causality a non-empty ribbon always fails condition 1,
+    at its first pair, since no pair is dense (proof in is_dense).  So
+    finite inputs never reach condition 2, and only empty ribbons are
+    regular.  The condition is kept because it is the paper's.
     """
     _cap(c, "ribbon regularity")
     ip = c.index[p]
@@ -260,6 +316,10 @@ def congruence_classes(c: Causality, p: str) -> Ribbon:
 
     Raises NotRegular for irregular ribbons and TheoremViolation if more
     than two classes emerge, which is impossible on a regular ribbon.
+
+    A finite causality has no regular non-empty ribbon (is_dense), so
+    finite inputs get either NotRegular or the empty partition; the
+    class search is the paper's construction and is kept for it.
     """
     reg = is_regular_ribbon(c, p)
     if not reg.regular:
@@ -355,6 +415,12 @@ def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> Reco
     gamma over q) satisfies the inclusion statement for every member
     pair.  The result is checked to be reflexive, antisymmetric and
     transitive on its domain; failure raises TheoremViolation.
+
+    On a finite causality the domain is always empty, because no
+    non-empty ribbon is regular (is_dense); the diagnostics say why each
+    point fails.  The relation loop, _statement_one and the partial-order
+    check are the paper's theorem and are kept, though finite inputs
+    reach them only with an empty domain.
     """
     _cap(c, "order reconstruction")
     diagnostics: dict[str, dict] = {}

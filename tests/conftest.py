@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from causalorder import antichain, chain, diamond4, grid, star5, validate_causality
+from causalorder.reconstruction import _cut_masks, _ribbon_masks
 
 
 @pytest.fixture
@@ -57,6 +58,44 @@ NOT_DENSE_7_RELATION = [
 def not_dense_7():
     pts = [f"v{i}" for i in range(7)]
     return validate_causality(pts, np.array(NOT_DENSE_7_RELATION, dtype=bool))
+
+
+# v0 below everything, v1 < v2 < v4 and v3 < v4.  Over v3 the ribbon pair
+# ({v2, v3, v4}, {v0, v1, v3}) fails density only at cuts that are no
+# chain: its first gap ({v2, v3}, {v1, v3}) is two unrelated pairs.
+ANTICHAIN_GAP_5_RELATION = [
+    [1, 1, 1, 1, 1],
+    [0, 1, 1, 0, 1],
+    [0, 0, 1, 0, 1],
+    [0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 1],
+]
+
+
+@pytest.fixture
+def antichain_gap_5():
+    pts = [f"v{i}" for i in range(5)]
+    return validate_causality(pts, np.array(ANTICHAIN_GAP_5_RELATION, dtype=bool))
+
+
+# Not naturally labelled.  Over v4 the ribbon pair ({v0, v1, v2, v4},
+# {v3, v4, v5, v6}) has its first density gap ({v0, v1, v4}, {v4, v6})
+# past the first cell ({v0, v1, v4}, {v3, v4, v5}), the two smallest cuts.
+LATE_GAP_7_RELATION = [
+    [1, 0, 0, 0, 0, 0, 0],
+    [1, 1, 0, 0, 0, 0, 0],
+    [1, 1, 1, 0, 0, 0, 0],
+    [1, 1, 1, 1, 0, 0, 1],
+    [1, 0, 0, 0, 1, 0, 0],
+    [1, 1, 1, 1, 1, 1, 1],
+    [1, 1, 1, 0, 0, 0, 1],
+]
+
+
+@pytest.fixture
+def late_gap_7():
+    pts = [f"v{i}" for i in range(7)]
+    return validate_causality(pts, np.array(LATE_GAP_7_RELATION, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +255,22 @@ def oracle_crossing_witness(c):
     return None
 
 
+def product_density_gap(c, ip, a, b):
+    """The first (cut of a, cut of b), in ascending order, that no ribbon
+    pair over point ip refines, or None, by one boolean product of
+    (cuts × pairs) by (pairs × cuts).  The reference for the per-cut
+    density test, which replaced this product."""
+    cuts_a, cuts_b = _cut_masks(c, ip, a), _cut_masks(c, ip, b)
+    upper, lower = _ribbon_masks(c, ip)
+    sub_a = ((upper[None, :] & ~cuts_a[:, None]) == 0).astype(np.int64)
+    sub_b = ((lower[None, :] & ~cuts_b[:, None]) == 0).astype(np.int64)
+    bad = np.argwhere(sub_a @ sub_b.T == 0)
+    if bad.size == 0:
+        return None
+    i, j = bad[0]
+    return int(cuts_a[i]), int(cuts_b[j])
+
+
 def product_crossing_witness(c):
     """The first failing quadruple (x, y, z, w), in the order of
     oracle_crossing_witness, or None, by one boolean product per
@@ -311,6 +366,15 @@ def random_poset(n, p_edge, rng):
     for k in range(n):
         rel |= np.outer(rel[:, k], rel[k, :])
     return validate_causality([f"v{i}" for i in range(n)], rel)
+
+
+def relabelled(c, rng):
+    """The same poset under a random relabelling: point i of the result
+    is point perm[i] of c, and the ids stay v0 .. v(n-1).  random_poset
+    and naturally_labelled_posets give only natural labellings (vi
+    precedes vj only when i <= j); this one need not be."""
+    perm = rng.permutation(c.n)
+    return validate_causality(list(c.points), c.relation[np.ix_(perm, perm)])
 
 
 def naturally_labelled_posets(n):

@@ -22,6 +22,7 @@ from causalorder.algebra import (
     _NONE,
     _class_code,
     _closed_union,
+    _family_array,
     _union_mask,
     _union_tables,
     _vertex_sets,
@@ -578,6 +579,16 @@ def test_union_mask_and_causal_union_share_answers(fixture, request):
                 if not first_mask:
                     mask = _union_mask(c, a.mask, b.mask, kind)
                 assert mask == got
+
+
+def test_family_array_built_on_first_use(l33):
+    # listing a family builds no uint64 array; the array scans build it once
+    for kind in Kind:
+        co.enumerate_causal_sets(l33, kind)
+        assert ("family_arr", kind) not in l33._derived
+        arr = _family_array(l33, kind)
+        assert arr.dtype == np.uint64 and arr.tolist() == family_masks(l33, kind)
+        assert _family_array(l33, kind) is arr
 
 
 def test_derived_data_kept_only_in_the_store(l33):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Kind, PointSet, config
-from causalorder.algebra import family_masks
+from causalorder.algebra import _union_mask, family_masks
 from causalorder.measure import EQUALITY_RTOL, _isclose
 
-from conftest import oracle_causal_union, oracle_family, random_poset
+from conftest import naturally_labelled_posets, oracle_causal_union, oracle_family, random_poset
 
 
 def _perturbed(c, overrides, kind=Kind.DIVERGENT):
@@ -236,6 +236,41 @@ def test_axioms_force_constant_measure(chain3, d4, l5):
         for u in fam:
             bad = _perturbed(c, {u.ids(): 1.5})
             assert not co.verify_measure_axioms(c, bad).all_hold, u.ids()
+
+
+def _peeled(c, s, kind):
+    """The point that the proof in constant_measure peels off s: a maximal
+    member for the divergent family, a minimal one for the convergent."""
+    rows = c.succ_masks if kind is Kind.DIVERGENT else c.pred_masks
+    return next(i for i in range(c.n) if s >> i & 1 and rows[i] & s == 1 << i)
+
+
+def test_peeling_a_point_leaves_a_family_set_on_every_small_poset():
+    # S ∖ {m} is in the family, and its causal union with {m} is S, the
+    # plain union, so the equality case ties σ(S) to σ(S ∖ {m})
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            for kind in (Kind.DIVERGENT, Kind.CONVERGENT):
+                fam = family_masks(c, kind)
+                members = set(fam)
+                for s in fam:
+                    if s & (s - 1) == 0:  # ∅ and singletons
+                        continue
+                    m = 1 << _peeled(c, s, kind)
+                    assert s & ~m in members, (c.relation.tolist(), kind, s)
+                    assert _union_mask(c, s & ~m, m, kind) == s, (c.relation.tolist(), kind, s)
+
+
+@pytest.mark.parametrize("rtol", [EQUALITY_RTOL, 0.01])
+def test_moving_one_constant_entry_fails_the_axioms(chain3, d4, l5, l33, rtol):
+    for c in (chain3, d4, l5, l33):
+        for kind in (Kind.DIVERGENT, Kind.CONVERGENT):
+            table = co.constant_measure(c, kind).table
+            for m in table:
+                for sigma in (1 + 2 * rtol, 1 - 2 * rtol):
+                    moved = co.CausalMeasure(c, kind, {**table, m: sigma})
+                    report = co.verify_measure_axioms(c, moved, rtol)
+                    assert not report.all_hold, (c.ids_of(m), kind, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Ribbons, density, congruence, and order reconstruction.
 
-At desk scale the density condition is unsatisfiable on non-empty
-ribbons: any two strict sets through a point cut each other down to short
-chains, and chains contain no strict refinement.  The tests therefore
-check the machinery on what finite posets actually exhibit: non-empty
-ribbons that fail density with concrete witnesses, vacuously regular
-empty ribbons, reflexivity/symmetry of congruence and the meet lemma on
-real congruent pairs, and reconstruction reports whose diagnostics say
-precisely why the domain is empty.
+On a finite ground set no ribbon pair is dense: for every pair, a strict
+set through the point cuts one component down to two points {p, y}, and
+no two-point set holds a strict set (proof in is_dense; the cut need not
+be a chain).  The tests therefore check the machinery on what finite
+posets actually exhibit: non-empty ribbons that fail density with
+concrete witnesses, the construction of the proof case by case,
+vacuously regular empty ribbons, reflexivity/symmetry of congruence and
+the meet lemma on real congruent pairs, and reconstruction reports whose
+diagnostics say precisely why the domain is empty.
 """
 
 from __future__ import annotations
@@ -24,10 +25,19 @@ from causalorder.reconstruction import (
     _assert_partial_order,
     _congruent_masks,
     _dense_witness,
+    _density_gap,
+    _ribbon_masks,
     _strict_through,
 )
 
-from conftest import naturally_labelled_posets, oracle_family, oracle_ribbon, random_poset
+from conftest import (
+    naturally_labelled_posets,
+    oracle_family,
+    oracle_ribbon,
+    product_density_gap,
+    random_poset,
+    relabelled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +500,148 @@ def test_non_partial_order_names_domain_points():
     rel = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
     with pytest.raises(co.TheoremViolation, match=r"\('x', 'y', 'z'\)"):
         _assert_partial_order(rel, ["x", "y", "z"])
+
+
+# ---------------------------------------------------------------------------
+# The finite collapse: no ribbon pair is dense
+# ---------------------------------------------------------------------------
+
+def _members(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def _cone(rows, m):
+    """The union of the rows of the members of m: ↑m for succ_masks, ↓m
+    for pred_masks."""
+    out = 0
+    for i in _members(m):
+        out |= rows[i]
+    return out
+
+
+def _extremes(rows, m):
+    """The members of m whose row meets m only in themselves: the maximal
+    members for succ_masks, the minimal ones for pred_masks."""
+    return [i for i in _members(m) if rows[i] & m == 1 << i]
+
+
+def _collapse_cut(c, ip, a, b):
+    """The construction in is_dense's docstring for the ribbon pair (a, b)
+    over point p = ip: (case, side, s, y), where s should be a strict set
+    through p that cuts side, "upper" (a) or "lower" (b), to {p, y}."""
+    up, down = c.succ_masks, c.pred_masks
+    bit = 1 << ip
+
+    def hull(m):
+        return _cone(up, m) & _cone(down, m)
+
+    (t,), (bottom,) = _extremes(up, a), _extremes(down, b)
+    if t != ip and up[ip] & b != bit:
+        y = _extremes(down, a & _cone(up, b) & ~bit)[0]
+        return 1, "upper", hull(b | 1 << y), y
+    z_pool = b & _cone(down, a) & ~bit
+    if bottom != ip and down[ip] & a != bit:
+        z = _extremes(up, z_pool)[0]
+        return 2, "lower", hull(a | 1 << z), z
+    if t == bottom == ip:
+        y = _extremes(up, a & ~bit)[0]
+        return 3, "upper", hull(b | 1 << y), y
+    z = _extremes(up, z_pool)[0]
+    minimal = _extremes(down, a)
+    if any(not up[z] >> m & 1 for m in minimal):
+        return 4, "lower", hull(a | 1 << z), z
+    y = next(m for m in minimal if m != ip)
+    return 4, "upper", hull(b | 1 << y), y
+
+
+def _check_collapse(c, cases):
+    """Every ribbon pair of c: the construction gives a strict set through
+    the point that cuts one side to {p, y}, the scan finds the pair not
+    dense, and the per-cut test returns the product's first gap.  The
+    case numbers met are added to ``cases``."""
+    strict = {"upper": SetClass.STRICTLY_DIVERGENT, "lower": SetClass.STRICTLY_CONVERGENT}
+    for ip in range(c.n):
+        bit = 1 << ip
+        upper, lower = _ribbon_masks(c, ip)
+        for a, b in zip(upper.tolist(), lower.tolist()):
+            case, side, s, y = _collapse_cut(c, ip, a, b)
+            cases.add(case)
+            where = (c.relation.tolist(), ip, a, b, case)
+            assert s & bit and class_of_mask(c, s) is strict[side], where
+            assert y != ip and (a if side == "upper" else b) & s == bit | 1 << y, where
+            gap = _scan_witness(c, ip, a, b)
+            assert gap is not None, where
+            assert _density_gap(c, ip, a, b) == product_density_gap(c, ip, a, b) == gap
+
+
+def test_collapse_on_every_small_poset():
+    cases = set()
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            _check_collapse(c, cases)
+    assert cases == {1, 2, 3, 4}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 9), st.floats(0.1, 0.7))
+def test_collapse_on_relabelled_random_posets(seed, n, p_edge):
+    rng = np.random.default_rng(seed)
+    _check_collapse(relabelled(random_poset(n, p_edge, rng), rng), set())
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 9), st.floats(0.1, 0.7))
+def test_ribbons_match_oracle_on_relabelled_random_posets(seed, n, p_edge):
+    # the checks of test_ribbons_match_oracle_on_random_posets, on
+    # labellings that need not be natural
+    rng = np.random.default_rng(seed)
+    _check_ribbons(relabelled(random_poset(n, p_edge, rng), rng))
+
+
+def _is_chain(c, m):
+    idx = _members(m)
+    sub = c.relation[np.ix_(idx, idx)]
+    return bool((sub | sub.T).all())
+
+
+def _scan_cells(c, ip, a, b):
+    """(every cell (cut of a, cut of b), the cells no ribbon pair refines),
+    both in ascending order, by the scan behind _scan_witness."""
+    pairs, pool = _pair_scan(c, ip)
+    cuts_a = sorted({a & v for v in pool} - {1 << ip})
+    cuts_b = sorted({b & v for v in pool} - {1 << ip})
+    cells = [(x, y) for x in cuts_a for y in cuts_b]
+    gaps = [(x, y) for x, y in cells if not any(u & ~x == 0 and w & ~y == 0 for u, w in pairs)]
+    return cells, gaps
+
+
+def _ribbon_pair(c, p, upper, lower):
+    masks = (c.mask_of(upper), c.mask_of(lower))
+    return next(pr for pr in co.ribbon(c, p).pairs if pr.masks() == masks)
+
+
+def test_density_gap_cuts_need_not_be_chains(antichain_gap_5):
+    c = antichain_gap_5
+    pair = _ribbon_pair(c, "v3", ["v2", "v3", "v4"], ["v0", "v1", "v3"])
+    cut_a, cut_b = _dense_witness(c, "v3", pair)
+    assert (cut_a.ids(), cut_b.ids()) == (("v2", "v3"), ("v1", "v3"))
+    assert not _is_chain(c, cut_a.mask) and not _is_chain(c, cut_b.mask)
+    # no failing cell of the pair has a chain for either cut
+    _, gaps = _scan_cells(c, c.index["v3"], *pair.masks())
+    assert gaps[0] == (cut_a.mask, cut_b.mask)
+    assert not any(_is_chain(c, x) or _is_chain(c, y) for x, y in gaps)
+    _check_ribbons(c)
+
+
+def test_density_gap_past_the_first_cell(late_gap_7):
+    c = late_gap_7
+    pair = _ribbon_pair(c, "v4", ["v0", "v1", "v2", "v4"], ["v3", "v4", "v5", "v6"])
+    cut_a, cut_b = _dense_witness(c, "v4", pair)
+    assert (cut_a.ids(), cut_b.ids()) == (("v0", "v1", "v4"), ("v4", "v6"))
+    cells, gaps = _scan_cells(c, c.index["v4"], *pair.masks())
+    assert gaps[0] == (cut_a.mask, cut_b.mask)
+    # the first cell, the two smallest cuts, is refined by a ribbon pair
+    first = cells[0]
+    assert (c.ids_of(first[0]), c.ids_of(first[1])) == (("v0", "v1", "v4"), ("v3", "v4", "v5"))
+    assert first not in gaps
+    _check_ribbons(c)
