@@ -21,15 +21,14 @@ from .errors import (
     GroundSetTooLarge,
     NoCausalSuperset,
     NotClosed,
-    TheoremViolation,
 )
 from .order import (
     Causality,
     Direction,
     PointSet,
     _bound_meet,
+    _require_owner,
     complete_mask,
-    has_crossing_property,
     vertex_bit,
 )
 
@@ -161,8 +160,6 @@ def _class_codes(c: Causality) -> dict[int, int]:
     convergent set has a top, a divergent one a bottom (_vertex_sets)."""
     codes = c._derived.get("class_codes")
     if codes is None:
-        # ENUMERATION_CAP also keeps every subset mask below 2^64, which
-        # the uint64 arrays here and in reconstruction rely on.
         if c.n > config.ENUMERATION_CAP:
             raise GroundSetTooLarge(c.n, config.ENUMERATION_CAP, "subset enumeration")
         codes = dict.fromkeys(_vertex_sets(c.succ_masks, c.pred_masks), 1)
@@ -199,6 +196,7 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
     above every member, LOWER below.  A nonempty set has an UPPER vertex
     iff it is convergent, a LOWER one iff it is divergent.
     """
+    _require_owner(c, u)
     bit = vertex_bit(c, u.mask, direction)
     return c.points[bit.bit_length() - 1] if bit else None
 
@@ -212,13 +210,16 @@ def _family_array(c: Causality, kind: Kind) -> np.ndarray:
     callers that only list the family never build it."""
     hit = c._derived.get(("family_arr", kind))
     if hit is None:
+        # the one uint64 conversion of masks: family_masks stops at
+        # ENUMERATION_CAP (20) points, so every mask stays below 2^64
         hit = c._derived["family_arr", kind] = np.array(family_masks(c, kind), dtype=np.uint64)
     return hit
 
 
 # Every bit set: the mark of a union with no superset in the union
-# tables.  No subset mask of at most ENUMERATION_CAP points has it, and it
-# is the identity of the AND fold (_fold).
+# tables.  Those tables, and the callers of _fold, run under
+# LAW_SCAN_CAP (12) points, so no subset mask they meet has it; it is
+# also the identity of the AND fold (_fold).
 _NONE = np.uint64(2**64 - 1)
 
 # The sides on which the sets of each union kind have their vertex: a top
@@ -234,7 +235,7 @@ _SIDES = {
 def _sides(kind: Kind) -> tuple[Direction, ...]:
     try:
         return _SIDES[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(
             f"causal unions close in CONVERGENT, DIVERGENT or BOTH, not {kind}") from None
 
@@ -318,7 +319,8 @@ def causal_union(
         return PointSet(c, 0)
     if kind is None:
         kind = _infer_kind(code_a, code_b)
-    if not _compatible_kind(code_a, code_b, kind):
+    _sides(kind)  # rejects a kind that no union closes in
+    if not _KIND_TEST[kind](code_a & code_b):  # both operands in the kind's family
         raise ValueError(
             f"operand classes {_CLASSES[code_a].name}, {_CLASSES[code_b].name} "
             f"are not compatible with kind {kind.name}"
@@ -328,17 +330,6 @@ def causal_union(
         return answer
     exc, args = answer
     raise exc(*args)  # a fresh instance: a stored one would grow its traceback
-
-
-def _compatible_kind(code_a: int, code_b: int, kind: Kind) -> bool:
-    """Whether both operand codes lie in the family the union closes in."""
-    if kind is Kind.CONVERGENT:
-        return code_a & code_b & 1 != 0
-    if kind is Kind.DIVERGENT:
-        return code_a & code_b & 2 != 0
-    if kind is Kind.BOTH:
-        return code_a & code_b == 3
-    raise ValueError(f"causal unions close in CONVERGENT, DIVERGENT or BOTH, not {kind}")
 
 
 def _infer_kind(code_a: int, code_b: int) -> Kind:
@@ -354,30 +345,37 @@ def _infer_kind(code_a: int, code_b: int) -> Kind:
 def intersect_causal(c: Causality, a: PointSet, b: PointSet) -> tuple[PointSet, SetClass]:
     """Intersection of two causal sets of the same kind, with its class.
 
-    When the causality has the crossing property (every unrelated pair
-    with a common upper bound has a join) and both operands lie in one
-    family, the intersection provably stays in that family; a violation
-    is surfaced as TheoremViolation, never absorbed.  The crossing
-    property is consulted only when the intersection has left a family
-    holding both operands, the one case the theorem covers; its scan is
-    one join-kernel call per unrelated pair, under MATRIX_CAP.
+    Only the intersection's class code is read.  Whether a family holds
+    the intersection of two of its members is the crossing property
+    (order.has_crossing_property: every unrelated pair with a common
+    upper bound has a join), so no check is made here:
+
+    - With crossing, A ∩ B is in the family of convergent members A and
+      B.  It is complete, since a diamond between two of its members lies
+      in A and in B.  Were it neither empty nor topped, it would have two
+      maximal members m1 and m2, unrelated, with the tops of A and B as
+      common upper bounds.  Their join j lies below both tops and above
+      m1, so j is in A and in B, which are complete: a member of A ∩ B
+      above m1 other than m1 (m2 ≤ j), against maximality.  The divergent
+      family is the dual, since crossing gives its dual, every unrelated
+      pair with a common lower bound has a meet (proof in
+      has_crossing_property).
+    - Without crossing, take x and y unrelated with common upper bounds U
+      but no join.  U has two minimal members m1 ≠ m2, since a single one
+      would be least.  S_i = ↑{x, y} ∩ ↓m_i is complete with top m_i, so
+      convergent, while S_1 ∩ S_2 holds x and y and has no top: a top
+      would be in U and below m1 and m2, so it would be both.  The
+      divergent case is the dual, through a pair with common lower bounds
+      and no meet.
+
+    So a causality keeps both families closed under intersection or
+    neither, as verify_algebra_axioms reports, and the answer never
+    needs the crossing scan or its cap.
     """
     if a.parent is not c or b.parent is not c:
         raise ValueError("operands must belong to this causality")
-    code_a = _code_of(c, a.mask)
-    code_b = _code_of(c, b.mask)
     inter = a & b
-    code_i = _code_of(c, inter.mask)
-    # family bits (1 convergent, 2 divergent) that hold both operands but
-    # not their intersection
-    left = code_a & code_b & ~code_i
-    if left and has_crossing_property(c).holds:
-        kind = Kind.CONVERGENT if left & 1 else Kind.DIVERGENT
-        raise TheoremViolation(
-            f"crossing property holds but {a.ids()} ∩ {b.ids()} "
-            f"is not {kind.value}"
-        )
-    return inter, _CLASSES[code_i]
+    return inter, _CLASSES[_code_of(c, inter.mask)]
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +678,25 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     Covered: both families are closed under pairwise intersection and
     under every defined causal union (undefined unions are counted as
     skipped); and the union laws hold (delegated to verify_union_laws).
+
+    Each of the four closure verdicts, intersection-closure and
+    causal-union-closure of either family, holds iff the causality has
+    the crossing property (order.has_crossing_property):
+
+    - intersections: both directions are proved in intersect_causal;
+    - unions, with crossing: for nonempty members A and B (∅ adds
+      nothing), a convergent superset has a top above the tops of both,
+      so when one exists the tops have a least common upper bound j (the
+      larger top when they are related, else their join), which is the
+      join of A ∪ B.  The union ↑(A ∪ B) ∩ ↓j (_closed_union) is then in
+      the family;
+    - unions, without crossing: for x and y unrelated with common upper
+      bounds but no join, {x} ∪c {y} raises NotClosed, and the
+      singletons are members, so the scan fails at that pair.
+
+    The divergent family is the dual, through the dual form of crossing
+    (proof in has_crossing_property).  The scans stay, for their
+    counterexamples and their checked and skipped counts.
 
     Not scanned, because they hold on every finite causality:
 

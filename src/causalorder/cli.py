@@ -158,6 +158,8 @@ def _cmd_sprinkle(args) -> int:
 
 def _cmd_verify(args) -> int:
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suites:
+        raise _UsageError("--suite names no suite")
     unknown = set(suites) - set(ALL_SUITES)
     if unknown:
         raise _UsageError(f"unknown suites: {sorted(unknown)}")

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .errors import MissingValue
 from .io import _json_type
-from .order import Causality, PointSet
+from .order import Causality, PointSet, _require_owner
 
 __all__ = [
     "CausalMeasure",
@@ -153,6 +153,7 @@ def verify_measure_axioms(
     """
     if not 0 <= rtol < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tolerance must be finite and non-negative, got {rtol}")
+    _require_owner(c, measure)
     _law_cap(c, "measure-axiom verification")
     fam = family_masks(c, measure.kind)
     for m in fam:
@@ -210,6 +211,7 @@ def _isclose(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 def outer_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> float:
     """Infimum of the measure over family supersets of ``a``; +inf when
     no family set contains it."""
+    _require_owner(c, measure, a)
     best = math.inf
     for m in family_masks(c, measure.kind):
         if a.mask & ~m == 0:
@@ -220,6 +222,7 @@ def outer_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> fl
 def inner_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> float:
     """Supremum of the measure over family subsets of ``a``; at least 1,
     because the empty set always qualifies."""
+    _require_owner(c, measure, a)
     best = 0.0
     for m in family_masks(c, measure.kind):
         if m & ~a.mask == 0:
@@ -245,6 +248,7 @@ def formal_entropy(
     Sets outside the family are measured through the inner extension by
     default (supremum over family subsets), or the outer one on request.
     """
+    _require_owner(c, measure, a)
     if a.mask in measure.table:
         sigma = measure.table[a.mask]
     elif extension == "inner":
@@ -270,6 +274,7 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     - a NaN table entry never wins Python's ``max``/``min`` against the
       non-NaN start values 0.0 and inf, so neither extension is NaN.
     """
+    _require_owner(c, measure)
     _law_cap(c, "monotonicity check")
     fam = family_masks(c, measure.kind)
     fam_arr = _family_array(c, measure.kind)

@@ -219,6 +219,15 @@ class PointSet:
         return "PointSet{" + ",".join(self.ids()) + "}"
 
 
+def _require_owner(c: Causality, *objs) -> None:
+    """Raise ValueError, before any work, unless each of ``objs`` (point
+    sets or measures) has ``c`` as its parent."""
+    for obj in objs:
+        if obj.parent is not c:
+            what = "point set" if isinstance(obj, PointSet) else "measure"
+            raise ValueError(f"{what} does not belong to this causality")
+
+
 # ---------------------------------------------------------------------------
 # Diamonds
 # ---------------------------------------------------------------------------
@@ -300,18 +309,21 @@ def _bound_meet(c: Causality, x: int, side: Direction) -> tuple[int, int, int]:
 
 def is_causally_complete(c: Causality, u: PointSet) -> bool:
     """True iff every diamond between members of ``u`` lies inside ``u``."""
+    _require_owner(c, u)
     return complete_mask(c, u.mask)
 
 
 def is_convergent(c: Causality, u: PointSet) -> bool:
     """True iff every unrelated pair in ``u`` has a common upper bound in
     ``u``: iff ``u`` is empty or has a greatest member (see vertex_bit)."""
+    _require_owner(c, u)
     return u.mask == 0 or vertex_bit(c, u.mask, Direction.UPPER) != 0
 
 
 def is_divergent(c: Causality, u: PointSet) -> bool:
     """True iff every unrelated pair in ``u`` has a common lower bound in
     ``u``: iff ``u`` is empty or has a least member (see vertex_bit)."""
+    _require_owner(c, u)
     return u.mask == 0 or vertex_bit(c, u.mask, Direction.LOWER) != 0
 
 
@@ -347,6 +359,18 @@ def has_crossing_property(c: Causality) -> CrossingResult:
     _bound_meet's meet then holds none of the bounds, and the convergent
     causal union of {x} and {y} raises NotClosed.  The witness is then the
     first pair z, w of bounds with no common lower bound in U.
+
+    The property is self-dual: it holds iff every unrelated pair a, b
+    with a common lower bound has a meet.  Take x maximal among the
+    common lower bounds L of a and b.  A bound y in L with y ≰ x is
+    unrelated to x (x < y would contradict maximality), and a and b are
+    common upper bounds of x and y.  So their join j exists, lies below
+    a and b, and is in L above x, and j ≠ x since y ≤ j: against the
+    choice of x.  So x is the greatest member of L, the meet.  The
+    converse is the same argument in the reversed order.  So one scan
+    decides both, and algebra.verify_algebra_axioms's four closure
+    verdicts all equal it (proofs in algebra.intersect_causal and
+    there).
     """
     hit = c._derived.get("crossing")
     if hit is not None:
@@ -438,8 +462,7 @@ def reverse(c: Causality, reversal: OrderReversal, u: PointSet) -> PointSet:
     causality; point-map mode returns the mapped subset of the original.
     The empty set maps to the empty set in both modes.
     """
-    if u.parent is not c:
-        raise ValueError("point set does not belong to this causality")
+    _require_owner(c, u)
     if reversal.mode is ReversalMode.STRUCTURAL:
         return PointSet(reverse_structure(c), u.mask)
     mapped = 0

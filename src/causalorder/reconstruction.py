@@ -44,6 +44,7 @@ from .errors import (
 from .order import (
     Causality,
     PointSet,
+    _require_owner,
     has_crossing_property,
     reverse_structure,
     validate_matrix,
@@ -119,6 +120,18 @@ def _ribbon_masks(c: Causality, ip: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair(c: Causality, a: int, b: int) -> RibbonPair:
     return RibbonPair(PointSet(c, a), PointSet(c, b))
+
+
+def _ribbon_pair_masks(c: Causality, p: str, pair: RibbonPair) -> tuple[int, int]:
+    """The masks of ``pair``, after checking that it is a ribbon pair over
+    p in c: a strictly convergent and a strictly divergent set of c that
+    meet exactly at p."""
+    _require_owner(c, pair.upper, pair.lower)
+    a, b = pair.masks()
+    if (a & b != 1 << c.index[p] or class_of_mask(c, a) is not SetClass.STRICTLY_CONVERGENT
+            or class_of_mask(c, b) is not SetClass.STRICTLY_DIVERGENT):
+        raise ValueError(f"{pair.upper.ids()}, {pair.lower.ids()} is not a ribbon pair over {p}")
+    return a, b
 
 
 def ribbon(c: Causality, p: str) -> Ribbon:
@@ -220,8 +233,10 @@ def is_dense(c: Causality, p: str, pair: RibbonPair) -> bool:
        x = p.
 
     So is_dense is false on every pair, and the density test returns the
-    first gap in ascending order, which may lie elsewhere.
+    first gap in ascending order, which may lie elsewhere.  Raises
+    ValueError for a pair that is no ribbon pair over p in c.
     """
+    _ribbon_pair_masks(c, p, pair)
     return _dense_witness(c, p, pair) is None
 
 
@@ -306,9 +321,11 @@ def congruent(c: Causality, p: str, pair1: RibbonPair, pair2: RibbonPair) -> boo
     """True iff the componentwise causal unions form a ribbon pair over p.
 
     Raises NotCongruentDecidable when a needed causal union is undefined,
-    so callers can tell "false" from "unanswerable".
+    so callers can tell "false" from "unanswerable", and ValueError for a
+    pair that is no ribbon pair over p in c.
     """
-    return _congruent_masks(c, 1 << c.index[p], pair1.masks(), pair2.masks())
+    m1, m2 = _ribbon_pair_masks(c, p, pair1), _ribbon_pair_masks(c, p, pair2)
+    return _congruent_masks(c, 1 << c.index[p], m1, m2)
 
 
 def congruence_classes(c: Causality, p: str) -> Ribbon:
@@ -598,7 +615,12 @@ def is_regular_causality(c: Causality) -> RegularCausalityReport:
     Both duals hold the same way.  So no point and no pair fails, and the
     causality is regular iff it has the crossing property: iff every
     unrelated pair with a common upper bound has a join, one join-kernel
-    call per unrelated pair (order.has_crossing_property).  The report
-    keeps that verdict and the point ids, and nothing else.
+    call per unrelated pair (order.has_crossing_property).  That is the
+    closure of the algebra: crossing holds iff both families are closed
+    under intersection, iff both are closed under every defined causal
+    union, and failing it, all four closure axioms fail (proofs in
+    algebra.intersect_causal and algebra.verify_algebra_axioms).  So a
+    finite causality is regular iff its algebra is closed.  The report
+    keeps the crossing verdict and the point ids, and nothing else.
     """
     return RegularCausalityReport(has_crossing_property(c).holds, c.points)

@@ -41,6 +41,7 @@ from conftest import (
     oracle_divergent,
     oracle_family,
     random_poset,
+    relabelled,
 )
 
 
@@ -714,6 +715,61 @@ def test_intersection_rejects_operands_of_another_causality(d4, a, b):
         co.intersect_causal(co.chain(3), d4.subset(a), d4.subset(b))
 
 
+_NOT_OWNED = "point set does not belong to this causality"
+_NOT_A_PAIR = "is not a ribbon pair over"
+_NOT_MEASURED = "measure does not belong to this causality"
+
+_D4, _L33, _CHAIN3 = co.diamond4(), co.grid(3, 3), co.chain(3)
+_STAR5_PAIR = co.ribbon(co.star5(), "m").pairs[0]
+_L33_PAIR = co.ribbon(_L33, "11").pairs[0]  # over 11, not over 01
+
+# each call hands a function an object of another causality, or a pair
+# that is no ribbon pair over the point named; the comment says what the
+# call did instead of raising ValueError
+_FOREIGN_CALLS = {
+    # IndexError: the grid's 9-bit masks index the diamond's 4 rows
+    "vertex": (lambda: co.vertex(_D4, _L33.full_set(), Direction.UPPER), _NOT_OWNED),
+    "is_causally_complete": (lambda: co.is_causally_complete(_D4, _L33.full_set()), _NOT_OWNED),
+    "is_convergent": (lambda: co.is_convergent(_D4, _L33.full_set()), _NOT_OWNED),
+    "is_divergent": (lambda: co.is_divergent(_D4, _L33.full_set()), _NOT_OWNED),
+    # True: read as the grid's points 01 and 02, which are related
+    "is_convergent-smaller": (lambda: co.is_convergent(_L33, _D4.subset(["q", "r"])), _NOT_OWNED),
+    # False, as if the star's pair were the grid's
+    "is_dense": (lambda: co.is_dense(_L33, "11", _STAR5_PAIR), _NOT_OWNED),
+    "congruent": (lambda: co.congruent(_L33, "11", _STAR5_PAIR, _STAR5_PAIR), _NOT_OWNED),
+    # answers for a pair over 11 as if it were over 01
+    "is_dense-other-point": (lambda: co.is_dense(_L33, "01", _L33_PAIR), _NOT_A_PAIR),
+    "congruent-other-point": (lambda: co.congruent(_L33, "01", _L33_PAIR, _L33_PAIR), _NOT_A_PAIR),
+    # numpy's argmin error: ({11}, {11}) has components of both kinds
+    "is_dense-not-strict": (
+        lambda: co.is_dense(_L33, "11", co.RibbonPair(_L33.subset(["11"]), _L33.subset(["11"]))),
+        _NOT_A_PAIR),
+    # "holds", and a report, for the measure of another chain(3) instance
+    "check_monotonicity": (
+        lambda: co.check_monotonicity(_CHAIN3, co.constant_measure(co.chain(3))), _NOT_MEASURED),
+    "verify_measure_axioms": (
+        lambda: co.verify_measure_axioms(_CHAIN3, co.constant_measure(co.chain(3))),
+        _NOT_MEASURED),
+    # inf, 1.0 and 0.0, read off the grid's mask
+    "outer_measure_value": (
+        lambda: co.outer_measure_value(_D4, co.constant_measure(_D4), _L33.full_set()), _NOT_OWNED),
+    "inner_measure_value": (
+        lambda: co.inner_measure_value(_D4, co.constant_measure(_D4), _L33.full_set()), _NOT_OWNED),
+    "formal_entropy": (
+        lambda: co.formal_entropy(_D4, co.constant_measure(_D4), _L33.full_set()), _NOT_OWNED),
+    "formal_entropy-measure": (
+        lambda: co.formal_entropy(_D4, co.constant_measure(co.diamond4()), _D4.subset(["p"])),
+        _NOT_MEASURED),
+}
+
+
+@pytest.mark.parametrize("name", _FOREIGN_CALLS)
+def test_queries_reject_objects_of_another_causality(name):
+    call, message = _FOREIGN_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_intersection_above_crossing_cap():
     # the theorem needs no crossing scan when the intersection stays in
     # the family, so the scan's cap does not apply
@@ -765,6 +821,88 @@ def test_intersection_never_violates_on_random_crossing_posets(seed, n, p_edge):
     for a in fam:
         for b in fam:
             co.intersect_causal(c, a, b)
+
+
+def _bowtie(n):
+    """n - 4 isolated points, then x, y below z and w: no crossing, and a
+    crossing scan reaches its failing pair x, y last."""
+    points = [f"i{k}" for k in range(n - 4)] + ["x", "y", "z", "w"]
+    return co.from_cover_pairs(points, [("x", "z"), ("y", "z"), ("x", "w"), ("y", "w")])
+
+
+@pytest.mark.parametrize("n", [config.MATRIX_CAP, config.MATRIX_CAP + 1])
+def test_intersection_reads_no_crossing_scan(n):
+    # the intersection leaves the convergent family of both operands; it
+    # used to run the crossing scan (and past MATRIX_CAP raise
+    # GroundSetTooLarge), though the answer is the intersection's class
+    c = _bowtie(n)
+    inter, cls = co.intersect_causal(c, c.subset(["x", "y", "z"]), c.subset(["x", "y", "w"]))
+    assert (inter.ids(), cls) == (("x", "y"), SetClass.NEITHER)
+    assert "crossing" not in c._derived
+
+
+_CLOSURE_LAWS = [f"{law}[{kind}]" for kind in ("convergent", "divergent")
+                 for law in ("intersection-closure", "causal-union-closure")]
+_FAMILY_CLASSES = {Kind.CONVERGENT: ("both", "strictly_convergent"),
+                   Kind.DIVERGENT: ("both", "strictly_divergent")}
+
+
+def _split_by_minimal_bounds(c, x, y, rel):
+    """intersect_causal's construction: for x and y unrelated with common
+    upper bounds (under ``rel``) but no join, the sets ↑{x, y} ∩ ↓m for
+    two minimal common upper bounds m, as id sets."""
+    i, j = c.index[x], c.index[y]
+    up = rel[i] | rel[j]
+    bounds = np.flatnonzero(rel[i] & rel[j])
+    minimal = [m for m in bounds if not any(rel[b, m] and b != m for b in bounds)]
+    assert len(minimal) >= 2  # one minimal bound would be the join
+    return [frozenset(c.ids_of(sum(1 << int(k) for k in np.flatnonzero(up & rel[:, m]))))
+            for m in minimal[:2]]
+
+
+def _check_crossing_is_closure(c):
+    """Each closure verdict of verify_algebra_axioms, and the crossing
+    verdict of the reversed order, equals the crossing verdict.  With
+    crossing, every intersection of two members of a family is in it
+    (by the oracle); without, the constructions in intersect_causal and
+    verify_algebra_axioms give the failing sets in both families."""
+    crossing = co.has_crossing_property(c)
+    axioms = co.verify_algebra_axioms(c)
+    assert [axioms.result(law).verdict for law in _CLOSURE_LAWS] == \
+        ["holds" if crossing.holds else "fails"] * 4
+    rev = co.reverse_structure(c)
+    dual = co.has_crossing_property(rev)
+    assert dual.holds == crossing.holds
+    if crossing.holds:
+        for kind, ok in _FAMILY_CLASSES.items():
+            fam = family_masks(c, kind)
+            meets = {a & b for a in fam for b in fam}
+            assert all(oracle_class(c, c.ids_of(m)) in ok for m in meets)
+        return
+    for (x, y, _, _), rel, kind in ((crossing.witness, c.relation, Kind.CONVERGENT),
+                                    (dual.witness, c.relation.T, Kind.DIVERGENT)):
+        s1, s2 = _split_by_minimal_bounds(c, x, y, rel)
+        ok = _FAMILY_CLASSES[kind]
+        assert oracle_class(c, s1) in ok and oracle_class(c, s2) in ok
+        assert oracle_class(c, s1 & s2) not in ok
+        with pytest.raises(co.NotClosed):
+            co.causal_union(c, c.subset([x]), c.subset([y]), kind)
+
+
+def test_crossing_is_closure_on_every_small_poset():
+    verdicts = set()
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            _check_crossing_is_closure(c)
+            verdicts.add(co.has_crossing_property(c).holds)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 8), st.floats(0.1, 0.7))
+def test_crossing_is_closure_on_relabelled_posets(seed, n, p_edge):
+    rng = np.random.default_rng(seed)
+    _check_crossing_is_closure(relabelled(random_poset(n, p_edge, rng), rng))
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,15 @@ def test_verify_unknown_suite_exits_1(chain3_file):
     assert run("verify", "--input", chain3_file, "--suite", "nope") == 1
 
 
+@pytest.mark.parametrize("suite", [",", "", " , "])
+def test_verify_without_a_suite_exits_1(chain3_file, tmp_path, capsys, suite):
+    # these used to run nothing and report {"summary": {"all_hold": true}}
+    out = tmp_path / "r.jsonl"
+    assert run("verify", "--input", chain3_file, "--suite", suite, "--output", str(out)) == 1
+    assert "usage error: --suite names no suite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------

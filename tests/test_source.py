@@ -1,5 +1,6 @@
-"""Dead code in the library source: private module-level names that
-nothing in ``src/causalorder`` refers to, and imports a module never uses.
+"""Checks on the library source: no private module-level name that
+nothing in ``src/causalorder`` refers to, no import a module never uses,
+and each size cap read where it is enforced, in exactly one function.
 
 The package ``__init__`` is exempt from the import check, because its
 imports are the public namespace.
@@ -11,6 +12,7 @@ import ast
 from pathlib import Path
 
 import causalorder
+from causalorder import config
 
 SRC = Path(causalorder.__file__).parent
 
@@ -74,3 +76,31 @@ def test_every_import_is_used():
               if name != "__init__.py"
               for imp in _imported_names(tree) if imp not in _load_names(tree)]
     assert unused == []
+
+
+def _cap_readers() -> dict[str, set[str]]:
+    """For each ``config.*_CAP`` read in the library, the functions that
+    read it: module and innermost enclosing def, or <module> outside any."""
+    readers: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr.endswith("_CAP")
+              and isinstance(node.value, ast.Name) and node.value.id == "config"):
+            readers.setdefault(node.attr, set()).add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name, tree in _modules().items():
+        visit(tree, f"{name[:-3]}.<module>")
+    return readers
+
+
+def test_each_cap_is_read_in_exactly_one_function():
+    caps = sorted(n for n in vars(config) if n.endswith("_CAP"))
+    readers = _cap_readers()
+    assert caps and set(readers) <= set(caps), readers
+    for cap in caps:
+        where = sorted(readers.get(cap, ()))
+        assert len(where) == 1 and not where[0].endswith(".<module>"), (cap, where)
