@@ -284,7 +284,12 @@ def monte_carlo_cross_section(
     hits = 0
     for start in range(0, samples, _MC_BLOCK):
         pts = rng.uniform(-half, half, size=(min(_MC_BLOCK, samples - start), 3))
-        dist = np.linalg.norm(pts, axis=1)
+        # x², then + y², then + z²: the order of np.linalg.norm(pts, axis=1),
+        # so the same bits, without its strided 3-wide reduce
+        sq = pts[:, 0] * pts[:, 0]
+        sq += pts[:, 1] * pts[:, 1]
+        sq += pts[:, 2] * pts[:, 2]
+        dist = np.sqrt(sq)
         hits += int(np.count_nonzero(np.abs(dist - r) <= eps / 2))
     volume = (2.0 * half) ** 3
     return hits / samples * volume / eps

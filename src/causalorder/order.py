@@ -119,10 +119,55 @@ class Causality:
 # The one boolean relation kernel: every product, closure and row mask
 # ---------------------------------------------------------------------------
 
+_BLOCK = 256  # rows per block of _compose; up to this size it is one product
+
+
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean product: out[i, k] iff a[i, j] and b[j, k] for some j.  Exact
-    at any size: a float sum of non-negative terms never falls back to 0."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    """Boolean product of two n × n matrices: out[i, k] iff a[i, j] and
+    b[j, k] for some j.  Exact at any size: a float sum of non-negative
+    terms never falls back to 0.
+
+    Past _BLOCK rows the product is taken in k × k blocks, in the order of
+    one stable sort of ``a``'s column sums, and a block product a[I, J] @
+    b[J, K] is skipped when either factor block is zero.  The result does
+    not depend on the order: (PaPᵀ)(PbPᵀ) = P(ab)Pᵀ for any permutation P,
+    and a skipped block adds only zeros.  The order sets the cost.  For a
+    partial order, column j of the relation counts ↓j, and x < y implies
+    ↓x ⊊ ↓y, so the sort is a linear extension and the sorted relation is
+    upper triangular.  out[I, K] then needs only I ≤ J ≤ K, so the kernel
+    runs k(k+1)(k+2)/6 of the k³ block products: 20 of 64 at n = 1000.
+    """
+    n = len(a)
+    k = -(-n // _BLOCK)
+    if k <= 1:
+        return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    order = np.argsort(np.count_nonzero(a, axis=0), kind="stable")
+    cuts = [n * i // k for i in range(k + 1)]
+    spans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    def blocks(m: np.ndarray) -> list[list[np.ndarray | None]]:
+        """m sorted, as float32 blocks, with None for a zero block."""
+        m = m[order][:, order]
+        return [[m[r, c].astype(np.float32) if m[r, c].any() else None
+                 for c in spans] for r in spans]
+
+    fa = blocks(a)
+    fb = fa if b is a else blocks(b)
+    out = np.zeros((n, n), dtype=bool)
+    for bi, r in enumerate(spans):
+        for bk, c in enumerate(spans):
+            acc = None
+            for x, row in zip(fa[bi], fb):  # a[I, J] and b[J, :]
+                if x is None or row[bk] is None:
+                    continue
+                if acc is None:
+                    acc = x @ row[bk]
+                else:
+                    acc += x @ row[bk]
+            if acc is not None:
+                np.greater(acc, 0, out=out[r, c])
+    back = np.argsort(order)
+    return out[back][:, back]
 
 
 def _closure(rel: np.ndarray) -> np.ndarray:
@@ -136,8 +181,10 @@ def _closure(rel: np.ndarray) -> np.ndarray:
 
 
 def _row_masks(rel: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j set iff rel[i, j]."""
-    packed = np.packbits(rel, axis=1, bitorder="little")
+    """Each row of a boolean matrix as an int with bit j set iff rel[i, j].
+    A strided view (a transpose) is copied to rows first: packing the copy
+    is faster than packing the view."""
+    packed = np.packbits(np.ascontiguousarray(rel), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -405,10 +452,12 @@ class ReversalMode(Enum):
 @dataclass(frozen=True)
 class OrderReversal:
     """Either the structural reversal (identity on points, relation
-    transposed) or an order-reversing involution of the points."""
+    transposed) or an order-reversing involution of the points of the
+    causality it was validated on."""
 
     mode: ReversalMode
     mapping: tuple[int, ...] | None = None
+    causality: Causality | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def structural() -> "OrderReversal":
@@ -436,7 +485,7 @@ class OrderReversal:
         if len(bad):
             i, j = bad[0]
             raise InvalidReversal(f"mapping does not reverse the order at ({c.points[i]}, {c.points[j]})")
-        return OrderReversal(ReversalMode.POINT_MAP, perm)
+        return OrderReversal(ReversalMode.POINT_MAP, perm, c)
 
 
 def reverse_structure(c: Causality) -> Causality:
@@ -460,11 +509,14 @@ def reverse(c: Causality, reversal: OrderReversal, u: PointSet) -> PointSet:
 
     Structural mode returns the same membership living in the reversed
     causality; point-map mode returns the mapped subset of the original.
-    The empty set maps to the empty set in both modes.
+    The empty set maps to the empty set in both modes.  A point map
+    validated on another causality is rejected.
     """
     _require_owner(c, u)
     if reversal.mode is ReversalMode.STRUCTURAL:
         return PointSet(reverse_structure(c), u.mask)
+    if reversal.causality is not c:
+        raise ValueError("reversal does not belong to this causality")
     mapped = 0
     for i in bits(u.mask):
         mapped |= 1 << reversal.mapping[i]

@@ -294,6 +294,13 @@ def oracle_crossing(c):
     return oracle_crossing_witness(c) is None
 
 
+def product_compose(a, b):
+    """Boolean product as one dense float32 matrix product, with no sort
+    and no blocks.  The reference for the blocked kernel, which replaced
+    this one line."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def oracle_compose(a, b):
     """Relational composition {(i, k) : (i, j) in a and (j, k) in b}."""
     after = {}

@@ -1,20 +1,32 @@
-"""The boolean relation kernel against frozenset oracles.
+"""The boolean relation kernel against frozenset oracles and against
+one dense float32 product.
 
 Sizes reach past n = 256, where a product that counts paths in uint8
 wraps, and the large draws include a fan of 250-260 two-step paths
-between two points so the count sits near the wrap.
+between two points so the count sits near the wrap.  Past _BLOCK rows
+the kernel sorts and skips zero blocks; at n = 257-700 it is checked
+against ``product_compose`` on relabelled orders, non-transitive
+relations, disjoint unions and pairs of different factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder.order import _closure, _compose, _row_masks
+from causalorder.order import _BLOCK, _closure, _compose, _row_masks, validate_matrix
 
-from conftest import matrix_of, oracle_closure, oracle_compose, oracle_cover, pairs_of
+from conftest import (
+    matrix_of,
+    oracle_closure,
+    oracle_compose,
+    oracle_cover,
+    pairs_of,
+    product_compose,
+)
 
 
 @st.composite
@@ -83,3 +95,130 @@ def test_kernel_on_empty_relation():
     assert _compose(empty, empty).shape == (0, 0)
     assert _closure(empty).shape == (0, 0)
     assert _row_masks(empty) == []
+
+
+# ---------------------------------------------------------------------------
+# The blocked product against one dense product, past _BLOCK rows
+# ---------------------------------------------------------------------------
+
+def _product_closure(rel):
+    closed = rel | np.eye(len(rel), dtype=bool)
+    while not np.array_equal(squared := product_compose(closed, closed), closed):
+        closed = squared
+    return closed
+
+
+def _order(rng, n, kind):
+    """A partial order on n points: a sprinkle of 1+1 or 3+1 Minkowski
+    space in the unit box (events in draw order), a chain, an antichain,
+    or a random DAG over 0 .. n-1 closed transitively."""
+    if kind == "chain":
+        return np.triu(np.ones((n, n), dtype=bool))
+    if kind == "antichain":
+        return np.eye(n, dtype=bool)
+    if kind.startswith("sprinkle"):
+        ev = rng.uniform(0.0, 1.0, size=(n, int(kind[-1]) + 1))
+        d = ev[None, :, :] - ev[:, None, :]  # d[i, j] = event j - event i
+        return (d[..., 0] >= 0) & (d[..., 0] ** 2 >= (d[..., 1:] ** 2).sum(axis=-1))
+    p = {"dag-sparse": 0.003, "dag-dense": 0.03}[kind]
+    return _product_closure(np.triu(rng.random((n, n)) < p))
+
+
+ORDER_KINDS = ["sprinkle1", "sprinkle3", "dag-sparse", "dag-dense", "chain"]
+
+
+def _relabel(rng, rel):
+    perm = rng.permutation(len(rel))
+    return rel[np.ix_(perm, perm)]
+
+
+@st.composite
+def large_orders(draw):
+    """(rng, order) with n = 257-700 under a random labelling."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(257, 700))
+    return rng, _relabel(rng, _order(rng, n, draw(st.sampled_from(ORDER_KINDS))))
+
+
+def test_large_draws_pass_the_block_size():
+    assert _BLOCK < 257
+
+
+def _matches_product_with_strict_part(rel):
+    """Validation's product of rel and the cover diagram's of its strict part."""
+    strict = rel & ~np.eye(len(rel), dtype=bool)
+    for m in (rel, strict):
+        assert np.array_equal(_compose(m, m), product_compose(m, m))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(large_orders())
+def test_blocked_compose_matches_product_on_orders(drawn):
+    _matches_product_with_strict_part(drawn[1])
+
+
+def _product_witness(rel):
+    """validate_matrix's NotTransitive witness, from the dense product."""
+    missing = product_compose(rel, rel) & ~rel
+    if not missing.any():
+        return None
+    i, k = np.argwhere(missing)[0]
+    return int(i), int(np.flatnonzero(rel[i, :] & rel[:, k])[0]), int(k)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(large_orders(), st.sampled_from([1e-4, 1e-3, 1e-2]))
+def test_blocked_compose_gives_the_product_witness(drawn, share):
+    """Strict cells deleted from an order: the relation stays reflexive
+    and antisymmetric, and validation reports the first failing triple
+    in row-major order, the one the dense product finds."""
+    rng, rel = drawn
+    rel = (rel & ~(rng.random(rel.shape) < share)) | np.eye(len(rel), dtype=bool)
+    assert np.array_equal(_compose(rel, rel), product_compose(rel, rel))
+    want = _product_witness(rel)
+    if want is None:
+        validate_matrix(rel)
+    else:
+        with pytest.raises(co.NotTransitive) as err:
+            validate_matrix(rel)
+        assert err.value.witness == want
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Block-diagonal orders of 2-4 components, n = 257-700, relabelled
+    or not: every off-diagonal block of the input is zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(ORDER_KINDS + ["antichain"]), min_size=2, max_size=4))
+    sizes = draw(st.lists(st.integers(1, 300), min_size=len(kinds), max_size=len(kinds))
+                 .filter(lambda s: 257 <= sum(s) <= 700))
+    rel = np.zeros((sum(sizes), sum(sizes)), dtype=bool)
+    at = 0
+    for kind, size in zip(kinds, sizes):
+        rel[at:at + size, at:at + size] = _order(rng, size, kind)
+        at += size
+    return _relabel(rng, rel) if draw(st.booleans()) else rel
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(disjoint_unions())
+def test_blocked_compose_matches_product_on_disjoint_unions(rel):
+    _matches_product_with_strict_part(rel)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(large_orders(), st.sampled_from(["order", "transpose", "digraph", "zero", "one-cell"]))
+def test_blocked_compose_matches_product_on_different_factors(drawn, other):
+    """a ≠ b: the sort follows a alone, so b's blocks need not be
+    triangular in it."""
+    rng, a = drawn
+    n = len(a)
+    b = {
+        "order": lambda: _relabel(rng, _order(rng, n, "sprinkle1")),
+        "transpose": lambda: a.T.copy(),
+        "digraph": lambda: rng.random((n, n)) < 0.01,
+        "zero": lambda: np.zeros((n, n), dtype=bool),
+        "one-cell": lambda: matrix_of(n, [tuple(rng.integers(0, n, size=2))]),
+    }[other]()
+    assert np.array_equal(_compose(a, b), product_compose(a, b))
+    assert np.array_equal(_compose(b, a), product_compose(b, a))

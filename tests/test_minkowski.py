@@ -264,6 +264,24 @@ def test_mc_blocks_equal_one_draw_in_less_memory():
     assert peak < samples * 3 * 8  # one draw of every sample at once
 
 
+@pytest.mark.parametrize("r, samples, seed", [
+    (0.5, 1_000_000, 1), (1.0, 1_000_000, 2), (2.0, 1_000_000, 3),
+    (1.0, 200_003, 4), (1.0, 50_000, 9),
+])
+def test_mc_hits_equal_the_norm_reference(r, samples, seed):
+    """The shell test counts the same hits as np.linalg.norm's distances,
+    on the seeds of the tests above.  The estimate is hits times a
+    positive constant, so equal estimates mean equal hit counts."""
+    desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=r)
+    eps = 0.05 * r
+    half = r + eps
+    pts = np.random.default_rng(seed).uniform(-half, half, size=(samples, 3))
+    hits = int(np.count_nonzero(np.abs(np.linalg.norm(pts, axis=1) - r) <= eps / 2))
+    del pts
+    got = co.monte_carlo_cross_section(desc, r, samples, seed=seed)
+    assert got == hits / samples * (2.0 * half) ** 3 / eps
+
+
 def test_mc_deterministic_per_seed():
     desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=1.0)
     a = co.monte_carlo_cross_section(desc, 1.0, 50_000, seed=9)

@@ -345,6 +345,13 @@ def test_point_map_reversal_on_centered_lattice():
         assert co.reverse(c, t, co.reverse(c, t, u)).mask == mask
 
 
+def test_reverse_rejects_point_map_of_another_causality():
+    c = co.chain(2)
+    t = OrderReversal.point_map(co.antichain(2), {"a0": "a0", "a1": "a1"})
+    with pytest.raises(ValueError, match="reversal does not belong to this causality"):
+        co.reverse(c, t, c.subset(["a"]))
+
+
 def test_point_map_validation_rejects_non_involution(chain3):
     with pytest.raises(co.InvalidReversal):
         OrderReversal.point_map(chain3, {"a": "b", "b": "c", "c": "a"})

@@ -1,6 +1,7 @@
 """Checks on the library source: no private module-level name that
 nothing in ``src/causalorder`` refers to, no import a module never uses,
-and each size cap read where it is enforced, in exactly one function.
+each size cap read where it is enforced, in exactly one function, and
+matrix products only in the one product kernel.
 
 The package ``__init__`` is exempt from the import check, because its
 imports are the public namespace.
@@ -78,29 +79,49 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def _cap_readers() -> dict[str, set[str]]:
-    """For each ``config.*_CAP`` read in the library, the functions that
-    read it: module and innermost enclosing def, or <module> outside any."""
-    readers: dict[str, set[str]] = {}
+def _enclosing(key) -> dict[str, set[str]]:
+    """For each key that ``key(node)`` returns for some node of the
+    library, the functions holding such a node: module and innermost
+    enclosing def, or <module> outside any."""
+    found: dict[str, set[str]] = {}
 
     def visit(node: ast.AST, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = f"{where.partition('.')[0]}.{node.name}"
-        elif (isinstance(node, ast.Attribute) and node.attr.endswith("_CAP")
-              and isinstance(node.value, ast.Name) and node.value.id == "config"):
-            readers.setdefault(node.attr, set()).add(where)
+        elif (k := key(node)) is not None:
+            found.setdefault(k, set()).add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for name, tree in _modules().items():
         visit(tree, f"{name[:-3]}.<module>")
-    return readers
+    return found
+
+
+def _cap_read(node: ast.AST) -> str | None:
+    """The name of the ``config.*_CAP`` that ``node`` reads, if any."""
+    if (isinstance(node, ast.Attribute) and node.attr.endswith("_CAP")
+            and isinstance(node.value, ast.Name) and node.value.id == "config"):
+        return node.attr
+    return None
 
 
 def test_each_cap_is_read_in_exactly_one_function():
     caps = sorted(n for n in vars(config) if n.endswith("_CAP"))
-    readers = _cap_readers()
+    readers = _enclosing(_cap_read)
     assert caps and set(readers) <= set(caps), readers
     for cap in caps:
         where = sorted(readers.get(cap, ()))
         assert len(where) == 1 and not where[0].endswith(".<module>"), (cap, where)
+
+
+def _matmul(node: ast.AST) -> str | None:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    return None
+
+
+def test_matrix_products_only_in_the_kernel():
+    """``@`` and ``@=`` appear only in order._compose, the one boolean
+    product kernel, so no second product path grows beside it."""
+    assert _enclosing(_matmul) == {"@": {"order._compose"}}
