@@ -150,7 +150,7 @@ def _cmd_sprinkle(args) -> int:
     result = sprinkle(cfg)
     # json.dumps({"causality": ..., "events": ...}, sort_keys=True), with
     # the relation written in bulk rather than one list entry at a time
-    events = json.dumps([list(e) for e in result.events], allow_nan=False)
+    events = json.dumps(result.events, allow_nan=False)  # tuples encode as arrays
     text = '{"causality": ' + _causality_json(result.causality) + ', "events": ' + events + "}"
     _write_out(args.output, text)
     return 0

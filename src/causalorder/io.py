@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .order import Causality, _closure, _compose, validate_causality
+from .order import Causality, _closure, _cover_matrix, validate_causality
 
 __all__ = [
     "causality_to_dict",
@@ -231,11 +231,10 @@ def load_causality(fp: IO[str]) -> Causality:
 
 
 def cover_relation(c: Causality) -> list[tuple[str, str]]:
-    """The transitive reduction: pairs x < y with nothing strictly between."""
-    strict = c.relation & ~np.eye(c.n, dtype=bool)
-    cov = strict & ~_compose(strict, strict)
+    """The transitive reduction: pairs x < y with nothing strictly between,
+    in row-major order, read off the cover that validation kept."""
+    rows, cols = np.nonzero(_cover_matrix(c))
     # index an object array, so no Python int is made per pair
-    rows, cols = np.nonzero(cov)
     points = np.array(c.points, dtype=object)
     return list(zip(points[rows].tolist(), points[cols].tolist()))
 

@@ -119,18 +119,50 @@ class SprinkleResult:
     events: tuple[tuple[float, ...], ...]
 
 
+_ROWS = 64  # event rows per block of _relation_from_events
+
+
 def _relation_from_events(coords: np.ndarray) -> np.ndarray:
-    diff0 = coords[None, :, 0] - coords[:, None, 0]
-    sq = diff0 * diff0
-    for k in range(1, coords.shape[1]):
-        dk = coords[None, :, k] - coords[:, None, k]
-        sq -= dk * dk
-    return (sq >= 0) & (diff0 >= 0)
+    """The whole-matrix float test t_j - t_i >= 0 and (e_j - e_i)^2 >= 0,
+    run in a stable sort by time, _ROWS rows at a time, from the first
+    column tying the block's first time, then un-permuted.
+
+    A skipped cell is false.  NaN sorts last, so either its row time is
+    NaN, and so is t_j - t_i, or t_j < t_i, and t_j - t_i < 0: with
+    gradual underflow the exact difference of unequal floats is at least
+    the least subnormal in size, so x - y = 0 iff x = y, and rounding
+    keeps the sign.
+    """
+    n = len(coords)
+    order = np.argsort(coords[:, 0], kind="stable")
+    ev = coords[order]
+    t = ev[:, 0]
+    out = np.zeros((n, n), dtype=bool)
+    for lo in range(0, n, _ROWS):
+        start = int(np.searchsorted(t, t[lo]))
+        rows, cols = ev[lo:lo + _ROWS, None], ev[None, start:]
+        diff0 = cols[..., 0] - rows[..., 0]
+        sq = diff0 * diff0
+        for k in range(1, ev.shape[1]):
+            dk = cols[..., k] - rows[..., k]
+            sq -= dk * dk
+        np.logical_and(sq >= 0, diff0 >= 0, out=out[lo:lo + _ROWS, start:])
+    back = np.argsort(order)
+    return out.take(back, 0).take(back, 1)
 
 
 def induced_causality(events: Sequence[Event], ids: Sequence[str] | None = None) -> Causality:
-    """The finite causality the metric order induces on a list of events."""
-    coords = np.asarray(events, dtype=float)
+    """The finite causality the metric order induces on a list of events.
+    Events of different lengths raise DimensionMismatch."""
+    try:
+        coords = np.asarray(events, dtype=float)
+    except ValueError:
+        dim = len(events[0])
+        bad = next((i for i, e in enumerate(events) if len(e) != dim), None)
+        if bad is None:
+            raise
+        raise DimensionMismatch(
+            f"events 0 and {bad} have dimensions {dim} and {len(events[bad])}") from None
     if coords.size == 0:
         coords = coords.reshape(0, 2)
     if ids is None:
@@ -144,14 +176,14 @@ def sprinkle(cfg: SprinkleConfig) -> SprinkleResult:
         (ulo, uhi), (vlo, vhi) = cfg.box
         us = range(math.ceil(ulo), math.floor(uhi) + 1)
         vs = range(math.ceil(vlo), math.floor(vhi) + 1)
-        events = [(float(u + v), float(u - v)) for u in us for v in vs]
+        pts = events = tuple((float(u + v), float(u - v)) for u in us for v in vs)
     else:
         rng = np.random.default_rng(cfg.seed)
         lows = np.array([lo for lo, _ in cfg.box])
         highs = np.array([hi for _, hi in cfg.box])
         pts = rng.uniform(lows, highs, size=(cfg.n, cfg.d + 1))
-        events = [tuple(map(float, row)) for row in pts]
-    return SprinkleResult(induced_causality(events), tuple(events))
+        events = tuple(map(tuple, pts.tolist()))
+    return SprinkleResult(induced_causality(pts), events)
 
 
 def boost(events: Sequence[Event], rapidity: float) -> list[tuple[float, ...]]:

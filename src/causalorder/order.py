@@ -66,14 +66,14 @@ class Causality:
     bit-masks per row and column are built at once; everything else derived
     from the order (the class codes of the causal sets, the families,
     causal unions, law reports, the crossing property, the reversed
-    structure, each point's strict sets and ribbon) is kept on first use in
-    the one dict ``_derived``, keyed by what each entry depends on.
+    structure, each point's strict sets and ribbon, and the packed cover
+    diagram ``"cover"``, which validation leaves) is kept in the one dict
+    ``_derived``, keyed by what each entry depends on.
     """
 
     def __init__(self, points: Sequence[str], relation, _checked: bool = False):
         rel = np.array(relation, dtype=bool)
-        if not _checked:
-            validate_matrix(rel)
+        cover = None if _checked else validate_matrix(rel)
         pts = tuple(str(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("point identifiers must be unique")
@@ -86,7 +86,7 @@ class Causality:
         self.succ_masks = _row_masks(rel)
         self.pred_masks = _row_masks(rel.T)
         self.full_mask = (1 << len(pts)) - 1
-        self._derived: dict[object, object] = {}
+        self._derived: dict[object, object] = {} if cover is None else {"cover": cover}
 
     @property
     def n(self) -> int:
@@ -167,7 +167,7 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if acc is not None:
                 np.greater(acc, 0, out=out[r, c])
     back = np.argsort(order)
-    return out[back][:, back]
+    return out.take(back, 0).take(back, 1)  # C order, unlike out[back][:, back]
 
 
 def _closure(rel: np.ndarray) -> np.ndarray:
@@ -188,24 +188,43 @@ def _row_masks(rel: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def validate_matrix(relation: np.ndarray) -> None:
-    """Check the poset axioms, raising with a witness on the first failure."""
+def validate_matrix(relation: np.ndarray) -> np.ndarray:
+    """Check the poset axioms, raising with a witness on the first failure;
+    return the cover diagram strict & ~(strict∘strict), rows packed by
+    ``np.packbits(..., axis=1, bitorder="little")``.
+
+    Transitivity is checked as strict∘strict ⊆ rel.  rel is reflexive by
+    then, so rel∘rel = rel ∪ strict∘strict: the same cells are missing,
+    and for a missing (i, k) no j in {i, k} has rel[i, j] and rel[j, k].
+    """
     rel = np.asarray(relation, dtype=bool)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
         raise ValueError("relation must be a square matrix")
-    n = rel.shape[0]
     diag = np.diagonal(rel)
     if not diag.all():
         raise NotReflexive(int(np.flatnonzero(~diag)[0]))
-    sym = rel & rel.T & ~np.eye(n, dtype=bool)
+    strict = rel & ~np.eye(len(rel), dtype=bool)
+    sym = strict & strict.T
     if sym.any():
         i, j = np.argwhere(sym)[0]
         raise NotAntisymmetric(int(i), int(j))
-    missing = _compose(rel, rel) & ~rel
+    square = _compose(strict, strict)
+    missing = square & ~rel
     if missing.any():
         i, k = np.argwhere(missing)[0]
         j = int(np.flatnonzero(rel[i, :] & rel[:, k])[0])
         raise NotTransitive(int(i), j, int(k))
+    return np.packbits(strict & ~square, axis=1, bitorder="little")
+
+
+def _cover_matrix(c: Causality) -> np.ndarray:
+    """The cover diagram as a bool matrix, from the bits validation kept.
+    A causality built unvalidated (a structural reverse) is validated
+    here once, for its cover alone."""
+    bits = c._derived.get("cover")
+    if bits is None:
+        bits = c._derived["cover"] = validate_matrix(c.relation)
+    return np.unpackbits(bits, axis=1, count=c.n, bitorder="little").view(bool)
 
 
 def validate_causality(points: Sequence[str], relation) -> Causality:
@@ -214,9 +233,7 @@ def validate_causality(points: Sequence[str], relation) -> Causality:
     Raises :class:`NotReflexive`, :class:`NotAntisymmetric` or
     :class:`NotTransitive` with a witness tuple of indices.
     """
-    rel = np.asarray(relation, dtype=bool)  # no copy of a bool array
-    validate_matrix(rel)
-    return Causality(points, rel, _checked=True)  # which copies it once
+    return Causality(points, relation)  # which validates, then keeps the cover
 
 
 @dataclass(frozen=True)

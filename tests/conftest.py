@@ -301,6 +301,26 @@ def product_compose(a, b):
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def product_cover(rel):
+    """The cover diagram of an order, strict & ~(strict∘strict), by one
+    dense product.  The reference for the cover that validation keeps."""
+    strict = rel & ~np.eye(len(rel), dtype=bool)
+    return strict & ~product_compose(strict, strict)
+
+
+def full_minkowski_relation(coords):
+    """The metric order of an (n, d+1) event array as one n × n float
+    expression, with no sort and no blocks: rel[i, j] iff t_j - t_i >= 0
+    and (t_j - t_i)^2 - |x_j - x_i|^2 >= 0.  The reference for the blocked
+    builder, which replaced it."""
+    diff0 = coords[None, :, 0] - coords[:, None, 0]
+    sq = diff0 * diff0
+    for k in range(1, coords.shape[1]):
+        dk = coords[None, :, k] - coords[:, None, k]
+        sq -= dk * dk
+    return (sq >= 0) & (diff0 >= 0)
+
+
 def oracle_compose(a, b):
     """Relational composition {(i, k) : (i, j) in a and (j, k) in b}."""
     after = {}

@@ -6,7 +6,8 @@ wraps, and the large draws include a fan of 250-260 two-step paths
 between two points so the count sits near the wrap.  Past _BLOCK rows
 the kernel sorts and skips zero blocks; at n = 257-700 it is checked
 against ``product_compose`` on relabelled orders, non-transitive
-relations, disjoint unions and pairs of different factors.
+relations, disjoint unions and pairs of different factors.  The cover
+diagram that validation keeps is checked against one dense product too.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from conftest import (
     oracle_cover,
     pairs_of,
     product_compose,
+    product_cover,
+    random_poset,
+    relabelled,
 )
 
 
@@ -222,3 +226,64 @@ def test_blocked_compose_matches_product_on_different_factors(drawn, other):
     }[other]()
     assert np.array_equal(_compose(a, b), product_compose(a, b))
     assert np.array_equal(_compose(b, a), product_compose(b, a))
+
+
+def test_blocked_compose_returns_c_order():
+    rng = np.random.default_rng(0)
+    a = _relabel(rng, _order(rng, _BLOCK + 1, "sprinkle1"))
+    assert _compose(a, a).flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# The cover diagram kept by validation, and the fallback of cover_relation
+# ---------------------------------------------------------------------------
+
+def _check_cover(c, kept):
+    """Whether validation kept the cover (``kept``), and the cover then
+    held, and cover_relation's row-major pairs, against one product."""
+    assert ("cover" in c._derived) == kept
+    want = product_cover(c.relation)
+    assert co.cover_relation(c) == [(c.points[i], c.points[j]) for i, j in zip(*np.nonzero(want))]
+    got = np.unpackbits(c._derived["cover"], axis=1, count=c.n, bitorder="little")
+    assert np.array_equal(got.view(bool), want)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(large_orders())
+def test_kept_cover_matches_product_on_large_orders(drawn):
+    rel = drawn[1]
+    _check_cover(co.validate_causality([f"v{i}" for i in range(len(rel))], rel), True)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kept_cover_matches_product_on_small_orders(seed):
+    rng = np.random.default_rng(seed)
+    c = random_poset(int(rng.integers(0, 14)), float(rng.uniform(0.1, 0.6)), rng)
+    _check_cover(relabelled(c, rng), True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 300])
+def test_kept_cover_of_a_cover_format_load(n):
+    rng = np.random.default_rng(n)
+    rel = _relabel(rng, _order(rng, n, "sprinkle1"))
+    doc = {"points": [f"v{i}" for i in range(n)], "closure": "cover",
+           "relation": product_cover(rel).astype(int).tolist()}
+    c = co.causality_from_dict(doc)
+    assert np.array_equal(c.relation, rel)
+    _check_cover(c, True)
+
+
+@pytest.mark.parametrize("n", [5, _BLOCK + 44])
+def test_reverse_structure_fills_its_cover_with_one_product(n, monkeypatch):
+    """A validated causality exports its cover with no product; its
+    structural reverse, built unvalidated, takes one and keeps it."""
+    rng = np.random.default_rng(n)
+    c = co.validate_causality([f"v{i}" for i in range(n)], _relabel(rng, _order(rng, n, "sprinkle3")))
+    calls = []
+    monkeypatch.setattr(co.order, "_compose", lambda a, b: calls.append(1) or _compose(a, b))
+    co.to_dot(c)
+    assert calls == []
+    rev = co.reverse_structure(c)
+    _check_cover(rev, False)
+    co.to_dot(rev)
+    assert calls == [1]

@@ -7,9 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import ConeKind, ConeSetDescriptor, SetClass, SprinkleConfig, SprinkleMode
+from causalorder.minkowski import _ROWS, _relation_from_events
+
+from conftest import full_minkowski_relation
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +114,89 @@ def test_boost_preserves_induced_order():
 def test_boost_is_lorentz():
     (t, x), = co.boost([(1.0, 0.0)], 0.7)
     assert math.isclose(t * t - x * x, 1.0, rel_tol=1e-12)
+
+
+def test_uniform_events_are_the_drawn_floats():
+    cfg = SprinkleConfig(d=3, box=((0, 1), (-1, 2), (0, 1), (0, 5)), n=50, seed=8)
+    pts = np.random.default_rng(8).uniform([0, -1, 0, 0], [1, 2, 1, 5], size=(50, 4))
+    events = co.sprinkle(cfg).events
+    assert events == tuple(tuple(map(float, row)) for row in pts)
+    assert {type(x) for e in events for x in e} == {float}
+
+
+@pytest.mark.parametrize("events, bad, dims", [
+    ([(0.0, 0.0), (1.0, 0.0, 0.0)], 1, (2, 3)),
+    ([(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (2.0, 0.0)], 2, (4, 2)),
+])
+def test_ragged_events_raise_dimension_mismatch(events, bad, dims):
+    with pytest.raises(co.DimensionMismatch,
+                       match=f"events 0 and {bad} have dimensions {dims[0]} and {dims[1]}"):
+        co.induced_causality(events)
+
+
+# ---------------------------------------------------------------------------
+# The relation builder in a time sort against the whole-matrix expression
+# ---------------------------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+
+@st.composite
+def event_arrays(draw):
+    """(n, d+1) events, n = 0-300 and d = 0, 1 or 3: uniform draws, scaled
+    into the subnormal range or not; times taken from a few values (±0.0
+    among them) or not; rows copied over others or not; and a share of
+    cells set to ±0.0, ±inf, NaN or a tiny float."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    ev = rng.uniform(-1.0, 1.0, size=(n, draw(st.sampled_from([1, 2, 4]))))
+    ev *= draw(st.sampled_from([1.0, 1e-300, 1e-310]))
+    if n and draw(st.booleans()):
+        ev[:, 0] = rng.choice(np.r_[ev[:n // 8 + 1, 0], 0.0, -0.0], size=n)
+    if n and draw(st.booleans()):
+        ev[rng.integers(0, n, size=n // 4 + 1)] = ev[rng.integers(0, n, size=n // 4 + 1)]
+    hit = rng.random(ev.shape) < draw(st.sampled_from([0.0, 0.0, 0.002, 0.05]))
+    ev[hit] = rng.choice(SPECIAL, size=int(hit.sum()))
+    return ev
+
+
+def _outcome(build):
+    """The relation a build gives, or its exception type and witness."""
+    try:
+        return build().relation
+    except co.InvalidRelation as exc:
+        return type(exc), exc.witness
+
+
+def test_event_draws_pass_the_row_block():
+    assert _ROWS < 300
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(event_arrays(), st.booleans())
+def test_relation_from_events_matches_the_full_matrix(ev, as_tuples):
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = full_minkowski_relation(ev)
+        assert np.array_equal(_relation_from_events(ev), want)
+        got = _outcome(lambda: co.induced_causality(ev.tolist() if as_tuples else ev))
+        ids = [f"e{i}" for i in range(len(ev))]
+        expected = _outcome(lambda: co.validate_causality(ids, want))
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got == expected
+    else:
+        assert np.array_equal(got, expected)
+
+
+def test_relation_builder_holds_no_n_by_n_float_temporaries():
+    """The whole-matrix expression peaks at about 30 MB on these events."""
+    ev = np.random.default_rng(7).uniform(0.0, 1.0, size=(1000, 4))
+    tracemalloc.start()
+    try:
+        _relation_from_events(ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
