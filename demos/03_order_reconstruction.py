@@ -63,7 +63,8 @@ rep = co.reconstruct_order(l33)
 print("\nreconstruction domain:", rep.domain)
 print("agrees with reference on the domain:", rep.agrees)
 
-# The reversal theorem holds (here trivially, on the empty domain).
+# The reversal theorem holds: the causality and its reverse both have
+# empty domains, so its report is proved and nothing is rebuilt.
 print("reversal theorem:", co.verify_reversal_theorem(l33).all_hold)
 
 # The order-theoretic regularity bullets, unlike ribbon density, hold on

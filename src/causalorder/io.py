@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .order import Causality, _closure, _cover_matrix, validate_causality
+from .order import Causality, _closure, validate_causality
 
 __all__ = [
     "causality_to_dict",
@@ -232,8 +232,13 @@ def load_causality(fp: IO[str]) -> Causality:
 
 def cover_relation(c: Causality) -> list[tuple[str, str]]:
     """The transitive reduction: pairs x < y with nothing strictly between,
-    in row-major order, read off the cover that validation kept."""
-    rows, cols = np.nonzero(_cover_matrix(c))
+    in row-major order, read off the packed cover the causality keeps.
+    Only its nonzero bytes are unpacked; with little bit order, bit k of
+    byte j in row i is column 8j + k."""
+    bits = c._derived["cover"]
+    rows, byte = np.nonzero(bits)
+    cell, bit = np.nonzero(np.unpackbits(bits[rows, byte][:, None], axis=1, bitorder="little"))
+    rows, cols = rows[cell], byte[cell] * 8 + bit
     # index an object array, so no Python int is made per pair
     points = np.array(c.points, dtype=object)
     return list(zip(points[rows].tolist(), points[cols].tolist()))

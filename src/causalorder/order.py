@@ -67,13 +67,15 @@ class Causality:
     from the order (the class codes of the causal sets, the families,
     causal unions, law reports, the crossing property, the reversed
     structure, each point's strict sets and ribbon, and the packed cover
-    diagram ``"cover"``, which validation leaves) is kept in the one dict
-    ``_derived``, keyed by what each entry depends on.
+    diagram ``"cover"``) is kept in the one dict ``_derived``, keyed by
+    what each entry depends on.  The cover is what validation returns, or
+    ``_cover`` when the caller already has it: reverse_structure passes
+    the transpose of the original's, for an order known to be valid.
     """
 
-    def __init__(self, points: Sequence[str], relation, _checked: bool = False):
+    def __init__(self, points: Sequence[str], relation, _cover: np.ndarray | None = None):
         rel = np.array(relation, dtype=bool)
-        cover = None if _checked else validate_matrix(rel)
+        cover = validate_matrix(rel) if _cover is None else _cover
         pts = tuple(str(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("point identifiers must be unique")
@@ -86,7 +88,7 @@ class Causality:
         self.succ_masks = _row_masks(rel)
         self.pred_masks = _row_masks(rel.T)
         self.full_mask = (1 << len(pts)) - 1
-        self._derived: dict[object, object] = {} if cover is None else {"cover": cover}
+        self._derived: dict[object, object] = {"cover": cover}
 
     @property
     def n(self) -> int:
@@ -215,16 +217,6 @@ def validate_matrix(relation: np.ndarray) -> np.ndarray:
         j = int(np.flatnonzero(rel[i, :] & rel[:, k])[0])
         raise NotTransitive(int(i), j, int(k))
     return np.packbits(strict & ~square, axis=1, bitorder="little")
-
-
-def _cover_matrix(c: Causality) -> np.ndarray:
-    """The cover diagram as a bool matrix, from the bits validation kept.
-    A causality built unvalidated (a structural reverse) is validated
-    here once, for its cover alone."""
-    bits = c._derived.get("cover")
-    if bits is None:
-        bits = c._derived["cover"] = validate_matrix(c.relation)
-    return np.unpackbits(bits, axis=1, count=c.n, bitorder="little").view(bool)
 
 
 def validate_causality(points: Sequence[str], relation) -> Causality:
@@ -511,12 +503,17 @@ def reverse_structure(c: Causality) -> Causality:
 
     The reverse refers back to the original through a weak reference, so
     the pair forms no cycle and a finished causality is freed at once,
-    without waiting for the cyclic garbage collector."""
+    without waiting for the cyclic garbage collector.  It is not validated
+    again: its cover diagram is the transpose of the original's."""
     rev = c._derived.get("reversed")
     if type(rev) is weakref.ref:
         rev = rev()
     if rev is None:
-        rev = c._derived["reversed"] = Causality(c.points, c.relation.T.copy(), _checked=True)
+        cover = np.unpackbits(c._derived["cover"], axis=1, count=c.n, bitorder="little")
+        # packbits of a C-order copy of the transpose: 0.8 ms against 3.5
+        # ms for the strided view at n = 1000
+        rev = c._derived["reversed"] = Causality(
+            c.points, c.relation.T.copy(), np.packbits(cover.T.copy(), axis=1, bitorder="little"))
         rev._derived["reversed"] = weakref.ref(c)
     return rev
 

@@ -2,7 +2,9 @@
 
 The oracles re-implement the defining predicates over frozensets with no
 bit-masks or caching, so they share nothing with the library's code paths
-beyond the relation matrix itself.
+beyond the relation matrix itself.  The ``product_*`` and ``reference_*``
+helpers are earlier library code paths, kept as the references for the
+faster or proved paths that replaced them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import causalorder as co
 from causalorder import antichain, chain, diamond4, grid, star5, validate_causality
-from causalorder.reconstruction import _cut_masks, _ribbon_masks
+from causalorder.algebra import _union_mask
+from causalorder.order import validate_matrix
+from causalorder.reconstruction import _cut_masks, _density_gap, _ribbon_masks
 
 
 @pytest.fixture
@@ -269,6 +274,156 @@ def product_density_gap(c, ip, a, b):
         return None
     i, j = bad[0]
     return int(cuts_a[i]), int(cuts_b[j])
+
+
+# ---------------------------------------------------------------------------
+# Reconstruction as the paper builds it: the reference for the finite
+# collapse, which reduced the library's reconstruction to a count
+# ---------------------------------------------------------------------------
+
+def reference_regularity(c, ip, density_gap=_density_gap):
+    """(regular, empty, failing condition, witness as masks) of the
+    ribbon over point ip by both conditions: density of every pair, by
+    ``density_gap``, then condition 2 on every two pairs, with an
+    undefined causal union counted as a failure."""
+    upper, lower = _ribbon_masks(c, ip)
+    pairs = list(zip(upper.tolist(), lower.tolist()))
+    if not pairs:
+        return True, True, None, None
+    for a, b in pairs:
+        gap = density_gap(c, ip, a, b)
+        if gap is not None:
+            return False, False, "density", ((a, b), *gap)
+    bit = 1 << ip
+    for i, (a, b) in enumerate(pairs):
+        for cc, d in pairs[i:]:
+            if (a | cc) & (b | d) != bit:
+                continue
+            u = _union_mask(c, a, cc, co.Kind.CONVERGENT)
+            lo = _union_mask(c, b, d, co.Kind.DIVERGENT)
+            if u is None or lo is None:
+                return False, False, "undefined-union", ((a, b), (cc, d))
+            if u & lo != bit:
+                return False, False, "union-pair-meets-beyond-basepoint", ((a, b), (cc, d))
+    return True, False, None, None
+
+
+def reference_congruence_classes(c, p):
+    """The congruence classes of the ribbon over p, as tuples of mask
+    pairs, by union-find over every two pairs; NotRegular for an
+    irregular ribbon and TheoremViolation past two classes."""
+    ip = c.index[p]
+    regular, _, failing, _ = reference_regularity(c, ip)
+    if not regular:
+        raise co.NotRegular(f"ribbon over {p} is not regular: {failing}")
+    pairs = co.ribbon(c, p).pairs
+    parent = list(range(len(pairs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if find(i) != find(j) and co.congruent(c, p, pairs[i], pairs[j]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(find(i), []).append(pair.masks())
+    classes = tuple(tuple(g) for g in groups.values())
+    if len(classes) > 2:
+        raise co.TheoremViolation(f"regular ribbon over {p} produced {len(classes)} congruence classes")
+    return classes
+
+
+def _statement_one(c, alpha, gamma):
+    """For all (A,B) in alpha and (C,D) in gamma, the mixed pairs
+    (A ∪c C, D) and (A, B ∪c D) land back in gamma and alpha."""
+    for a, b in alpha:
+        for cc, d in gamma:
+            u = _union_mask(c, a, cc, co.Kind.CONVERGENT)
+            if u is None or (u, d) not in gamma:
+                return False
+            lo = _union_mask(c, b, d, co.Kind.DIVERGENT)
+            if lo is None or (a, lo) not in alpha:
+                return False
+    return True
+
+
+def reference_assert_partial_order(rel, domain):
+    """TheoremViolation naming the domain points of the first witness
+    when the reconstructed relation is no partial order."""
+    try:
+        validate_matrix(rel)
+    except co.InvalidRelation as exc:
+        names = tuple(domain[i] for i in exc.witness)
+        raise co.TheoremViolation(
+            f"reconstructed relation is not a partial order at {names}: {exc}"
+        ) from exc
+
+
+def reference_reconstruct_order(c, compare_with_reference=True):
+    """reconstruct_order as the paper states it: the regular points with
+    non-empty ribbons form the domain, p precedes q when some classes
+    alpha over p and gamma over q satisfy statement one, and the result
+    must be a partial order."""
+    diagnostics, classes_by_point, domain = {}, {}, []
+    for ip, p in enumerate(c.points):
+        regular, empty, failing, _ = reference_regularity(c, ip)
+        diag = {"ribbon_pairs": len(_ribbon_masks(c, ip)[0]), "regular": regular, "empty": empty}
+        if not regular:
+            diag["failing_condition"] = failing
+        if regular and not empty:
+            classes = reference_congruence_classes(c, p)
+            diag["classes"] = len(classes)
+            classes_by_point[p] = [frozenset(cls) for cls in classes]
+            domain.append(p)
+        diagnostics[p] = diag
+    k = len(domain)
+    rel = np.zeros((k, k), dtype=bool)
+    for i, p in enumerate(domain):
+        for j, q in enumerate(domain):
+            rel[i, j] = any(_statement_one(c, alpha, gamma)
+                            for alpha in classes_by_point[p] for gamma in classes_by_point[q])
+    reference_assert_partial_order(rel, domain)
+    report = co.ReconstructionReport(tuple(domain), rel, diagnostics)
+    if compare_with_reference:
+        idx = [c.index[p] for p in domain]
+        report.reference = ref = c.relation[np.ix_(idx, idx)]
+        report.diffs = [{"p": p, "q": q, "original": bool(ref[i, j]),
+                         "reconstructed": bool(rel[i, j])}
+                        for i, p in enumerate(domain) for j, q in enumerate(domain)
+                        if rel[i, j] != ref[i, j]]
+    return report
+
+
+def reference_reversal_theorem(c):
+    """verify_reversal_theorem by reconstructing on c and on its reverse:
+    the two domains must be equal and the relations mutual transposes."""
+    rec = reference_reconstruct_order(c, compare_with_reference=False)
+    rec_rev = reference_reconstruct_order(co.reverse_structure(c), compare_with_reference=False)
+    report = co.LawReport("reversal of reconstructed order")
+    fwd, bwd = set(rec.domain), set(rec_rev.domain)
+    if fwd != bwd:
+        report.results.append(co.LawResult(
+            "regular-domain-preserved", "fails",
+            {"only_forward": sorted(fwd - bwd), "only_reversed": sorted(bwd - fwd)}, 1))
+        report.results.append(co.LawResult("reconstruction-transposes", "skipped", None, 0, 1))
+        return report
+    report.results.append(co.LawResult("regular-domain-preserved", "holds", checked=1))
+    order = {p: i for i, p in enumerate(rec.domain)}
+    perm = [order[p] for p in rec_rev.domain]
+    aligned = rec_rev.relation[np.ix_(perm, perm)]
+    res = co.LawResult("reconstruction-transposes", "holds", None, int(rec.relation.size))
+    if not np.array_equal(rec.relation, aligned.T):
+        bad = np.argwhere(rec.relation != aligned.T)[0]
+        res = co.LawResult("reconstruction-transposes", "fails",
+                           {"p": rec.domain[int(bad[0])], "q": rec.domain[int(bad[1])]},
+                           res.checked)
+    report.results.append(res)
+    return report
 
 
 def product_crossing_witness(c):

@@ -286,9 +286,9 @@ def test_structural_reverse_roundtrip(l5):
 
 
 def test_finished_causality_freed_without_cycle_collector():
-    # the reverse refers back weakly, so a causality whose reversal was
-    # verified (a reconstruction on each side) forms no reference cycle
-    # and is freed as soon as its last reference goes
+    # the reverse refers back weakly, so a causality and its structural
+    # reverse form no reference cycle, and both are freed as soon as the
+    # last reference goes
     c = co.grid(3, 3)
     assert co.verify_reversal_theorem(c).all_hold
     alive = weakref.ref(c), weakref.ref(co.reverse_structure(c))

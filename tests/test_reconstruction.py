@@ -22,8 +22,6 @@ import causalorder as co
 from causalorder import Kind, SetClass
 from causalorder.algebra import _union_mask, class_of_mask, family_masks
 from causalorder.reconstruction import (
-    _assert_partial_order,
-    _congruent_masks,
     _dense_witness,
     _density_gap,
     _ribbon_masks,
@@ -36,6 +34,11 @@ from conftest import (
     oracle_ribbon,
     product_density_gap,
     random_poset,
+    reference_assert_partial_order,
+    reference_congruence_classes,
+    reference_reconstruct_order,
+    reference_regularity,
+    reference_reversal_theorem,
     relabelled,
 )
 
@@ -152,30 +155,6 @@ def _scan_witness(c, ip, a, b):
     return None
 
 
-def _scan_regularity(c, ip):
-    """(regular, empty, failing_condition, witness as masks) of the ribbon
-    over point ip by the pair and cut x pair scans."""
-    bit = 1 << ip
-    pairs, _ = _pair_scan(c, ip)
-    if not pairs:
-        return True, True, None, None
-    for a, b in pairs:
-        gap = _scan_witness(c, ip, a, b)
-        if gap is not None:
-            return False, False, "density", ((a, b), *gap)
-    for i, (a, b) in enumerate(pairs):
-        for cc, d in pairs[i:]:
-            if (a | cc) & (b | d) != bit:
-                continue
-            u = _union_mask(c, a, cc, Kind.CONVERGENT)
-            lo = _union_mask(c, b, d, Kind.DIVERGENT)
-            if u is None or lo is None:
-                return False, False, "undefined-union", ((a, b), (cc, d))
-            if u & lo != bit:
-                return False, False, "union-pair-meets-beyond-basepoint", ((a, b), (cc, d))
-    return True, False, None, None
-
-
 def _check_ribbons(c):
     families = (oracle_family(c, "strictly_convergent"),
                 oracle_family(c, "strictly_divergent"))
@@ -190,8 +169,8 @@ def _check_ribbons(c):
         reg = co.is_regular_ribbon(c, p)
         witness = reg.witness and tuple(
             x.masks() if isinstance(x, co.RibbonPair) else x.mask for x in reg.witness)
-        assert (reg.regular, reg.empty, reg.failing_condition, witness) == _scan_regularity(
-            c, ip), (p, c.relation.tolist())
+        assert (reg.regular, reg.empty, reg.failing_condition, witness) == reference_regularity(
+            c, ip, _scan_witness), (p, c.relation.tolist())
 
 
 def test_ribbons_match_oracle_on_every_small_poset():
@@ -208,16 +187,24 @@ def test_ribbons_match_oracle_on_random_posets(seed, n, p_edge):
 
 
 def test_ribbons_stored_as_arrays_once(l33, not_dense_7):
-    # the store keeps no PointSet, which would point back at the causality
+    # the store keeps no PointSet, which would point back at the causality;
+    # reconstruction counts the pairs, so it keeps each point's strict sets
+    # and no ribbon
     for c in (l33, not_dense_7):
         co.reconstruct_order(c)
         keys = set(c._derived)
         for ip in range(c.n):
-            for tag in ("strict", "ribbon"):
-                entry = c._derived[tag, ip]
-                assert all(type(a) is np.ndarray for a in entry), (tag, ip)
+            assert all(type(a) is np.ndarray for a in c._derived["strict", ip]), ip
+            assert ("ribbon", ip) not in keys
         co.reconstruct_order(c)
         assert set(c._derived) == keys
+
+
+def test_reversal_report_builds_nothing(l33):
+    # the report follows from the proof: no reverse, no family of either side
+    rep = co.verify_reversal_theorem(l33)
+    assert rep.all_hold
+    assert set(l33._derived) == {"cover"}
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +224,14 @@ def test_nonempty_ribbons_fail_density_on_fixtures(l5, l33):
                 assert not reg.regular
                 assert reg.failing_condition == "density"
                 assert reg.witness is not None
+
+
+def test_dense_first_pair_is_a_theorem_violation(l5, monkeypatch):
+    # is_dense proves that the first pair has a gap; a test that found
+    # none would contradict the proof, and says so instead of reporting
+    monkeypatch.setattr(co.reconstruction, "_density_gap", lambda *args: None)
+    with pytest.raises(co.TheoremViolation, match="first ribbon pair over m is dense"):
+        co.is_regular_ribbon(l5, "m")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +314,11 @@ def test_reconstruct_report_json(l33):
 
 
 def test_reconstruct_cap():
-    with pytest.raises(co.GroundSetTooLarge):
-        co.reconstruct_order(co.antichain(15))
+    # the reversal report is proved and builds nothing, but keeps the cap,
+    # so CLI verify --suite reversal still exits 3 past it
+    for check in (co.reconstruct_order, co.verify_reversal_theorem):
+        with pytest.raises(co.GroundSetTooLarge, match="order reconstruction is capped at 14"):
+            check(co.antichain(15))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -349,6 +347,45 @@ def test_reversal_theorem_on_fixtures(l5, l33, chain3):
 def test_reversal_theorem_empty_causality():
     c = co.validate_causality([], np.zeros((0, 0), dtype=bool))
     assert co.verify_reversal_theorem(c).all_hold
+
+
+# ---------------------------------------------------------------------------
+# The finite collapse applied: counts and the proved report against the
+# paper's construction
+# ---------------------------------------------------------------------------
+
+def _check_reconstruction(c):
+    """reconstruct_order, verify_reversal_theorem and congruence_classes
+    against the construction they replaced: regularity by both
+    conditions, union-find classes, the relation loop with its
+    partial-order check, and a reconstruction of the reverse."""
+    for compare in (True, False):
+        assert co.reconstruct_order(c, compare).to_dict() == reference_reconstruct_order(
+            c, compare).to_dict(), c.relation.tolist()
+    assert co.verify_reversal_theorem(c).to_dict() == reference_reversal_theorem(c).to_dict()
+    for p in c.points:
+        try:
+            want = reference_congruence_classes(c, p)
+        except co.NotRegular as exc:
+            with pytest.raises(co.NotRegular) as got:
+                co.congruence_classes(c, p)
+            assert str(got.value) == str(exc)
+        else:
+            rib = co.congruence_classes(c, p)
+            assert rib.regular and rib.pairs == () and rib.classes == want == ()
+
+
+def test_reconstruction_matches_reference_on_every_small_poset():
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            _check_reconstruction(c)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 14), st.floats(0.1, 0.7))
+def test_reconstruction_matches_reference_on_relabelled_random_posets(seed, n, p_edge):
+    rng = np.random.default_rng(seed)
+    _check_reconstruction(relabelled(random_poset(n, p_edge, rng), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +523,10 @@ def test_congruence_decidable_or_flagged_random(seed, n, p_edge):
     c = random_poset(n, p_edge, np.random.default_rng(seed))
     for p in c.points:
         pairs = co.ribbon(c, p).pairs
-        bit = 1 << c.index[p]
         for i, pr1 in enumerate(pairs):
             for pr2 in pairs[i:]:
                 try:
-                    verdict = _congruent_masks(c, bit, pr1.masks(), pr2.masks())
+                    verdict = co.congruent(c, p, pr1, pr2)
                 except co.NotCongruentDecidable:
                     continue
                 assert verdict in (True, False)
@@ -499,7 +535,7 @@ def test_congruence_decidable_or_flagged_random(seed, n, p_edge):
 def test_non_partial_order_names_domain_points():
     rel = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
     with pytest.raises(co.TheoremViolation, match=r"\('x', 'y', 'z'\)"):
-        _assert_partial_order(rel, ["x", "y", "z"])
+        reference_assert_partial_order(rel, ["x", "y", "z"])
 
 
 # ---------------------------------------------------------------------------
