@@ -42,10 +42,11 @@ try:
 except co.NoCausalSuperset as exc:
     print("undefined union:", exc)
 
-# Law verification.  I (containment), II (idempotence) and III
-# (associativity) hold; IV and V (distributivity) fail.  Reversal
-# equivariance (VI) is proved, not scanned: structural reversal keeps every
-# mask and swaps the two families.
+# Law verification, each verdict by proof: I (containment), II
+# (idempotence) and III (associativity) hold; IV and V (distributivity)
+# fail on any order with a three-chain, and the report names the three
+# singletons of one.  Reversal equivariance (VI) is proved and not
+# reported: structural reversal keeps every mask and swaps the two families.
 chain3 = co.chain(3)
 report = co.verify_union_laws(chain3)
 print("\nunion laws on a three-chain:")

@@ -17,8 +17,9 @@ MATRIX_CAP = 200
 # A family can hold 2^(n-1) sets (an antichain below one top point).
 ENUMERATION_CAP = 20
 
-# Law, axiom and measure verification, which scans pairs/triples of
-# causal sets.
+# Law, axiom and measure verification.  The law and axiom verdicts are
+# proved and their pairs and triples of causal sets counted from the
+# union tables (f^2 entries); the measure suites scan member pairs.
 LAW_SCAN_CAP = 12
 
 # Ribbons, congruence, density and order reconstruction.

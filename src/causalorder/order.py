@@ -387,6 +387,13 @@ def is_divergent(c: Causality, u: PointSet) -> bool:
 # Crossing property
 # ---------------------------------------------------------------------------
 
+def _unrelated_pairs(c: Causality) -> Iterator[tuple[int, int]]:
+    """The index pairs x < y of unrelated points, in row-major order."""
+    for x in range(c.n):
+        for y in bits(c.full_mask & ~((2 << x) - 1 | c.succ_masks[x] | c.pred_masks[x])):
+            yield x, y
+
+
 @dataclass(frozen=True)
 class CrossingResult:
     holds: bool
@@ -424,21 +431,18 @@ def has_crossing_property(c: Causality) -> CrossingResult:
     a and b, and is in L above x, and j ≠ x since y ≤ j: against the
     choice of x.  So x is the greatest member of L, the meet.  The
     converse is the same argument in the reversed order.  So one scan
-    decides both, and algebra.verify_algebra_axioms's four closure
-    verdicts all equal it (proofs in algebra.intersect_causal and
-    there).
+    decides both, and algebra.verify_algebra_axioms reads its four
+    closure verdicts off this cached result (proofs in
+    algebra.intersect_causal and there), and its counterexamples off the
+    witness here and the witness of the reversed order.
     """
     hit = c._derived.get("crossing")
     if hit is not None:
         return hit
-    n = c.n
-    if n > config.MATRIX_CAP:
-        raise GroundSetTooLarge(n, config.MATRIX_CAP, "crossing-property scan")
-    # the pairs x < y of unrelated points, in row-major order
-    unrelated = ((x, y) for x in range(n)
-                 for y in bits(c.full_mask & ~((2 << x) - 1 | c.succ_masks[x] | c.pred_masks[x])))
+    if c.n > config.MATRIX_CAP:
+        raise GroundSetTooLarge(c.n, config.MATRIX_CAP, "crossing-property scan")
     result = CrossingResult(True)
-    for x, y in unrelated:
+    for x, y in _unrelated_pairs(c):
         bounds, meet, _ = _bound_meet(c, 1 << x | 1 << y, Direction.UPPER)
         if bounds and not meet & bounds:
             z, w = next((z, w) for z in bits(bounds) for w in bits(bounds)

@@ -16,7 +16,7 @@ import pytest
 
 import causalorder as co
 from causalorder import antichain, chain, diamond4, grid, star5, validate_causality
-from causalorder.algebra import _union_mask
+from causalorder.algebra import _NONE, _union_mask, _union_tables
 from causalorder.order import validate_matrix
 from causalorder.reconstruction import _cut_masks, _density_gap, _ribbon_masks
 
@@ -424,6 +424,89 @@ def reference_reversal_theorem(c):
                            res.checked)
     report.results.append(res)
     return report
+
+
+# ---------------------------------------------------------------------------
+# The union laws and the closure axioms as scanned before they were proved
+# ---------------------------------------------------------------------------
+
+# (checked, skipped) of each union law on K(6,6), six minimal points below
+# six maximal ones, in each of the convergent and divergent families, as
+# the member scans counted them; every law holds there
+K66_LAW_COUNTS = {"I": (29971, 122910), "II": (391, 0), "III": (2122411, 57654060),
+                  "IV": (5063011, 54713460), "V": (2363011, 57413460)}
+
+
+def k66():
+    lows, highs = [f"m{i}" for i in range(6)], [f"t{i}" for i in range(6)]
+    return co.from_cover_pairs(lows + highs, [(m, t) for m in lows for t in highs])
+
+
+def reference_union_laws(c, kinds):
+    """verify_union_laws as it scanned the members, extended to count
+    each law's whole domain without stopping at a failure: {law:
+    (verdict, checked, skipped)}.  I runs over member pairs, II over
+    members, III-V over triples, one f x f slab per first index, all read
+    off the family's union tables.  A case is checked where every union
+    it needs is defined and every intersection it unites is a member, and
+    fails where it is checked and its sides differ."""
+    out = {}
+
+    def entry(defined, bad, domain):
+        checked = int(np.count_nonzero(defined))
+        return ("fails" if bad else "holds", checked, domain - checked)
+
+    for kind in kinds:
+        fam, meets, u_idx, i_idx = _union_tables(c, kind)
+        f, tag = len(fam), kind.value
+        ok = u_idx >= 0
+        u_mask = np.where(ok, meets, 0)
+        outside = ((fam[:, None] | fam) & ~u_mask) != 0
+        out[f"I[{tag}]"] = entry(ok, (ok & outside).any(), f * f)
+        diag = np.diagonal(ok)
+        out[f"II[{tag}]"] = entry(diag, (diag & (np.diagonal(u_idx) != np.arange(f))).any(), f)
+        tally = {law: [0, False] for law in ("III", "IV", "V")}
+
+        def add(law, defined, bad):
+            tally[law][0] += int(np.count_nonzero(defined))
+            tally[law][1] |= bool((defined & bad).any())
+
+        # index -1 (no member) reads row or column f of the padded table: -1
+        at = np.full((f + 1, f + 1), -1)
+        at[:f, :f] = u_idx
+        for i in range(f):
+            # III with A = member i: (A ∪c B) ∪c C against A ∪c (B ∪c C)
+            left, right = at[u_idx[i][:, None], np.arange(f)], at[i, u_idx]
+            add("III", (left >= 0) & (right >= 0), left != right)
+            # IV with C = member i: C ∩ (A ∪c B) against (C ∩ A) ∪c (C ∩ B)
+            rhs = at[i_idx[i][:, None], i_idx[i]]
+            add("IV", ok & (rhs >= 0), (fam[i] & u_mask) != fam[rhs])
+            # V with A = member i: A ∪c (B ∩ C) against (A ∪c B) ∩ (A ∪c C)
+            lhs = at[i, i_idx]
+            add("V", (lhs >= 0) & ok[i][:, None] & ok[i],
+                fam[lhs] != (u_mask[i][:, None] & u_mask[i]))
+        for law, (checked, bad) in tally.items():
+            out[f"{law}[{tag}]"] = ("fails" if bad else "holds", checked, f**3 - checked)
+    return out
+
+
+def reference_closure_axioms(c):
+    """The four closure verdicts of verify_algebra_axioms as it scanned
+    the unordered member pairs (a member with itself included), counted
+    over every pair: {law: (verdict, checked, skipped)}.  Intersection
+    checks every pair; causal union checks the pairs with a superset of
+    the kind and fails on a pair whose union is NotClosed."""
+    out = {}
+    for kind in (co.Kind.CONVERGENT, co.Kind.DIVERGENT):
+        _, meets, u_idx, i_idx = _union_tables(c, kind)
+        pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
+        found = pairs & (meets != _NONE)
+        n_pairs, n_found = int(pairs.sum()), int(found.sum())
+        out[f"intersection-closure[{kind.value}]"] = (
+            "fails" if (pairs & (i_idx < 0)).any() else "holds", n_pairs, 0)
+        out[f"causal-union-closure[{kind.value}]"] = (
+            "fails" if (found & (u_idx < 0)).any() else "holds", n_found, n_pairs - n_found)
+    return out
 
 
 def product_crossing_witness(c):

@@ -9,7 +9,9 @@ freeze the failing triples and re-verify them with the naive oracle.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,9 @@ from causalorder.algebra import (
 )
 
 from conftest import (
+    K66_LAW_COUNTS,
     NOT_DENSE_7_RELATION,
+    k66,
     naturally_labelled_posets,
     oracle_causal_union,
     oracle_class,
@@ -41,6 +45,8 @@ from conftest import (
     oracle_divergent,
     oracle_family,
     random_poset,
+    reference_closure_axioms,
+    reference_union_laws,
     relabelled,
 )
 
@@ -983,34 +989,15 @@ def test_distributivity_inclusions_hold_on_crossing_fixtures(chain3, d4, l33):
                                 assert lhs.issubset(u_ab & u_ac)
 
 
-def _associativity_scan(u_idx):
-    """Law III scanned cell by cell, as verify_union_laws did before it
-    counted the triples: (verdict, checked, skipped) over the f^3 triples
-    (A, B, C), one f x f slab per A, from the family's union index table.
-    A triple is checked when both (A ∪c B) ∪c C and A ∪c (B ∪c C) are
-    defined, else skipped; the first slab with unequal sides fails."""
-    f = len(u_idx)
-    union_ok = u_idx >= 0
-    checked = skipped = 0
-    for i in range(f):
-        ui = u_idx[i]
-        left = np.where(ui[:, None] >= 0, u_idx[np.clip(ui, 0, None), :], -1)
-        right = np.where(union_ok, u_idx[i, np.clip(u_idx, 0, None)], -1)
-        defined = (left >= 0) & (right >= 0)
-        checked += int(np.count_nonzero(defined))
-        skipped += f * f - int(np.count_nonzero(defined))
-        if (defined & (left != right)).any():
-            return "fails", checked, skipped
-    return "holds", checked, skipped
+_ALL_KINDS = (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH)
 
 
 def _check_associativity_counts(c):
-    kinds = (Kind.CONVERGENT, Kind.DIVERGENT, Kind.BOTH)
-    report = co.verify_union_laws(c, kinds)
-    for kind in kinds:
+    report = co.verify_union_laws(c, _ALL_KINDS)
+    want = reference_union_laws(c, _ALL_KINDS)
+    for kind in _ALL_KINDS:
         res = report.result(f"III[{kind.value}]")
-        want = _associativity_scan(_union_tables(c, kind)[2])
-        assert (res.verdict, res.checked, res.skipped) == want, (kind, c.relation.tolist())
+        assert (res.verdict, res.checked, res.skipped) == want[res.law], (kind, c.relation.tolist())
 
 
 @pytest.mark.parametrize("fixture", ["chain3", "d4", "l5", "l33"])
@@ -1022,6 +1009,102 @@ def test_associativity_counts_equal_the_scan(fixture, request):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.floats(0.0, 0.8))
 def test_associativity_counts_equal_the_scan_on_random_posets(seed, n, p_edge):
     _check_associativity_counts(random_poset(n, p_edge, np.random.default_rng(seed)))
+
+
+def _reevaluate(c, res):
+    """A failing union-law or closure result re-evaluated through the
+    public causal_union and &: the sides of IV or V differ with every
+    union defined; the intersection of two members leaves the family;
+    the union of two members raises NotClosed carrying the reported
+    mask."""
+    law, _, tag = res.law.rstrip("]").partition("[")
+    kind, ce = Kind(tag), res.counterexample
+    a, b = c.subset(ce["a"]), c.subset(ce["b"])
+    if law == "IV":
+        cc = c.subset(ce["c"])
+        lhs = cc & co.causal_union(c, a, b, kind)
+        assert lhs.mask != co.causal_union(c, cc & a, cc & b, kind).mask
+    elif law == "V":
+        cc = c.subset(ce["c"])
+        rhs = co.causal_union(c, a, b, kind) & co.causal_union(c, a, cc, kind)
+        assert co.causal_union(c, a, b & cc, kind).mask != rhs.mask
+    elif law == "intersection-closure":
+        ok = {s.upper() for s in _FAMILY_CLASSES[kind]}
+        assert co.classify(c, a).name in ok and co.classify(c, b).name in ok
+        assert co.classify(c, a & b).name not in ok
+        assert (a & b).ids() == tuple(ce["intersection"])
+    else:
+        assert law == "causal-union-closure", res.law
+        with pytest.raises(co.NotClosed) as caught:
+            co.causal_union(c, a, b, kind)
+        assert caught.value.intersection_mask == c.mask_of(ce["intersection_of_supersets"])
+
+
+def _check_laws_against_the_scans(c):
+    """Every verdict and count of the union laws (all three kinds) and of
+    the closure axioms equals the reference scans', and every reported
+    failure re-evaluates as one."""
+    laws = co.verify_union_laws(c, _ALL_KINDS).results
+    closures = co.verify_algebra_axioms(c).results[:4]
+    got = {r.law: (r.verdict, r.checked, r.skipped) for r in laws + closures}
+    want = {**reference_union_laws(c, _ALL_KINDS), **reference_closure_axioms(c)}
+    assert got == want, c.relation.astype(int).tolist()
+    for res in laws + closures:
+        if res.verdict == "fails":
+            _reevaluate(c, res)
+    return {r.law: r.verdict for r in laws + closures}
+
+
+def test_laws_and_closures_equal_the_scans_on_every_small_poset():
+    verdicts = set()
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            verdicts.update(_check_laws_against_the_scans(c).items())
+    laws = [f"{law}[{kind.value}]" for kind in _ALL_KINDS for law in ("IV", "V")] + _CLOSURE_LAWS
+    assert {(law, v) for law in laws for v in ("holds", "fails")} <= verdicts
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 10), st.floats(0.1, 0.6))
+def test_laws_and_closures_equal_the_scans_on_relabelled_posets(seed, n, p_edge):
+    rng = np.random.default_rng(seed)
+    _check_laws_against_the_scans(relabelled(random_poset(n, p_edge, rng), rng))
+
+
+def test_k66_law_counts_pinned():
+    # six minimal points below six maximal ones: every union law holds,
+    # each over its whole domain, and crossing fails (two minimal points
+    # have six minimal common upper bounds)
+    c = k66()
+    report = co.verify_union_laws(c)
+    assert [(r.law, r.verdict, r.checked, r.skipped) for r in report.results] == [
+        (f"{law}[{tag}]", "holds", *counts)
+        for tag in ("convergent", "divergent") for law, counts in K66_LAW_COUNTS.items()]
+    axioms = co.verify_algebra_axioms(c)
+    assert not co.has_crossing_property(c)
+    for law in _CLOSURE_LAWS:
+        assert axioms.result(law).verdict == "fails"
+        _reevaluate(c, axioms.result(law))
+
+
+def test_axioms_without_crossing_leave_no_reference_cycle():
+    # the closure witnesses are built outside the store of union answers,
+    # whose PointSets refer back to the causality
+    c = k66()
+    co.verify_algebra_axioms(c)
+    alive = weakref.ref(c), weakref.ref(co.reverse_structure(c))
+    gc.disable()
+    try:
+        del c
+        assert [r() for r in alive] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_strict_kinds_have_no_union_laws(chain3):
+    for kind in (Kind.STRICTLY_CONVERGENT, Kind.STRICTLY_DIVERGENT):
+        with pytest.raises(ValueError):
+            co.verify_union_laws(chain3, (kind,))
 
 
 def test_law_skips_counted_on_star5(l5):

@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
+from causalorder import order
 from causalorder.cli import ALL_SUITES, _build_parser, main
 
-from conftest import MALFORMED_CAUSALITY, fan_relation
+from conftest import K66_LAW_COUNTS, MALFORMED_CAUSALITY, fan_relation, k66
 
 
 def run(*argv):
@@ -304,9 +305,37 @@ def test_verify_relation_behind_256_paths_exits_2(tmp_path):
     assert run("verify", "--input", str(path), "--output", str(tmp_path / "r")) == 2
 
 
+def test_verify_k66_union_laws_as_scanned(tmp_path):
+    # every union law holds on K(6,6), with the counts the member scans
+    # gave; the closure axioms fail, since crossing does
+    path, out = _causality_file(tmp_path, k66(), "k66"), tmp_path / "r"
+    assert run("verify", "--input", path, "--suite", "union-laws,algebra-axioms",
+               "--output", str(out)) == 2
+    lines = [strict_loads(line) for line in out.read_text().splitlines()]
+    assert lines[:10] == [
+        {"checked": checked, "counterexample": None, "law": f"{law}[{tag}]",
+         "skipped": skipped, "suite": "union-laws", "verdict": "holds"}
+        for tag in ("convergent", "divergent") for law, (checked, skipped) in K66_LAW_COUNTS.items()]
+    assert [e["verdict"] for e in lines[10:14]] == ["fails"] * 4
+    assert lines[-1] == {"summary": {"all_hold": False}}
+
+
+@pytest.mark.parametrize("c, scans", [(co.chain(3), 1), (k66(), 2)], ids=["chain3", "k66"])
+def test_verify_scans_crossing_once_per_order(tmp_path, monkeypatch, c, scans):
+    # the crossing suite and the algebra axioms share the cached verdict;
+    # without crossing, the axioms scan the reversed order once more, for
+    # the divergent witnesses
+    scanned, scan = [], order._unrelated_pairs
+    monkeypatch.setattr(order, "_unrelated_pairs",
+                        lambda d: scanned.append(d.relation.tobytes()) or scan(d))
+    path = _causality_file(tmp_path, c, "c")
+    assert run("verify", "--input", path, "--output", str(tmp_path / "r")) == 2
+    assert len(scanned) == len(set(scanned)) == scans
+
+
 def test_verify_cap_exits_3(tmp_path, capsys):
-    # the default suites: crossing passes, then the union-law scan refuses
-    # 13 points and no output file is written
+    # the default suites: crossing passes, then union-law verification
+    # refuses 13 points and no output file is written
     path, out = _causality_file(tmp_path, co.chain(13), "chain13"), tmp_path / "r"
     assert run("verify", "--input", path, "--output", str(out)) == 3
     assert "union-law verification is capped at 12 points" in capsys.readouterr().err
