@@ -220,10 +220,9 @@ def _family_array(c: Causality, kind: Kind) -> np.ndarray:
     return hit
 
 
-# Every bit set: the mark of a union with no superset in the union
-# tables.  Those tables, and the callers of _fold, run under
-# LAW_SCAN_CAP (12) points, so no subset mask they meet has it; it is
-# also the identity of the AND fold (_fold).
+# Every bit set: the mark of a pair with no common superset in the union
+# and bound tables.  They and _fold's callers run under LAW_SCAN_CAP (12)
+# points, so no subset mask they meet has it; the AND fold's identity.
 _NONE = np.uint64(2**64 - 1)
 
 # The sides on which the sets of each union kind have their vertex: a top
@@ -489,98 +488,99 @@ def _vertices(c: Causality, fam: np.ndarray, side: Direction) -> tuple[np.ndarra
 def _bound_table(c: Causality, side: Direction) -> np.ndarray:
     """B[v, w] = the kernel's meet for the points v and w on ``side`` (the
     AND of ↓q over their common upper bounds q, for UPPER), or _NONE
-    where they have no common bound.  Row and column c.n, the vertex of
-    ∅, are 0."""
-    n = c.n
-    table = np.zeros((n + 1, n + 1), dtype=np.uint64)
-    for v in range(n):
-        for w in range(v, n):
-            bounds, meet, _ = _bound_meet(c, 1 << v | 1 << w, side)
-            table[v, w] = table[w, v] = meet if bounds else _NONE
-    return table
-
-
-def _union_tables(c: Causality, kind: Kind):
-    """The family's uint64 masks plus its f x f union tables (cached).
-
-    meets[i, j] is the AND of the family supersets of members i and j
-    (_NONE when there is none).  u_idx[i, j] holds the family index of
-    that AND, which is their causal union, or -1 when the union is
-    undefined (no superset / not closed).  i_idx[i, j] holds the family
-    index of the plain intersection, or -1 when it leaves the family.
-
-    meets is _closed_union's AND read off the members' vertices.  The
-    common bounds of the union X of members i and j on a side are those
-    of their vertices v_i and v_j, so the AND is (reach_i | reach_j) &
-    B[v_i, v_j] for CONVERGENT and DIVERGENT, with B the kernel's (n+1)^2
-    _bound_table, and the AND of both sides' B entries for BOTH: O(f^2)
-    words after O(n^3) for B.
-    """
-    hit = c._derived.get(("unions", kind))
+    where they have no common bound (cached): one AND fold of the cones
+    over the common-bound masks.  Row and column c.n, for ∅, are 0."""
+    hit = c._derived.get(("bound_table", side))
     if hit is None:
-        fam = _family_array(c, kind)
-        sides = _sides(kind)
-        meets = np.full((len(fam), len(fam)), c.full_mask, dtype=np.uint64)
-        undefined = np.zeros(meets.shape, dtype=bool)
-        for side in sides:
-            v, reach = _vertices(c, fam, side)
-            bound = _bound_table(c, side)[v[:, None], v]
-            undefined |= bound == _NONE
-            meets &= bound
-        if len(sides) == 1:
-            meets &= reach[:, None] | reach  # ↑X for CONVERGENT, ↓X for DIVERGENT
-        meets[undefined] = _NONE
-        meets[0, :] = meets[:, 0] = fam  # ∅, member 0, is every union's identity
-        hit = fam, meets, _index_in(fam, meets), _index_in(fam, fam[:, None] & fam)
-        c._derived["unions", kind] = hit
+        up = side is Direction.UPPER
+        rows, cones = (c.succ_masks, c.pred_masks) if up else (c.pred_masks, c.succ_masks)
+        r = np.array(rows, dtype=np.uint64)
+        meet = _fold((r[:, None] & r).ravel(), cones, np.bitwise_and).reshape(c.n, c.n)
+        hit = c._derived["bound_table", side] = np.pad(meet, (0, 1))  # ∅: row and column 0
     return hit
 
 
-def _triple_counts(c: Causality, kind: Kind, u_idx: np.ndarray,
-                   i_idx: np.ndarray) -> tuple[int, int, int]:
-    """The numbers of member triples (A, B, C) on which law III, law IV
-    and law V has both sides defined: every union is defined and every
-    intersection that is united is a member.
+def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(meets, index) over the pairs of family members ``masks`` (uint64,
+    ∅ first): meets[i, j] is the AND of the family supersets of members i
+    and j (_NONE when there is none), and index[i, j] the family index of
+    that AND, their causal union, or -1 when the union is undefined.
+    This is _closed_union's AND read off the vertices: the common bounds
+    of i | j on a side are those of the vertices v_i and v_j, so the AND
+    is (reach_i | reach_j) & B[v_i, v_j] with B the _bound_table, and the
+    AND of both sides' B entries for BOTH.  The laws and axioms pass one
+    member per vertex group (_groups), the measure suite every member."""
+    sides = _sides(kind)
+    meets = np.full((len(masks), len(masks)), c.full_mask, dtype=np.uint64)
+    undefined = np.zeros(meets.shape, dtype=bool)
+    for side in sides:
+        v, reach = _vertices(c, masks, side)
+        bound = _bound_table(c, side)[v[:, None], v]
+        undefined |= bound == _NONE
+        meets &= bound
+    if len(sides) == 1:
+        meets &= reach[:, None] | reach  # ↑X for CONVERGENT, ↓X for DIVERGENT
+    meets[undefined] = _NONE
+    meets[0, :] = meets[:, 0] = masks  # ∅ is every union's identity
+    return meets, _index_in(_family_array(c, kind), meets)
 
-    Whether a union is defined, and the vertices of the result, depend on
-    the operands' vertices alone (_closed_union).  So the members are
-    grouped by their vertices (both sides' for BOTH).  ok[g, h] tells
-    whether the union of a member of group g and one of group h is
-    defined, and at[g, h] is the group of that union; both are read off
-    u_idx between one member of each group, and ok is symmetric.  Law
-    III counts a triple of groups at the product of the group sizes when
-    both sides are defined.
 
-    hist[K, g, h] counts the members M of group g whose intersection with
-    member K is a member of group h.  Law IV on (A, B, C) needs A ∪c B
-    and (C ∩ A) ∪c (C ∩ B), so it counts Σ_C <hist[C], ok hist[C] ok>,
-    computed as <ok hist[C], hist[C] ok>.  Law V needs A ∪c (B ∩ C),
-    A ∪c B and A ∪c C, which depend on A through its group alone, so it
-    sums the same histogram with its rows K summed by group.  The
-    accumulators are int64.
+def _groups(c: Causality, kind: Kind):
+    """(group, size, meets, union), cached: group[i] is the group of
+    member i by its vertices (both sides' for BOTH), size[g] counts group
+    g, group 0 is {∅}, and meets and union are the _union_table of one
+    member per group.  Whether a union is defined, and the vertices of
+    the result, depend on the operands' vertices alone (_closed_union)."""
+    hit = c._derived.get(("groups", kind))
+    if hit is None:
+        fam = _family_array(c, kind)
+        key = np.zeros(len(fam), dtype=np.intp)
+        for side in _sides(kind):  # ∅, with vertex c.n on every side, keys 0
+            key = key * (c.n + 1) + c.n - _vertices(c, fam, side)[0]
+        _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True)
+        hit = c._derived["groups", kind] = (group, size, *_union_table(c, kind, fam[first]))
+    return hit
+
+
+def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
+    """The numbers of member pairs (A, B) on which law I, and of triples
+    (A, B, C) on which law III, IV and V, has both sides defined: every
+    union is defined and every intersection that is united is a member.
+
+    ok[g, h] tells whether the union of a member of vertex group g and
+    one of group h is defined, at[g, h] is the group of that union
+    (_groups), and ok is symmetric.  Laws I and III count each pair or
+    triple of groups where it is defined at the product of their sizes.
+    Laws IV and V read ok alone, so they sum over classes of groups with
+    equal ok rows: g and g' of one class are interchangeable in each ok
+    factor, as ok[g, h] = ok[g', h] by their equal rows and ok[h, g] =
+    ok[h, g'] by symmetry.  hist[K, p, q] counts the members M of class p
+    whose intersection with member K is a member of class q.  Law IV
+    needs A ∪c B and (C ∩ A) ∪c (C ∩ B), so it counts, over the members
+    C, <hist[C], ok hist[C] ok> = <ok hist[C], hist[C] ok>.  Law V needs
+    A ∪c (B ∩ C), A ∪c B and A ∪c C, which depend on A through its class
+    alone, so it sums hist with its rows K summed by class.  Counts are int64.
     """
     fam = _family_array(c, kind)
-    key = np.zeros(len(fam), dtype=np.intp)
-    for side in _sides(kind):
-        key = key * (c.n + 1) + _vertices(c, fam, side)[0]
-    _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
-                                      return_counts=True)
-    union = u_idx[np.ix_(first, first)]
+    group, size, _, union = _groups(c, kind)
     ok, at = union >= 0, group[union]  # at: the group of the union, where ok
     defined = ok[:, :, None] & ok[at] & ok[None, :, :] & ok[:, at]
-    law_iii = np.einsum("pqr,p,q,r->", defined.astype(np.int64), size, size, size)
-    g, ok = len(size), ok.astype(np.int64)
-    inter = np.where(i_idx >= 0, group[i_idx], g)  # g: no member
+    law_i = np.einsum("p,pq,q->", size, ok, size, dtype=np.int64)
+    law_iii = np.einsum("pqr,p,q,r->", defined, size, size, size, dtype=np.int64)
+    _, first, cls = np.unique([row.tobytes() for row in ok], return_index=True, return_inverse=True)
+    k, ok, cls = len(first), ok[np.ix_(first, first)].astype(np.int64), cls[group]
+    inter = np.append(cls, k)[_index_in(fam, fam[:, None] & fam)]  # index -1 (no member): k
 
-    def histogram(rows: np.ndarray, m: int) -> np.ndarray:
-        cell = (rows[:, None] * g + group) * (g + 1) + inter
-        return np.bincount(cell.ravel(), minlength=m * g * (g + 1)).reshape(m, g, g + 1)[:, :, :g]
+    def histogram(keys: np.ndarray, m: int) -> np.ndarray:
+        cell = (keys[:, None] * k + cls) * (k + 1) + inter
+        return np.bincount(cell.ravel(), minlength=m * k * (k + 1)).reshape(m, k, k + 1)[:, :, :k]
 
     hist = histogram(np.arange(len(fam)), len(fam))
     law_iv = (np.einsum("cda,de->cea", hist, ok) * np.einsum("cad,de->cae", hist, ok)).sum()
-    by_group = np.einsum("bgh,ah->abg", histogram(group, g), ok)
-    law_v = np.einsum("a,ab,ag,abg->", size, ok, ok, by_group)
-    return int(law_iii), int(law_iv), int(law_v)
+    by_class = np.einsum("bgh,ah->abg", histogram(cls, k), ok)
+    law_v = np.einsum("a,ab,ag,abg->", np.bincount(cls, minlength=k), ok, ok, by_class)
+    return int(law_i), int(law_iii), int(law_iv), int(law_v)
 
 
 def _distributivity_witness(c: Causality, kind: Kind) -> dict | None:
@@ -629,7 +629,7 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     exist, and likewise A ∪c (B ∪c C) = ↑X ∩ ↓(v(A) ∨ (v(B) ∨ v(C))).
     Both joins are then the least upper bound of v(A), v(B) and v(C), so
     both sides are equal wherever they are defined, and whether each is
-    defined depends on the three vertices alone (_triple_counts).
+    defined depends on the three vertices alone (_law_counts).
     DIVERGENT is the dual, and BOTH takes both sides.
 
     Laws IV and V.  For CONVERGENT both hold iff the order has no 3-chain
@@ -658,9 +658,9 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
       (A ∪ B) ∩ (A ∪ C) (V).
 
     A failing IV or V reports the singletons of the first construction
-    that applies (_distributivity_witness) as its a, b and c.  The
-    triples with both sides defined are counted from the vertex groups
-    (_triple_counts).
+    that applies (_distributivity_witness) as its a, b and c.  The pairs
+    of I and the triples with both sides defined are counted over vertex
+    groups, from no member-pair union table (_groups, _law_counts).
 
     Law VI, that structural reversal maps the union to the dual union of
     the images, is proved and not reported.  Structural reversal keeps
@@ -676,10 +676,8 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     _law_cap(c, "union-law verification")
     report = LawReport("union laws")
     for kind in kinds:
-        _, _, u_idx, i_idx = _union_tables(c, kind)
-        f, tag = len(u_idx), kind.value
-        pairs = int(np.count_nonzero(u_idx >= 0))
-        law_iii, law_iv, law_v = _triple_counts(c, kind, u_idx, i_idx)
+        f, tag = len(_family_array(c, kind)), kind.value
+        pairs, law_iii, law_iv, law_v = _law_counts(c, kind)
         ce = _distributivity_witness(c, kind)
         verdict = "holds" if ce is None else "fails"
         report.results += [
@@ -753,10 +751,11 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     dual = None if crossing else has_crossing_property(reverse_structure(c)).witness
     report = LawReport("algebra axioms")
     for kind, witness in ((Kind.CONVERGENT, crossing.witness), (Kind.DIVERGENT, dual)):
-        _, meets, _, _ = _union_tables(c, kind)
-        f, tag = len(meets), kind.value
+        group, size, meets, _ = _groups(c, kind)
+        f, tag = len(group), kind.value
         pairs = f * (f + 1) // 2
-        found = (int(np.count_nonzero(meets != _NONE)) + f) // 2  # symmetric; A ∪c A is found
+        # the ordered pairs with a superset, the f pairs A, A among them, halved
+        found = (int(np.einsum("g,gh,h->", size, meets != _NONE, size, dtype=np.int64)) + f) // 2
         meet = union = None
         if witness is not None:
             x, y, z, w = (c.index[p] for p in witness)

@@ -21,9 +21,10 @@ from .algebra import (
     Kind,
     LawReport,
     _family_array,
+    _index_in,
     _law_cap,
     _scan,
-    _union_tables,
+    _union_table,
     family_masks,
 )
 from .errors import MissingValue
@@ -177,7 +178,9 @@ def verify_measure_axioms(
     report.results.append(_scan("normalization", every, every, bad, normalization_witness))
 
     # every pair at once, from the family's union and intersection tables
-    fam_arr, meets, u_idx, i_idx = _union_tables(c, measure.kind)
+    fam_arr = _family_array(c, measure.kind)
+    meets, u_idx = _union_table(c, measure.kind, fam_arr)
+    i_idx = _index_in(fam_arr, fam_arr[:, None] & fam_arr)
     pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
     ok = (u_idx >= 0) & (i_idx >= 0)
     with np.errstate(all="ignore"):

@@ -16,7 +16,13 @@ import pytest
 
 import causalorder as co
 from causalorder import antichain, chain, diamond4, grid, star5, validate_causality
-from causalorder.algebra import _NONE, _union_mask, _union_tables
+from causalorder.algebra import (
+    _NONE,
+    _family_array,
+    _index_in,
+    _union_mask,
+    _union_table,
+)
 from causalorder.order import validate_matrix
 from causalorder.reconstruction import _cut_masks, _density_gap, _ribbon_masks
 
@@ -437,9 +443,23 @@ K66_LAW_COUNTS = {"I": (29971, 122910), "II": (391, 0), "III": (2122411, 5765406
                   "IV": (5063011, 54713460), "V": (2363011, 57413460)}
 
 
+def complete_bipartite(m, n):
+    """K(m, n): m minimal points m0.. below n maximal points t0.., each
+    below each."""
+    lows, highs = [f"m{i}" for i in range(m)], [f"t{i}" for i in range(n)]
+    return co.from_cover_pairs(lows + highs, [(lo, hi) for lo in lows for hi in highs])
+
+
 def k66():
-    lows, highs = [f"m{i}" for i in range(6)], [f"t{i}" for i in range(6)]
-    return co.from_cover_pairs(lows + highs, [(m, t) for m in lows for t in highs])
+    return complete_bipartite(6, 6)
+
+
+def member_tables(c, kind):
+    """The family's uint64 masks plus its f x f union and intersection
+    tables over every member pair: (fam, meets, u_idx, i_idx), as the
+    measure suite builds them."""
+    fam = _family_array(c, kind)
+    return (fam, *_union_table(c, kind, fam), _index_in(fam, fam[:, None] & fam))
 
 
 def reference_union_laws(c, kinds):
@@ -457,7 +477,7 @@ def reference_union_laws(c, kinds):
         return ("fails" if bad else "holds", checked, domain - checked)
 
     for kind in kinds:
-        fam, meets, u_idx, i_idx = _union_tables(c, kind)
+        fam, meets, u_idx, i_idx = member_tables(c, kind)
         f, tag = len(fam), kind.value
         ok = u_idx >= 0
         u_mask = np.where(ok, meets, 0)
@@ -498,7 +518,7 @@ def reference_closure_axioms(c):
     the kind and fails on a pair whose union is NotClosed."""
     out = {}
     for kind in (co.Kind.CONVERGENT, co.Kind.DIVERGENT):
-        _, meets, u_idx, i_idx = _union_tables(c, kind)
+        _, meets, u_idx, i_idx = member_tables(c, kind)
         pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
         found = pairs & (meets != _NONE)
         n_pairs, n_found = int(pairs.sum()), int(found.sum())

@@ -22,20 +22,25 @@ import causalorder as co
 from causalorder import Direction, Kind, PointSet, SetClass, config
 from causalorder.algebra import (
     _NONE,
+    _bound_table,
     _class_code,
     _closed_union,
     _family_array,
+    _groups,
     _union_mask,
-    _union_tables,
+    _union_table,
     _vertex_sets,
     class_of_mask,
     family_masks,
 )
+from causalorder.order import _bound_meet
 
 from conftest import (
     K66_LAW_COUNTS,
     NOT_DENSE_7_RELATION,
+    complete_bipartite,
     k66,
+    member_tables,
     naturally_labelled_posets,
     oracle_causal_union,
     oracle_class,
@@ -330,7 +335,7 @@ def test_union_tables_match_oracle(seed, n, p_edge):
     c = random_poset(n, p_edge, np.random.default_rng(seed))
     for kind in (Kind.CONVERGENT, Kind.DIVERGENT):
         family = oracle_family(c, kind.value)
-        fam, meets, u_idx, i_idx = _union_tables(c, kind)
+        fam, meets, u_idx, i_idx = member_tables(c, kind)
         sets = [frozenset(c.ids_of(int(m))) for m in fam]
         assert set(sets) == set(family) and len(sets) == len(family)
         index = {u: i for i, u in enumerate(sets)}
@@ -343,6 +348,44 @@ def test_union_tables_match_oracle(seed, n, p_edge):
                     assert frozenset(c.ids_of(int(meets[i, j]))) == want
                     assert u_idx[i, j] == index.get(want, -1)
                 assert i_idx[i, j] == index.get(a & b, -1)
+
+
+def _check_bound_table(c):
+    """_bound_table against the kernel, pair by pair, on both sides."""
+    for side in (Direction.UPPER, Direction.LOWER):
+        table = _bound_table(c, side)
+        assert table is _bound_table(c, side)  # cached per side
+        assert table.shape == (c.n + 1, c.n + 1)
+        assert not table[c.n].any() and not table[:, c.n].any()  # ∅ has no vertex
+        for v in range(c.n):
+            for w in range(c.n):
+                bounds, meet, _ = _bound_meet(c, 1 << v | 1 << w, side)
+                assert table[v, w] == (meet if bounds else _NONE), (side, v, w)
+
+
+def test_bound_table_equals_the_kernel_on_every_small_poset():
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            _check_bound_table(c)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.7))
+def test_bound_table_equals_the_kernel_on_relabelled_posets(seed, n, p_edge):
+    rng = np.random.default_rng(seed)
+    _check_bound_table(relabelled(random_poset(n, p_edge, rng), rng))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_bound_table_of_an_antichain(n):
+    # a point is its own one bound; two distinct points have none
+    c = co.antichain(n)
+    want = np.full((n + 1, n + 1), _NONE)
+    want[range(n), range(n)] = [1 << v for v in range(n)]
+    want[n, :] = want[:, n] = 0
+    for side in (Direction.UPPER, Direction.LOWER):
+        assert np.array_equal(_bound_table(c, side), want)
+    _check_bound_table(c)
 
 
 def _check_closed_form(c, pairs):
@@ -1069,6 +1112,55 @@ def test_laws_and_closures_equal_the_scans_on_every_small_poset():
 def test_laws_and_closures_equal_the_scans_on_relabelled_posets(seed, n, p_edge):
     rng = np.random.default_rng(seed)
     _check_laws_against_the_scans(relabelled(random_poset(n, p_edge, rng), rng))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(11, config.LAW_SCAN_CAP), st.floats(0.1, 0.5))
+def test_laws_and_closures_equal_the_scans_up_to_the_cap(seed, n, p_edge):
+    rng = np.random.default_rng(seed)
+    _check_laws_against_the_scans(relabelled(random_poset(n, p_edge, rng), rng))
+
+
+@pytest.mark.parametrize("make, one_class", [(lambda: co.grid(3, 4), True),
+                                             (lambda: complete_bipartite(3, 4), False)],
+                         ids=["lattice", "k34"])
+def test_laws_and_closures_equal_the_scans_at_either_end_of_the_ok_classes(make, one_class):
+    # in a lattice every union is defined, so all vertex groups fall into
+    # one class of equal ok rows; in K(3,4) each group has a row of its own
+    c = make()
+    for kind in _ALL_KINDS:
+        union = _groups(c, kind)[3]
+        classes = len(np.unique(union >= 0, axis=0))
+        assert classes == (1 if one_class else len(union)), kind
+    _check_laws_against_the_scans(c)
+
+
+def _sprinkle12():
+    return co.sprinkle(co.SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=12, seed=5)).causality
+
+
+@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), _sprinkle12], ids=["grid34", "sprinkle"])
+def test_laws_and_axioms_build_no_member_union_table(make, monkeypatch):
+    c = make()
+    co.verify_union_laws(c)
+    co.verify_algebra_axioms(c)
+    sizes = {len(family_masks(c, kind)) for kind in (Kind.CONVERGENT, Kind.DIVERGENT)}
+    assert min(sizes) > c.n + 1  # no f x f table passes for a group or bound table
+    values = [v for value in c._derived.values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    assert not [v.shape for v in values if isinstance(v, np.ndarray) and v.ndim == 2
+                and v.shape[0] in sizes]
+    # the measure suite still builds its table over every member pair
+    built = []
+
+    def spy(c, kind, masks):
+        built.append(len(masks))
+        return _union_table(c, kind, masks)
+
+    monkeypatch.setattr(co.measure, "_union_table", spy)
+    f = len(family_masks(c, Kind.DIVERGENT))
+    res = co.verify_measure_axioms(c, co.constant_measure(c)).result("super-multiplicativity")
+    assert built == [f] and res.checked + res.skipped == f * (f + 1) // 2
 
 
 def test_k66_law_counts_pinned():

@@ -115,13 +115,27 @@ def test_each_cap_is_read_in_exactly_one_function():
         assert len(where) == 1 and not where[0].endswith(".<module>"), (cap, where)
 
 
+_NUMPY_PRODUCTS = {"matmul", "dot", "tensordot", "inner"}
+
+
 def _matmul(node: ast.AST) -> str | None:
+    """The matrix product that ``node`` makes, if any: ``@`` or ``@=``,
+    a call of np.matmul, np.dot, np.tensordot or np.inner, or a ``.dot(``
+    method call on anything."""
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
         return "@"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        attr, owner = node.func.attr, node.func.value
+        if attr in _NUMPY_PRODUCTS and isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+            return f"{owner.id}.{attr}"
+        if attr == "dot":
+            return ".dot("
     return None
 
 
 def test_matrix_products_only_in_the_kernel():
     """``@`` and ``@=`` appear only in order._compose, the one boolean
-    product kernel, so no second product path grows beside it."""
+    product kernel, and no numpy product function or ``.dot(`` method is
+    called anywhere, so no second product path grows beside it: counting
+    stays in int64 einsum and bincount."""
     assert _enclosing(_matmul) == {"@": {"order._compose"}}
