@@ -85,13 +85,14 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
-# class code bit 0 = convergent family, bit 1 = divergent family
-_KIND_TEST = {
-    Kind.CONVERGENT: lambda code: code & 1 != 0,
-    Kind.DIVERGENT: lambda code: code & 2 != 0,
-    Kind.BOTH: lambda code: code == 3,
-    Kind.STRICTLY_CONVERGENT: lambda code: code == 1,
-    Kind.STRICTLY_DIVERGENT: lambda code: code == 2,
+# class code bit 0 = convergent family, bit 1 = divergent family; the
+# codes of a kind's family are those with code & bits == want
+_KIND_CODES = {
+    Kind.CONVERGENT: (1, 1),
+    Kind.DIVERGENT: (2, 2),
+    Kind.BOTH: (3, 3),
+    Kind.STRICTLY_CONVERGENT: (3, 1),
+    Kind.STRICTLY_DIVERGENT: (3, 2),
 }
 
 # SetClass members by value, so a class code reads its member by tuple index
@@ -126,9 +127,9 @@ def class_of_mask(c: Causality, mask: int) -> SetClass:
 
 def classify(c: Causality, u: PointSet) -> SetClass:
     """Classify a subset of the causality's ground set."""
-    if u.parent is not c:
+    if u._parent is not c:
         raise ValueError("point set does not belong to this causality")
-    return _CLASSES[_code_of(c, u.mask)]
+    return _CLASSES[_code_of(c, u._mask)]
 
 
 def _vertex_sets(rows: list[int], cones: list[int]) -> Iterator[int]:
@@ -178,8 +179,9 @@ def family_masks(c: Causality, kind: Kind) -> list[int]:
     """All subset masks of the requested kind, ascending (cached)."""
     hit = c._derived.get(("family", kind))
     if hit is None:
-        test = _KIND_TEST[kind]
-        hit = c._derived["family", kind] = sorted(m for m, code in _class_codes(c).items() if test(code))
+        bits, want = _KIND_CODES[kind]
+        hit = c._derived["family", kind] = sorted(
+            m for m, code in _class_codes(c).items() if code & bits == want)
     return hit
 
 
@@ -245,9 +247,10 @@ def _sides(kind: Kind) -> tuple[Direction, ...]:
 
 def _union_answer(c: Causality, a: int, b: int, kind: Kind):
     """The finished answer of the kind-union of masks a and b (kept in the
-    store under (a, b, kind) with a <= b): the result PointSet, or the
+    store under (a, b, kind) with a <= b): the result mask, or the
     (exception class, constructor arguments) that causal_union raises a
-    fresh instance of."""
+    fresh instance of.  Only masks are kept, so the store holds nothing
+    that refers back to c; causal_union wraps each answer afresh."""
     key = (a, b, kind) if a <= b else (b, a, kind)
     hit = c._derived.get(key)
     if hit is None:
@@ -257,7 +260,7 @@ def _union_answer(c: Causality, a: int, b: int, kind: Kind):
 
 def _closed_union(c: Causality, a: int, b: int, kind: Kind):
     """The kind-union of masks a and b in closed form, as _union_answer
-    gives it.
+    gives it: an int mask, or (exception class, arguments).
 
     Take X = a | b nonempty.  A convergent superset of X has a top q
     (order.vertex_bit), a common upper bound of X, and being complete it
@@ -271,7 +274,7 @@ def _closed_union(c: Causality, a: int, b: int, kind: Kind):
     """
     x, sides = a | b, _sides(kind)
     if not x:
-        return PointSet(c, 0)
+        return 0
     mask, closed = c.full_mask, True
     for side in sides:
         bounds, meet, reach = _bound_meet(c, x, side)
@@ -283,7 +286,7 @@ def _closed_union(c: Causality, a: int, b: int, kind: Kind):
     if len(sides) == 1:
         mask &= reach  # a convergent set holds ↑X, a divergent one ↓X
     if closed:
-        return PointSet(c, mask)
+        return mask
     return NotClosed, (f"the intersection of all {kind.value} supersets is not {kind.value}", mask)
 
 
@@ -291,7 +294,7 @@ def _union_mask(c: Causality, a: int, b: int, kind: Kind) -> int | None:
     """The mask of the smallest kind-superset of a | b, or None when the
     causal union is undefined."""
     answer = _union_answer(c, a, b, kind)
-    return answer.mask if type(answer) is PointSet else None
+    return answer if type(answer) is int else None
 
 
 def causal_union(
@@ -314,23 +317,30 @@ def causal_union(
     intersection of all supersets of the kind, when those bounds have no
     least (greatest) element, so that no smallest superset exists.
     """
-    if a.parent is not c or b.parent is not c:
+    if a._parent is not c or b._parent is not c:
         raise ValueError("operands must belong to this causality")
-    code_a = _code_of(c, a.mask)
-    code_b = _code_of(c, b.mask)
+    a, b = a._mask, b._mask  # the operands as masks from here on
+    codes = c._derived.get("class_codes")
+    if codes is None:
+        code_a, code_b = _class_code(c, a), _class_code(c, b)
+    else:
+        code_a, code_b = codes.get(a, 0), codes.get(b, 0)
     if code_a * code_b == 2:  # codes 1 and 2: strictly convergent and strictly divergent
         return PointSet(c, 0)
     if kind is None:
         kind = _infer_kind(code_a, code_b)
     _sides(kind)  # rejects a kind that no union closes in
-    if not _KIND_TEST[kind](code_a & code_b):  # both operands in the kind's family
+    bits, want = _KIND_CODES[kind]
+    if code_a & code_b & bits != want:  # both operands in the kind's family
         raise ValueError(
             f"operand classes {_CLASSES[code_a].name}, {_CLASSES[code_b].name} "
             f"are not compatible with kind {kind.name}"
         )
-    answer = _union_answer(c, a.mask, b.mask, kind)
-    if type(answer) is PointSet:
-        return answer
+    answer = c._derived.get((a, b, kind) if a <= b else (b, a, kind))
+    if answer is None:
+        answer = _union_answer(c, a, b, kind)
+    if type(answer) is int:
+        return PointSet(c, answer)
     exc, args = answer
     raise exc(*args)  # a fresh instance: a stored one would grow its traceback
 
@@ -375,10 +385,10 @@ def intersect_causal(c: Causality, a: PointSet, b: PointSet) -> tuple[PointSet, 
     neither, as verify_algebra_axioms reports, and the answer never
     needs the crossing scan or its cap.
     """
-    if a.parent is not c or b.parent is not c:
+    if a._parent is not c or b._parent is not c:
         raise ValueError("operands must belong to this causality")
-    inter = a & b
-    return inter, _CLASSES[_code_of(c, inter.mask)]
+    inter = a._mask & b._mask
+    return PointSet(c, inter), _CLASSES[_code_of(c, inter)]
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +770,8 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
         if witness is not None:
             x, y, z, w = (c.index[p] for p in witness)
             # ↑{x, y} ∩ ↓z is the union of {x, y} and {z}, as z is above both
-            # (↓{x, y} ∩ ↑z for DIVERGENT, z below both).  _closed_union, not
-            # the stored answers: a stored PointSet would refer back to c
-            a, b = (_closed_union(c, 1 << x | 1 << y, 1 << v, kind).mask for v in (z, w))
+            # (↓{x, y} ∩ ↑z for DIVERGENT, z below both)
+            a, b = (_closed_union(c, 1 << x | 1 << y, 1 << v, kind) for v in (z, w))
             meet = dict(a=c.ids_of(a), b=c.ids_of(b), intersection=c.ids_of(a & b))
             _, (_, closure) = _closed_union(c, 1 << x, 1 << y, kind)
             union = dict(a=(witness[0],), b=(witness[1],),

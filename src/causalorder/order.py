@@ -9,6 +9,7 @@ raw material for the set algebra in :mod:`causalorder.algebra`.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -228,16 +229,32 @@ def validate_causality(points: Sequence[str], relation) -> Causality:
     return Causality(points, relation)  # which validates, then keeps the cover
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """A subset of one causality's ground set, stored as a bit-mask."""
+    """A subset of one causality's ground set, stored as a bit-mask.
 
-    parent: Causality = field(repr=False)
-    mask: int
+    An immutable value, equal to a PointSet of the same parent object and
+    mask and hashed alike.  Slotted, with read-only properties, as every
+    public query builds one; algebra's per-call queries read the slots.
+    """
 
-    def __post_init__(self):
-        if self.mask & ~self.parent.full_mask:
+    __slots__ = ("_parent", "_mask")
+
+    def __init__(self, parent: Causality, mask: int):
+        if mask & ~parent.full_mask:  # negative masks included
             raise ValueError("membership mask exceeds the ground set")
+        self._parent = parent
+        self._mask = mask
+
+    parent = property(operator.attrgetter("_parent"))
+    mask = property(operator.attrgetter("_mask"))
+
+    def __eq__(self, other):
+        if type(other) is not PointSet:
+            return NotImplemented
+        return self._parent is other._parent and self._mask == other._mask
+
+    def __hash__(self) -> int:
+        return hash((self._parent, self._mask))
 
     def ids(self) -> tuple[str, ...]:
         return self.parent.ids_of(self.mask)

@@ -453,5 +453,24 @@ def test_point_set_parent_mismatch(d4, chain3):
 
 
 def test_point_set_mask_bounds(d4):
-    with pytest.raises(ValueError):
-        PointSet(d4, 1 << 10)
+    for mask in (1 << 10, d4.full_mask + 1, -1):
+        with pytest.raises(ValueError, match="membership mask exceeds the ground set"):
+            PointSet(d4, mask)
+
+
+def test_point_set_value_semantics(d4):
+    # equal iff the same causality object and the same mask, hashed alike
+    u, same = d4.subset(["p", "q"]), PointSet(d4, d4.mask_of(["q", "p"]))
+    assert u == same and not u != same and hash(u) == hash(same)
+    assert hash(u) == hash((d4, u.mask))
+    other = co.diamond4()  # the same points and order, another object
+    assert u != PointSet(other, u.mask) and u != d4.subset(["p"])
+    assert u != u.mask and u != (d4, u.mask)
+    assert same in {u} and {u: 1}[same] == 1 and PointSet(other, u.mask) not in {u}
+    assert len({u, same, PointSet(d4, 0), PointSet(d4, 0)}) == 2
+    assert repr(u) == "PointSet{p,q}" and repr(PointSet(d4, 0)) == "PointSet{}"
+    assert u.parent is d4 and u.mask == 0b11
+    for name in ("mask", "parent"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, getattr(same, name))
+    assert u.parent is d4 and u.mask == 0b11
