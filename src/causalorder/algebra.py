@@ -29,10 +29,10 @@ from .order import (
     PointSet,
     _bound_meet,
     _require_owner,
+    _stored,
     _unrelated_pairs,
     complete_mask,
     has_crossing_property,
-    reverse_structure,
     vertex_bit,
 )
 
@@ -160,29 +160,30 @@ def _vertex_sets(rows: list[int], cones: list[int]) -> Iterator[int]:
 
 
 def _class_codes(c: Causality) -> dict[int, int]:
-    """The class code of every causal set, by mask (cached); every subset
-    missing from it is NEITHER.  Built from the vertex theorem: a nonempty
-    convergent set has a top, a divergent one a bottom (_vertex_sets)."""
-    codes = c._derived.get("class_codes")
-    if codes is None:
-        if c.n > config.ENUMERATION_CAP:
-            raise GroundSetTooLarge(c.n, config.ENUMERATION_CAP, "subset enumeration")
-        codes = dict.fromkeys(_vertex_sets(c.succ_masks, c.pred_masks), 1)
-        for m in _vertex_sets(c.pred_masks, c.succ_masks):
-            codes[m] = codes.get(m, 0) | 2
-        codes[0] = 3  # ∅ is in both families
-        c._derived["class_codes"] = codes
+    """The class code of every causal set, by mask (stored as
+    "class_codes"); every subset missing from it is NEITHER.  Built from
+    the vertex theorem: a nonempty convergent set has a top, a divergent
+    one a bottom (_vertex_sets)."""
+    if c.n > config.ENUMERATION_CAP:
+        raise GroundSetTooLarge(c.n, config.ENUMERATION_CAP, "subset enumeration")
+    codes = dict.fromkeys(_vertex_sets(c.succ_masks, c.pred_masks), 1)
+    for m in _vertex_sets(c.pred_masks, c.succ_masks):
+        codes[m] = codes.get(m, 0) | 2
+    codes[0] = 3  # ∅ is in both families
     return codes
 
 
+def _family(c: Causality, kind: Kind) -> tuple[int, ...]:
+    """The masks of the kind's family, ascending, as family_masks lists them."""
+    bits, want = _KIND_CODES[kind]
+    codes = _stored(c, "class_codes", _class_codes)
+    return tuple(sorted(m for m, code in codes.items() if code & bits == want))
+
+
 def family_masks(c: Causality, kind: Kind) -> list[int]:
-    """All subset masks of the requested kind, ascending (cached)."""
-    hit = c._derived.get(("family", kind))
-    if hit is None:
-        bits, want = _KIND_CODES[kind]
-        hit = c._derived["family", kind] = sorted(
-            m for m, code in _class_codes(c).items() if code & bits == want)
-    return hit
+    """All subset masks of the requested kind, ascending: a fresh list of
+    the family, which is stored as a tuple."""
+    return list(_stored(c, ("family", kind), _family, kind))
 
 
 def enumerate_causal_sets(c: Causality, kind: Kind) -> list[PointSet]:
@@ -212,14 +213,17 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _family_array(c: Causality, kind: Kind) -> np.ndarray:
-    """family_masks as a uint64 array, built on first use (cached), so
-    callers that only list the family never build it."""
-    hit = c._derived.get(("family_arr", kind))
-    if hit is None:
-        # the one uint64 conversion of masks: family_masks stops at
-        # ENUMERATION_CAP (20) points, so every mask stays below 2^64
-        hit = c._derived["family_arr", kind] = np.array(family_masks(c, kind), dtype=np.uint64)
-    return hit
+    """family_masks as a read-only uint64 array, built on first use
+    (stored), so callers that only list the family never build it."""
+    return _stored(c, ("family_arr", kind), _uint64_family, kind)
+
+
+def _uint64_family(c: Causality, kind: Kind) -> np.ndarray:
+    # the one uint64 conversion of masks: family_masks stops at
+    # ENUMERATION_CAP (20) points, so every mask stays below 2^64
+    arr = np.array(family_masks(c, kind), dtype=np.uint64)
+    arr.setflags(write=False)
+    return arr
 
 
 # Every bit set: the mark of a pair with no common superset in the union
@@ -251,11 +255,7 @@ def _union_answer(c: Causality, a: int, b: int, kind: Kind):
     (exception class, constructor arguments) that causal_union raises a
     fresh instance of.  Only masks are kept, so the store holds nothing
     that refers back to c; causal_union wraps each answer afresh."""
-    key = (a, b, kind) if a <= b else (b, a, kind)
-    hit = c._derived.get(key)
-    if hit is None:
-        hit = c._derived[key] = _closed_union(c, a, b, kind)
-    return hit
+    return _stored(c, (a, b, kind) if a <= b else (b, a, kind), _closed_union, a, b, kind)
 
 
 def _closed_union(c: Causality, a: int, b: int, kind: Kind):
@@ -498,16 +498,13 @@ def _vertices(c: Causality, fam: np.ndarray, side: Direction) -> tuple[np.ndarra
 def _bound_table(c: Causality, side: Direction) -> np.ndarray:
     """B[v, w] = the kernel's meet for the points v and w on ``side`` (the
     AND of ↓q over their common upper bounds q, for UPPER), or _NONE
-    where they have no common bound (cached): one AND fold of the cones
-    over the common-bound masks.  Row and column c.n, for ∅, are 0."""
-    hit = c._derived.get(("bound_table", side))
-    if hit is None:
-        up = side is Direction.UPPER
-        rows, cones = (c.succ_masks, c.pred_masks) if up else (c.pred_masks, c.succ_masks)
-        r = np.array(rows, dtype=np.uint64)
-        meet = _fold((r[:, None] & r).ravel(), cones, np.bitwise_and).reshape(c.n, c.n)
-        hit = c._derived["bound_table", side] = np.pad(meet, (0, 1))  # ∅: row and column 0
-    return hit
+    where they have no common bound: one AND fold of the cones over the
+    common-bound masks.  Row and column c.n, for ∅, are 0."""
+    up = side is Direction.UPPER
+    rows, cones = (c.succ_masks, c.pred_masks) if up else (c.pred_masks, c.succ_masks)
+    r = np.array(rows, dtype=np.uint64)
+    meet = _fold((r[:, None] & r).ravel(), cones, np.bitwise_and).reshape(c.n, c.n)
+    return np.pad(meet, (0, 1))  # ∅: row and column 0
 
 
 def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,21 +533,26 @@ def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> tuple[np.ndarra
 
 
 def _groups(c: Causality, kind: Kind):
-    """(group, size, meets, union), cached: group[i] is the group of
-    member i by its vertices (both sides' for BOTH), size[g] counts group
-    g, group 0 is {∅}, and meets and union are the _union_table of one
-    member per group.  Whether a union is defined, and the vertices of
-    the result, depend on the operands' vertices alone (_closed_union)."""
-    hit = c._derived.get(("groups", kind))
-    if hit is None:
-        fam = _family_array(c, kind)
-        key = np.zeros(len(fam), dtype=np.intp)
-        for side in _sides(kind):  # ∅, with vertex c.n on every side, keys 0
-            key = key * (c.n + 1) + c.n - _vertices(c, fam, side)[0]
-        _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
-                                          return_counts=True)
-        hit = c._derived["groups", kind] = (group, size, *_union_table(c, kind, fam[first]))
-    return hit
+    """(group, size, meets, union), read-only and stored: group[i] is the
+    group of member i by its vertices (both sides' for BOTH), size[g]
+    counts group g, group 0 is {∅}, and meets and union are the
+    _union_table of one member per group.  Whether a union is defined,
+    and the vertices of the result, depend on the operands' vertices
+    alone (_closed_union)."""
+    return _stored(c, ("groups", kind), _vertex_groups, kind)
+
+
+def _vertex_groups(c: Causality, kind: Kind):
+    fam = _family_array(c, kind)
+    key = np.zeros(len(fam), dtype=np.intp)
+    for side in _sides(kind):  # ∅, with vertex c.n on every side, keys 0
+        key = key * (c.n + 1) + c.n - _vertices(c, fam, side)[0]
+    _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    out = (group, size, *_union_table(c, kind, fam[first]))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
@@ -593,22 +595,28 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
     return int(law_i), int(law_iii), int(law_iv), int(law_v)
 
 
-def _distributivity_witness(c: Causality, kind: Kind) -> dict | None:
-    """The counterexample to laws IV and V over the kind's family, or None
-    when both hold (proof in verify_union_laws): ({a}, {c}, {b}) for the
-    3-chain a < b < c with the first middle point b, else ({x}, {y}, {j})
-    for the first unrelated pair x, y with a join j (a meet for
-    DIVERGENT)."""
+def _distributivity_witness(c: Causality, kind: Kind) -> tuple | None:
+    """The ids of the sets a, b and c of the counterexample to laws IV and
+    V over the kind's family, or None when both hold (proof in
+    verify_union_laws): ({a}, {c}, {b}) for the 3-chain a < b < c with
+    the first middle point b, else ({x}, {y}, {j}) for the first
+    unrelated pair x, y with a join j (a meet for DIVERGENT)."""
     for b in range(c.n):
         below, above = c.pred_masks[b] & ~(1 << b), c.succ_masks[b] & ~(1 << b)
         if below and above:
-            return dict(a=c.ids_of(below & -below), b=c.ids_of(above & -above), c=(c.points[b],))
+            return c.ids_of(below & -below), c.ids_of(above & -above), (c.points[b],)
     sides = _sides(kind)  # BOTH, with two sides, needs no join test
     for x, y in _unrelated_pairs(c) if len(sides) == 1 else ():
         bounds, meet, _ = _bound_meet(c, 1 << x | 1 << y, sides[0])
         if meet & bounds:
-            return dict(a=(c.points[x],), b=(c.points[y],), c=c.ids_of(meet & bounds))
+            return (c.points[x],), (c.points[y],), c.ids_of(meet & bounds)
     return None
+
+
+def _laws(c: Causality, kind: Kind) -> tuple:
+    """The kind's law counts (_law_counts) and its IV/V witness
+    (_distributivity_witness), as one tuple: the data of its results."""
+    return *_law_counts(c, kind), _distributivity_witness(c, kind)
 
 
 def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Kind.DIVERGENT)) -> LawReport:
@@ -678,17 +686,16 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     builds the dual family over reverse_structure(c) with the very same
     _vertex_sets call, as the same mask array.  The dual union therefore
     ANDs the same members, and is defined exactly when the union is.
+
+    Each kind's counts and witness are stored, and every call builds a
+    fresh report from them.
     """
-    kinds = tuple(kinds)
-    cached = c._derived.get(("union_laws", kinds))
-    if cached is not None:
-        return cached
     _law_cap(c, "union-law verification")
     report = LawReport("union laws")
     for kind in kinds:
         f, tag = len(_family_array(c, kind)), kind.value
-        pairs, law_iii, law_iv, law_v = _law_counts(c, kind)
-        ce = _distributivity_witness(c, kind)
+        pairs, law_iii, law_iv, law_v, witness = _stored(c, ("laws", kind), _laws, kind)
+        ce = None if witness is None else dict(zip("abc", witness))
         verdict = "holds" if ce is None else "fails"
         report.results += [
             LawResult(f"I[{tag}]", "holds", None, pairs, f * f - pairs),
@@ -697,7 +704,6 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
             LawResult(f"IV[{tag}]", verdict, ce, law_iv, f**3 - law_iv),
             LawResult(f"V[{tag}]", verdict, ce, law_v, f**3 - law_v),
         ]
-    c._derived["union_laws", kinds] = report
     return report
 
 
@@ -718,7 +724,7 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
 
     Each of the four closure verdicts, intersection-closure and
     causal-union-closure of either family, holds iff the causality has
-    the crossing property, so all four are read off the cached
+    the crossing property, so all four are read off the stored
     has_crossing_property:
 
     - intersections: both directions are proved in intersect_causal;
@@ -735,11 +741,17 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     The divergent family is the dual, through the dual form of crossing
     (proof in has_crossing_property).  A failure is built from the
     crossing witness (x, y, z, w), z and w common upper bounds of x and
-    y with no common lower bound among those bounds: the members
-    ↑{x, y} ∩ ↓z and ↑{x, y} ∩ ↓w, whose intersection holds x and y but
-    has no top, and the pair {x}, {y}, whose union is NotClosed.  The
-    divergent witnesses come the same way from the crossing witness of
-    the reversed order, which is built only when crossing fails.
+    y with no common lower bound in the set U of those bounds: the
+    members ↑{x, y} ∩ ↓z and ↑{x, y} ∩ ↓w, whose intersection holds x
+    and y but has no top, and the pair {x}, {y}, whose union is
+    NotClosed.  The divergent failure reads the same witness as
+    (z, w, x, y).  z and w are unrelated, since z ≤ w would make z a
+    common lower bound of both in U.  x and y are common lower bounds
+    of z and w, and z and w have no meet: a meet, or any common lower
+    bound of z and w above x and y, would lie in U below z and w.  So
+    ↓{z, w} ∩ ↑x and ↓{z, w} ∩ ↑y are divergent members whose
+    intersection holds z and w but has no bottom, and {z} ∪d {w} is
+    NotClosed.  No reversed order is built.
 
     Not reported, because they hold on every finite causality:
 
@@ -753,14 +765,11 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
       set is empty and images commute with intersection and plain union.
       Any bijective point map commutes with both as well.
     """
-    cached = c._derived.get("algebra_axioms")
-    if cached is not None:
-        return cached
     _law_cap(c, "algebra-axiom verification")
-    crossing = has_crossing_property(c)
-    dual = None if crossing else has_crossing_property(reverse_structure(c)).witness
+    primal = has_crossing_property(c).witness
+    dual = primal and primal[2:] + primal[:2]  # (z, w, x, y)
     report = LawReport("algebra axioms")
-    for kind, witness in ((Kind.CONVERGENT, crossing.witness), (Kind.DIVERGENT, dual)):
+    for kind, witness in ((Kind.CONVERGENT, primal), (Kind.DIVERGENT, dual)):
         group, size, meets, _ = _groups(c, kind)
         f, tag = len(group), kind.value
         pairs = f * (f + 1) // 2
@@ -791,5 +800,4 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
         skipped=sum(r.skipped for r in laws.results),
     )
     report.results.append(res)
-    c._derived["algebra_axioms"] = report
     return report

@@ -64,14 +64,26 @@ class Causality:
 
     ``relation[i, j]`` is true iff point i precedes point j.  Instances are
     immutable after construction, so all operations on them are pure.  The
-    bit-masks per row and column are built at once; everything else derived
-    from the order (the class codes of the causal sets, the families,
-    causal unions, law reports, the crossing property, the reversed
-    structure, each point's strict sets and ribbon, and the packed cover
-    diagram ``"cover"``) is kept in the one dict ``_derived``, keyed by
-    what each entry depends on.  The cover is what validation returns, or
-    ``_cover`` when the caller already has it: reverse_structure passes
-    the transpose of the original's, for an order known to be valid.
+    bit-masks per row and column are built at once; the data derived from
+    the order later is kept in the one dict ``_derived``, keyed by what
+    each entry depends on:
+
+    - ``"cover"``, the packed cover diagram;
+    - ``"crossing"``, the crossing verdict;
+    - ``"reversed"``, the reversed structure (a weak reference in the
+      reverse, back to its original);
+    - ``"class_codes"``, the class code of every causal set;
+    - ``("family", kind)`` and ``("family_arr", kind)``, each family as a
+      tuple of masks and as a read-only uint64 array;
+    - ``("groups", kind)``, the vertex groups of a family and their union
+      table, and ``("laws", kind)``, its union-law counts and witness;
+    - ``(a, b, kind)``, the finished answer of a causal union.
+
+    Entries are data, never a report or a list handed to a caller, and
+    each is made by _stored on its first read.  The cover is what
+    validation returns, or ``_cover`` when the caller already has it:
+    reverse_structure passes the transpose of the original's, for an
+    order known to be valid.
     """
 
     def __init__(self, points: Sequence[str], relation, _cover: np.ndarray | None = None):
@@ -83,6 +95,7 @@ class Causality:
         if len(pts) != rel.shape[0]:
             raise ValueError("points and relation size disagree")
         rel.setflags(write=False)
+        cover.setflags(write=False)
         self.points = pts
         self.relation = rel
         self.index = {p: i for i, p in enumerate(pts)}
@@ -116,6 +129,18 @@ class Causality:
 
     def __repr__(self) -> str:
         return f"Causality({self.n} points)"
+
+
+def _stored(c: Causality, key, build, *args):
+    """The entry ``key`` of c's derived-data store, made as ``build(c,
+    *args)`` on the first read.  Every entry is made here but the cover
+    (Causality.__init__) and the reverse with its back-reference
+    (reverse_structure).  causal_union and algebra._code_of read the store
+    directly: a read on that per-call path must build nothing."""
+    hit = c._derived.get(key)
+    if hit is None:
+        hit = c._derived[key] = build(c, *args)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +474,23 @@ def has_crossing_property(c: Causality) -> CrossingResult:
     choice of x.  So x is the greatest member of L, the meet.  The
     converse is the same argument in the reversed order.  So one scan
     decides both, and algebra.verify_algebra_axioms reads its four
-    closure verdicts off this cached result (proofs in
-    algebra.intersect_causal and there), and its counterexamples off the
-    witness here and the witness of the reversed order.
+    closure verdicts and all their counterexamples off this stored
+    result (proofs in algebra.intersect_causal and there).
     """
-    hit = c._derived.get("crossing")
-    if hit is not None:
-        return hit
+    return _stored(c, "crossing", _crossing_scan)
+
+
+def _crossing_scan(c: Causality) -> CrossingResult:
+    """has_crossing_property's scan: one join-kernel call per unrelated pair."""
     if c.n > config.MATRIX_CAP:
         raise GroundSetTooLarge(c.n, config.MATRIX_CAP, "crossing-property scan")
-    result = CrossingResult(True)
     for x, y in _unrelated_pairs(c):
         bounds, meet, _ = _bound_meet(c, 1 << x | 1 << y, Direction.UPPER)
         if bounds and not meet & bounds:
             z, w = next((z, w) for z in bits(bounds) for w in bits(bounds)
                         if not bounds & c.pred_masks[z] & c.pred_masks[w])
-            result = CrossingResult(False, tuple(c.points[i] for i in (x, y, z, w)))
-            break
-    c._derived["crossing"] = result
-    return result
+            return CrossingResult(False, tuple(c.points[i] for i in (x, y, z, w)))
+    return CrossingResult(True)
 
 
 # ---------------------------------------------------------------------------

@@ -84,33 +84,27 @@ def _cap(c: Causality, what: str) -> None:
 
 def _strict_through(c: Causality, ip: int) -> tuple[np.ndarray, np.ndarray]:
     """The strictly convergent and the strictly divergent sets through
-    point ip, as ascending uint64 mask arrays (cached)."""
-    hit = c._derived.get(("strict", ip))
-    if hit is None:
-        bit = np.uint64(1 << ip)
-        ups = _family_array(c, Kind.STRICTLY_CONVERGENT)
-        downs = _family_array(c, Kind.STRICTLY_DIVERGENT)
-        hit = c._derived["strict", ip] = (ups[(ups & bit) != 0], downs[(downs & bit) != 0])
-    return hit
+    point ip, as ascending uint64 mask arrays, filtered from the stored
+    strict families."""
+    bit = np.uint64(1 << ip)
+    ups = _family_array(c, Kind.STRICTLY_CONVERGENT)
+    downs = _family_array(c, Kind.STRICTLY_DIVERGENT)
+    return ups[(ups & bit) != 0], downs[(downs & bit) != 0]
 
 
-def _pair_grid(c: Causality, ip: int) -> np.ndarray:
+def _pair_grid(ups: np.ndarray, downs: np.ndarray, ip: int) -> np.ndarray:
     """The ups × downs grid of the strict sets through point ip, true
     where the two meet exactly at ip: one cell per ribbon pair."""
-    ups, downs = _strict_through(c, ip)
     return (ups[:, None] & downs[None, :]) == np.uint64(1 << ip)
 
 
 def _ribbon_masks(c: Causality, ip: int) -> tuple[np.ndarray, np.ndarray]:
     """The ribbon over point ip as two aligned uint64 arrays, the upper
-    and the lower component of each pair, ascending by (upper, lower)
-    (cached).  Row-major order of the pair grid gives that order."""
-    hit = c._derived.get(("ribbon", ip))
-    if hit is None:
-        ups, downs = _strict_through(c, ip)
-        i, j = np.nonzero(_pair_grid(c, ip))
-        hit = c._derived["ribbon", ip] = (ups[i], downs[j])
-    return hit
+    and the lower component of each pair, ascending by (upper, lower).
+    Row-major order of the pair grid gives that order."""
+    ups, downs = _strict_through(c, ip)
+    i, j = np.nonzero(_pair_grid(ups, downs, ip))
+    return ups[i], downs[j]
 
 
 def _pair(c: Causality, a: int, b: int) -> RibbonPair:
@@ -144,14 +138,14 @@ def ribbon(c: Causality, p: str) -> Ribbon:
 # Density and regularity
 # ---------------------------------------------------------------------------
 
-def _cut_masks(c: Causality, ip: int, base: int) -> np.ndarray:
-    """Non-trivial cuts of ``base`` by strict sets through the point,
-    ascending.
+def _cut_masks(strict: tuple[np.ndarray, np.ndarray], ip: int, base: int) -> np.ndarray:
+    """Non-trivial cuts of ``base`` by the strict sets through point ip
+    (_strict_through), ascending.
 
     Non-trivial means different from the bare singleton {p}; every cut
     contains p because both operands do.
     """
-    cuts = np.unique(np.concatenate(_strict_through(c, ip)) & np.uint64(base))
+    cuts = np.unique(np.concatenate(strict) & np.uint64(base))
     return cuts[cuts != np.uint64(1 << ip)]
 
 
@@ -169,8 +163,8 @@ def _density_gap(c: Causality, ip: int, a: int, b: int) -> tuple[int, int] | Non
     a and b are cuts of themselves.  The collapse in is_dense says a gap
     always exists; the test does not assume it.
     """
-    ups, downs = _strict_through(c, ip)
-    cuts_a, cuts_b = _cut_masks(c, ip, a), _cut_masks(c, ip, b)
+    ups, downs = strict = _strict_through(c, ip)
+    cuts_a, cuts_b = _cut_masks(strict, ip, a), _cut_masks(strict, ip, b)
     ok_a = ((ups[None, :] & ~cuts_a[:, None]) == 0).any(axis=1)
     ok_b = ((downs[None, :] & ~cuts_b[:, None]) == 0).any(axis=1)
     i = int(np.argmin(ok_a)) if ok_b.all() else 0
@@ -364,7 +358,7 @@ def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> Reco
     _cap(c, "order reconstruction")
     diagnostics: dict[str, dict] = {}
     for ip, p in enumerate(c.points):
-        count = int(np.count_nonzero(_pair_grid(c, ip)))
+        count = int(np.count_nonzero(_pair_grid(*_strict_through(c, ip), ip)))
         diag = {"ribbon_pairs": count, "regular": not count, "empty": not count}
         if count:
             diag["failing_condition"] = "density"

@@ -24,7 +24,7 @@ from causalorder.algebra import (
     _union_table,
 )
 from causalorder.order import validate_matrix
-from causalorder.reconstruction import _cut_masks, _density_gap, _ribbon_masks
+from causalorder.reconstruction import _cut_masks, _density_gap, _ribbon_masks, _strict_through
 
 
 @pytest.fixture
@@ -271,7 +271,8 @@ def product_density_gap(c, ip, a, b):
     pair over point ip refines, or None, by one boolean product of
     (cuts × pairs) by (pairs × cuts).  The reference for the per-cut
     density test, which replaced this product."""
-    cuts_a, cuts_b = _cut_masks(c, ip, a), _cut_masks(c, ip, b)
+    strict = _strict_through(c, ip)
+    cuts_a, cuts_b = _cut_masks(strict, ip, a), _cut_masks(strict, ip, b)
     upper, lower = _ribbon_masks(c, ip)
     sub_a = ((upper[None, :] & ~cuts_a[:, None]) == 0).astype(np.int64)
     sub_b = ((lower[None, :] & ~cuts_b[:, None]) == 0).astype(np.int64)

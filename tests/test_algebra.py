@@ -354,7 +354,6 @@ def _check_bound_table(c):
     """_bound_table against the kernel, pair by pair, on both sides."""
     for side in (Direction.UPPER, Direction.LOWER):
         table = _bound_table(c, side)
-        assert table is _bound_table(c, side)  # cached per side
         assert table.shape == (c.n + 1, c.n + 1)
         assert not table[c.n].any() and not table[:, c.n].any()  # ∅ has no vertex
         for v in range(c.n):
@@ -661,6 +660,8 @@ def test_family_array_built_on_first_use(l33):
         arr = _family_array(l33, kind)
         assert arr.dtype == np.uint64 and arr.tolist() == family_masks(l33, kind)
         assert _family_array(l33, kind) is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def test_derived_data_kept_only_in_the_store(l33):
@@ -1248,6 +1249,27 @@ def test_law_cache_keeps_kinds_apart(chain3):
     assert [r.law for r in both.results] == [
         f"{law}[{tag}]" for tag in ("convergent", "divergent") for law in laws
     ]
+
+
+def test_law_reports_are_fresh_each_call(chain3):
+    # the store keeps the counts and the witness, not a report, so editing
+    # a report changes no later verdict
+    co.verify_union_laws(chain3).results.clear()
+    assert len(co.verify_union_laws(chain3).results) == 10
+    res = co.verify_algebra_axioms(chain3).result("union-laws")
+    assert (res.verdict, res.checked) == ("fails", 2170)
+    co.verify_algebra_axioms(chain3).results.clear()
+    assert len(co.verify_algebra_axioms(chain3).results) == 5
+    co.verify_union_laws(chain3).result("IV[convergent]").counterexample.clear()
+    assert co.verify_union_laws(chain3).result("IV[convergent]").counterexample == {
+        "a": ("a",), "b": ("c",), "c": ("b",)}
+    assert co.verify_union_laws(chain3) is not co.verify_union_laws(chain3)
+
+
+def test_family_masks_hands_out_a_copy(chain3):
+    family_masks(chain3, Kind.CONVERGENT).pop()
+    assert len(co.enumerate_causal_sets(chain3, Kind.CONVERGENT)) == 7
+    assert len(co.constant_measure(chain3, Kind.CONVERGENT).table) == 7
 
 
 def test_law_report_json_shape(chain3):

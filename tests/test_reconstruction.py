@@ -186,18 +186,18 @@ def test_ribbons_match_oracle_on_random_posets(seed, n, p_edge):
     _check_ribbons(random_poset(n, p_edge, np.random.default_rng(seed)))
 
 
-def test_ribbons_stored_as_arrays_once(l33, not_dense_7):
-    # the store keeps no PointSet, which would point back at the causality;
-    # reconstruction counts the pairs, so it keeps each point's strict sets
-    # and no ribbon
+def test_reconstruction_stores_only_the_strict_families(l33, not_dense_7):
+    # reconstruction counts each point's pairs from the two strict family
+    # arrays, which it reads once per point: it stores no strict sets, no
+    # ribbon and no PointSet, which would point back at the causality
+    strict = (Kind.STRICTLY_CONVERGENT, Kind.STRICTLY_DIVERGENT)
+    want = {"cover", "class_codes", *((name, kind) for name in ("family", "family_arr")
+                                      for kind in strict)}
     for c in (l33, not_dense_7):
-        co.reconstruct_order(c)
-        keys = set(c._derived)
-        for ip in range(c.n):
-            assert all(type(a) is np.ndarray for a in c._derived["strict", ip]), ip
-            assert ("ribbon", ip) not in keys
-        co.reconstruct_order(c)
-        assert set(c._derived) == keys
+        for _ in range(2):
+            co.reconstruct_order(c)
+            assert set(c._derived) == want
+        assert not any(c._derived["family_arr", kind].flags.writeable for kind in strict)
 
 
 def test_reversal_report_builds_nothing(l33):

@@ -1,7 +1,8 @@
 """Checks on the library source: no private module-level name that
 nothing in ``src/causalorder`` refers to, no import a module never uses,
-each size cap read where it is enforced, in exactly one function, and
-matrix products only in the one product kernel.
+each size cap read where it is enforced, in exactly one function,
+matrix products only in the one product kernel, and the derived-data
+store written in one accessor.
 
 The package ``__init__`` is exempt from the import check, because its
 imports are the public namespace.
@@ -139,3 +140,31 @@ def test_matrix_products_only_in_the_kernel():
     called anywhere, so no second product path grows beside it: counting
     stays in int64 einsum and bincount."""
     assert _enclosing(_matmul) == {"@": {"order._compose"}}
+
+
+def _store_write(node: ast.AST) -> str | None:
+    """How ``node`` writes a ``_derived`` store, if it does: binding the
+    attribute, assigning or deleting an entry, or calling a mutating dict
+    method on it."""
+    targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+               else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+    for t in targets:
+        if isinstance(t, ast.Attribute) and t.attr == "_derived":
+            return "_derived ="
+        if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute) and t.value.attr == "_derived":
+            return "_derived[...] ="
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "_derived"
+            and node.func.attr in ("__setitem__", "setdefault", "update", "pop", "popitem", "clear")):
+        return f"_derived.{node.func.attr}("
+    return None
+
+
+def test_store_entries_made_in_one_accessor():
+    """order._stored makes every entry of Causality._derived.  The store
+    is bound in Causality.__init__ with the cover, and reverse_structure
+    writes the reverse and its weak back-reference; no other code writes."""
+    assert _enclosing(_store_write) == {
+        "_derived =": {"order.__init__"},
+        "_derived[...] =": {"order._stored", "order.reverse_structure"},
+    }
