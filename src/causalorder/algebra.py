@@ -28,7 +28,9 @@ from .order import (
     Direction,
     PointSet,
     _bound_meet,
+    _frozen,
     _require_owner,
+    _rows_cones,
     _stored,
     _unrelated_pairs,
     complete_mask,
@@ -221,9 +223,7 @@ def _family_array(c: Causality, kind: Kind) -> np.ndarray:
 def _uint64_family(c: Causality, kind: Kind) -> np.ndarray:
     # the one uint64 conversion of masks: family_masks stops at
     # ENUMERATION_CAP (20) points, so every mask stays below 2^64
-    arr = np.array(family_masks(c, kind), dtype=np.uint64)
-    arr.setflags(write=False)
-    return arr
+    return _frozen(np.array(family_masks(c, kind), dtype=np.uint64))
 
 
 # Every bit set: the mark of a pair with no common superset in the union
@@ -446,21 +446,6 @@ class LawReport:
         return "\n".join(lines)
 
 
-def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, witness) -> LawResult:
-    """The result of scanning the ``scanned`` cells of a family table in
-    row-major order: ``checked`` cells count as checked and the others as
-    skipped, until the first ``bad`` one (a checked cell), which fails
-    with the counterexample ``witness(*cell)``."""
-    hits = np.flatnonzero(bad & scanned)
-    stop = int(hits[0]) + 1 if hits.size else None
-    n_scanned = int(np.count_nonzero(scanned.ravel()[:stop]))
-    n_checked = int(np.count_nonzero((scanned & checked).ravel()[:stop]))
-    if stop is None:
-        return LawResult(law, "holds", None, n_checked, n_scanned - n_checked)
-    cell = np.unravel_index(stop - 1, bad.shape)
-    return LawResult(law, "fails", witness(*cell), n_checked, n_scanned - n_checked)
-
-
 # ---------------------------------------------------------------------------
 # Union laws I-V
 # ---------------------------------------------------------------------------
@@ -500,8 +485,7 @@ def _bound_table(c: Causality, side: Direction) -> np.ndarray:
     AND of ↓q over their common upper bounds q, for UPPER), or _NONE
     where they have no common bound: one AND fold of the cones over the
     common-bound masks.  Row and column c.n, for ∅, are 0."""
-    up = side is Direction.UPPER
-    rows, cones = (c.succ_masks, c.pred_masks) if up else (c.pred_masks, c.succ_masks)
+    rows, cones = _rows_cones(c, side)
     r = np.array(rows, dtype=np.uint64)
     meet = _fold((r[:, None] & r).ravel(), cones, np.bitwise_and).reshape(c.n, c.n)
     return np.pad(meet, (0, 1))  # ∅: row and column 0
@@ -549,10 +533,7 @@ def _vertex_groups(c: Causality, kind: Kind):
         key = key * (c.n + 1) + c.n - _vertices(c, fam, side)[0]
     _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    out = (group, size, *_union_table(c, kind, fam[first]))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return tuple(map(_frozen, (group, size, *_union_table(c, kind, fam[first]))))
 
 
 def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
@@ -601,8 +582,8 @@ def _distributivity_witness(c: Causality, kind: Kind) -> tuple | None:
     verify_union_laws): ({a}, {c}, {b}) for the 3-chain a < b < c with
     the first middle point b, else ({x}, {y}, {j}) for the first
     unrelated pair x, y with a join j (a meet for DIVERGENT)."""
-    for b in range(c.n):
-        below, above = c.pred_masks[b] & ~(1 << b), c.succ_masks[b] & ~(1 << b)
+    for b, (below, above) in enumerate(zip(c.pred_masks, c.succ_masks)):
+        below, above = below & ~(1 << b), above & ~(1 << b)
         if below and above:
             return c.ids_of(below & -below), c.ids_of(above & -above), (c.points[b],)
     sides = _sides(kind)  # BOTH, with two sides, needs no join test

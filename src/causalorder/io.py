@@ -70,19 +70,14 @@ def _relation_bytes(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> bytes:
     return rows[0].encode() + text.ravel()[:-len(row_sep)].tobytes() + rows[2].encode()
 
 
-def _relation_json(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> str:
-    """:func:`_relation_bytes` decoded once."""
-    return _relation_bytes(rel, rows, cells).decode("ascii")
-
-
 def _causality_json(c: Causality, indent: int | None = None) -> str:
     """``json.dumps(causality_to_dict(c), indent=indent, sort_keys=True)``
-    with the relation written by :func:`_relation_json`."""
+    with the relation written by :func:`_relation_bytes`."""
     head = {"closure": "explicit", "points": list(c.points), "relation": 0}
     # "relation" sorts last, so the last "0" of the text is its value
     before, _, after = json.dumps(head, indent=indent, sort_keys=True).rpartition("0")
     rows, cells = _brackets(indent, 1), _brackets(indent, 2)
-    return before + _relation_json(c.relation, rows, cells) + after
+    return before + _relation_bytes(c.relation, rows, cells).decode("ascii") + after
 
 
 def _relation_matrix(rows) -> np.ndarray:

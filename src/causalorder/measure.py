@@ -20,10 +20,10 @@ import numpy as np
 from .algebra import (
     Kind,
     LawReport,
+    LawResult,
     _family_array,
     _index_in,
     _law_cap,
-    _scan,
     _union_table,
     family_masks,
 )
@@ -135,6 +135,19 @@ def constant_measure(c: Causality, kind: Kind = Kind.DIVERGENT) -> CausalMeasure
     equality case on every larger set.
     """
     return CausalMeasure(c, kind, {m: 1.0 for m in family_masks(c, kind)})
+
+
+def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, witness) -> LawResult:
+    """The result of scanning the ``scanned`` cells of a family table in
+    row-major order: ``checked`` cells count as checked and the others as
+    skipped, until the first ``bad`` one (a checked cell), which fails
+    with the counterexample ``witness(*cell)``."""
+    hits = np.flatnonzero(bad & scanned)
+    stop = int(hits[0]) + 1 if hits.size else None
+    n_scanned = int(np.count_nonzero(scanned.ravel()[:stop]))
+    n_checked = int(np.count_nonzero((scanned & checked).ravel()[:stop]))
+    ce = None if stop is None else witness(*np.unravel_index(stop - 1, bad.shape))
+    return LawResult(law, "holds" if stop is None else "fails", ce, n_checked, n_scanned - n_checked)
 
 
 def verify_measure_axioms(

@@ -60,15 +60,19 @@ class Direction(Enum):
 
 
 class Causality:
-    """A finite poset: ordered point identifiers plus a dense relation matrix.
+    """A finite poset: ordered point identifiers plus one relation.
 
-    ``relation[i, j]`` is true iff point i precedes point j.  Instances are
-    immutable after construction, so all operations on them are pure.  The
-    bit-masks per row and column are built at once; the data derived from
-    the order later is kept in the one dict ``_derived``, keyed by what
+    Point i precedes point j iff bit j of row i is set.  Instances are
+    immutable after construction, so all operations on them are pure.
+    The order is kept once, as its rows packed by ``np.packbits(...,
+    axis=1, bitorder="little")``; every other form of it, and the data
+    derived from it, lives in the one dict ``_derived``, keyed by what
     each entry depends on:
 
-    - ``"cover"``, the packed cover diagram;
+    - ``"rows"``, the packed rows, and ``"cover"``, the packed cover
+      diagram, both made at construction;
+    - ``"relation"``, ``"succ"`` and ``"pred"``, the views behind
+      :attr:`relation`, :attr:`succ_masks` and :attr:`pred_masks`;
     - ``"crossing"``, the crossing verdict;
     - ``"reversed"``, the reversed structure (a weak reference in the
       reverse, back to its original);
@@ -81,28 +85,46 @@ class Causality:
 
     Entries are data, never a report or a list handed to a caller, and
     each is made by _stored on its first read.  The cover is what
-    validation returns, or ``_cover`` when the caller already has it:
-    reverse_structure passes the transpose of the original's, for an
-    order known to be valid.
+    validation returns.  ``_cover``, when given, is the pair (cover,
+    rows) of an order known to be valid, and ``relation`` is then not
+    read: reverse_structure passes the transposes of the original's.
     """
 
-    def __init__(self, points: Sequence[str], relation, _cover: np.ndarray | None = None):
-        rel = np.array(relation, dtype=bool)
-        cover = validate_matrix(rel) if _cover is None else _cover
+    def __init__(self, points: Sequence[str], relation, _cover: tuple[np.ndarray, np.ndarray] | None = None):
+        if _cover is None:
+            rel = np.asarray(relation, dtype=bool)
+            _cover = validate_matrix(rel), np.packbits(rel, axis=1, bitorder="little")
         pts = tuple(str(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("point identifiers must be unique")
-        if len(pts) != rel.shape[0]:
+        cover, rows = _cover
+        if len(pts) != len(rows):
             raise ValueError("points and relation size disagree")
-        rel.setflags(write=False)
-        cover.setflags(write=False)
         self.points = pts
-        self.relation = rel
         self.index = {p: i for i, p in enumerate(pts)}
-        self.succ_masks = _row_masks(rel)
-        self.pred_masks = _row_masks(rel.T)
         self.full_mask = (1 << len(pts)) - 1
-        self._derived: dict[object, object] = {"cover": cover}
+        self._derived: dict[object, object] = {"cover": _frozen(cover), "rows": _frozen(rows)}
+
+    @property
+    def relation(self) -> np.ndarray:
+        """The order as a read-only n × n bool matrix: ``relation[i, j]``
+        iff point i precedes point j."""
+        return _stored(self, "relation", lambda c: _frozen(_unpack(c._derived["rows"], c.n)))
+
+    # Every per-mask query reads the masks once per call, so a view already
+    # made is read straight off the store; a miss, or the empty list of an
+    # empty order, goes through _stored.
+
+    @property
+    def succ_masks(self) -> list[int]:
+        """Row i as an int: bit j set iff point i precedes point j."""
+        return self._derived.get("succ") or _stored(self, "succ", lambda c: _ints(c._derived["rows"]))
+
+    @property
+    def pred_masks(self) -> list[int]:
+        """Column i as an int: bit j set iff point j precedes point i."""
+        return self._derived.get("pred") or _stored(
+            self, "pred", lambda c: _ints(_transpose(c._derived["rows"], c.n)))
 
     @property
     def n(self) -> int:
@@ -110,7 +132,8 @@ class Causality:
 
     def leq(self, x: str, y: str) -> bool:
         """True iff point ``x`` precedes point ``y``."""
-        return bool(self.relation[self.index[x], self.index[y]])
+        j = self.index[y]
+        return bool(self._derived["rows"][self.index[x], j >> 3] >> (j & 7) & 1)
 
     def mask_of(self, ids: Iterable[str]) -> int:
         m = 0
@@ -134,13 +157,21 @@ class Causality:
 def _stored(c: Causality, key, build, *args):
     """The entry ``key`` of c's derived-data store, made as ``build(c,
     *args)`` on the first read.  Every entry is made here but the cover
-    (Causality.__init__) and the reverse with its back-reference
-    (reverse_structure).  causal_union and algebra._code_of read the store
-    directly: a read on that per-call path must build nothing."""
+    and the rows (Causality.__init__) and the reverse with its
+    back-reference (reverse_structure).  causal_union, algebra._code_of,
+    succ_masks and pred_masks read the store directly first: on that
+    per-call path, reading a made entry calls nothing."""
     hit = c._derived.get(key)
     if hit is None:
         hit = c._derived[key] = build(c, *args)
     return hit
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: the store's numpy entries are data that
+    no caller may edit."""
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +239,21 @@ def _closure(rel: np.ndarray) -> np.ndarray:
         closed = squared
 
 
-def _row_masks(rel: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j set iff rel[i, j].
-    A strided view (a transpose) is copied to rows first: packing the copy
-    is faster than packing the view."""
-    packed = np.packbits(np.ascontiguousarray(rel), axis=1, bitorder="little")
+def _ints(packed: np.ndarray) -> list[int]:
+    """Each packed row as an int, bit j set iff bit j of the row is."""
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The n × n bool matrix whose rows are ``packed``."""
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _transpose(packed: np.ndarray, n: int) -> np.ndarray:
+    """The packed rows of the transpose of the n × n matrix whose rows are
+    ``packed``.  The transpose is copied to C order before packing: 0.8 ms
+    against 3.5 ms for the strided view at n = 1000."""
+    return np.packbits(np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="little")
 
 
 def validate_matrix(relation: np.ndarray) -> np.ndarray:
@@ -340,10 +380,7 @@ def incomplete_diamond(c: Causality, x: str, direction: Direction) -> PointSet:
 
     UPPER returns {z : z <= x}, LOWER returns {z : x <= z}; both contain x.
     """
-    i = c.index[x]
-    if direction is Direction.UPPER:
-        return PointSet(c, c.pred_masks[i])
-    return PointSet(c, c.succ_masks[i])
+    return PointSet(c, _rows_cones(c, direction)[1][c.index[x]])
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +392,10 @@ def complete_mask(c: Causality, mask: int) -> bool:
     """↓S ∩ ↑S = S: the points below some member and above some member are
     the union of the diamonds between members, which contains S."""
     down = up = 0
+    preds, succs = c.pred_masks, c.succ_masks
     for x in bits(mask):
-        down |= c.pred_masks[x]
-        up |= c.succ_masks[x]
+        down |= preds[x]
+        up |= succs[x]
     return down & up == mask
 
 
@@ -380,6 +418,12 @@ def vertex_bit(c: Causality, mask: int, direction: Direction) -> int:
     return common
 
 
+def _rows_cones(c: Causality, side: Direction) -> tuple[list[int], list[int]]:
+    """Each point's masks toward ``side`` and its cones back from it:
+    (succ_masks, pred_masks) for UPPER, (pred_masks, succ_masks) for LOWER."""
+    return (c.succ_masks, c.pred_masks) if side is Direction.UPPER else (c.pred_masks, c.succ_masks)
+
+
 def _bound_meet(c: Causality, x: int, side: Direction) -> tuple[int, int, int]:
     """The join kernel, for the points of mask x and one side (UPPER or
     LOWER): (bounds, meet, reach).
@@ -391,10 +435,7 @@ def _bound_meet(c: Causality, x: int, side: Direction) -> tuple[int, int, int]:
     the join of x, iff it lies in ``meet``; ``meet`` is then its cone.
     The causal union, its tables and the crossing scan all read it.
     """
-    if side is Direction.UPPER:
-        rows, cones = c.succ_masks, c.pred_masks
-    else:
-        rows, cones = c.pred_masks, c.succ_masks
+    rows, cones = _rows_cones(c, side)
     bounds, reach = c.full_mask, 0
     for i in bits(x):
         bounds &= rows[i]
@@ -431,8 +472,8 @@ def is_divergent(c: Causality, u: PointSet) -> bool:
 
 def _unrelated_pairs(c: Causality) -> Iterator[tuple[int, int]]:
     """The index pairs x < y of unrelated points, in row-major order."""
-    for x in range(c.n):
-        for y in bits(c.full_mask & ~((2 << x) - 1 | c.succ_masks[x] | c.pred_masks[x])):
+    for x, (up, down) in enumerate(zip(c.succ_masks, c.pred_masks)):
+        for y in bits(c.full_mask & ~((2 << x) - 1 | up | down)):
             yield x, y
 
 
@@ -487,8 +528,9 @@ def _crossing_scan(c: Causality) -> CrossingResult:
     for x, y in _unrelated_pairs(c):
         bounds, meet, _ = _bound_meet(c, 1 << x | 1 << y, Direction.UPPER)
         if bounds and not meet & bounds:
+            preds = c.pred_masks
             z, w = next((z, w) for z in bits(bounds) for w in bits(bounds)
-                        if not bounds & c.pred_masks[z] & c.pred_masks[w])
+                        if not bounds & preds[z] & preds[w])
             return CrossingResult(False, tuple(c.points[i] for i in (x, y, z, w)))
     return CrossingResult(True)
 
@@ -548,16 +590,14 @@ def reverse_structure(c: Causality) -> Causality:
     The reverse refers back to the original through a weak reference, so
     the pair forms no cycle and a finished causality is freed at once,
     without waiting for the cyclic garbage collector.  It is not validated
-    again: its cover diagram is the transpose of the original's."""
+    again: its cover diagram and its rows are the transposes of the
+    original's."""
     rev = c._derived.get("reversed")
     if type(rev) is weakref.ref:
         rev = rev()
     if rev is None:
-        cover = np.unpackbits(c._derived["cover"], axis=1, count=c.n, bitorder="little")
-        # packbits of a C-order copy of the transpose: 0.8 ms against 3.5
-        # ms for the strided view at n = 1000
-        rev = c._derived["reversed"] = Causality(
-            c.points, c.relation.T.copy(), np.packbits(cover.T.copy(), axis=1, bitorder="little"))
+        packed = (_transpose(c._derived[key], c.n) for key in ("cover", "rows"))
+        rev = c._derived["reversed"] = Causality(c.points, None, tuple(packed))
         rev._derived["reversed"] = weakref.ref(c)
     return rev
 
@@ -575,7 +615,4 @@ def reverse(c: Causality, reversal: OrderReversal, u: PointSet) -> PointSet:
         return PointSet(reverse_structure(c), u.mask)
     if reversal.causality is not c:
         raise ValueError("reversal does not belong to this causality")
-    mapped = 0
-    for i in bits(u.mask):
-        mapped |= 1 << reversal.mapping[i]
-    return PointSet(c, mapped)
+    return c.subset(c.points[reversal.mapping[i]] for i in bits(u.mask))

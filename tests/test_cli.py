@@ -347,7 +347,7 @@ def test_cli_jobs_leave_only_the_store_entries_they_read_again(tmp_path, monkeyp
     assert run("verify", "--input", path, "--suite", "measure-axioms,monotonicity",
                "--measure", str(mfile), "--output", out) == 0
     assert run("reconstruct", "--input", path, "--output", out) == 0
-    families = {"cover", "class_codes", "family", "family_arr"}
+    families = {"cover", "rows", "succ", "pred", "class_codes", "family", "family_arr"}
     assert [{key if isinstance(key, str) else key[0] for key in d._derived} for d in loaded] == [
         families | {"crossing", "groups", "laws"}, families, families]
 

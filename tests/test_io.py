@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import causalorder as co
-from causalorder.io import _fast_document, _relation_json
+from causalorder.io import _fast_document, _relation_bytes
 
 from conftest import MALFORMED_CAUSALITY, random_poset
 
@@ -201,13 +201,27 @@ def test_from_dict_parity(relation, expected):
     lambda n: hnp.arrays(bool, (n, n)) | st.sampled_from([np.ones((n, n), bool),
                                                           np.zeros((n, n), bool)])))
 def test_relation_json_equals_json_dumps(rel):
-    assert _relation_json(rel) == json.dumps(rel.astype(int).tolist())
+    assert _relation_bytes(rel).decode("ascii") == json.dumps(rel.astype(int).tolist())
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_relation_json_at_sizes_0_and_1(n):
     for rel in (np.zeros((n, n), bool), np.ones((n, n), bool)):
-        assert _relation_json(rel) == json.dumps(rel.astype(int).tolist())
+        assert _relation_bytes(rel).decode("ascii") == json.dumps(rel.astype(int).tolist())
+
+
+def test_loads_sprinkles_and_cover_exports_keep_only_the_packed_forms(l33):
+    # the order is stored once, as its packed rows next to the packed
+    # cover: a load, a sprinkle and the cover exports build no other form
+    buf = io.StringIO()
+    co.dump_causality(l33, buf)
+    sprinkled = co.sprinkle(co.SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=40, seed=3))
+    for c in (co.load_causality(io.StringIO(buf.getvalue())),
+              co.causality_from_dict(co.causality_to_dict(l33)), sprinkled.causality):
+        assert set(c._derived) == {"cover", "rows"}
+        co.cover_relation(c)
+        co.to_dot(c)
+        assert set(c._derived) == {"cover", "rows"}
 
 
 def _assert_dump_matches_pure_python_encoder(c):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalorder as co
-from causalorder.order import _BLOCK, _closure, _compose, _row_masks, validate_matrix
+from causalorder.order import _BLOCK, _closure, _compose, _ints, _transpose, validate_matrix
 
 from conftest import (
     matrix_of,
@@ -88,7 +88,8 @@ def test_cover_relation_matches_oracle(graph):
 def test_row_masks_match_rows(graph):
     n, edges = graph
     rel = matrix_of(n, edges)
-    for masks, mat in ((_row_masks(rel), rel), (_row_masks(rel.T), rel.T)):
+    rows = np.packbits(rel, axis=1, bitorder="little")
+    for masks, mat in ((_ints(rows), rel), (_ints(_transpose(rows, n)), rel.T)):
         assert masks == [
             sum(1 << int(j) for j in np.flatnonzero(row)) for row in mat
         ]
@@ -98,7 +99,7 @@ def test_kernel_on_empty_relation():
     empty = np.zeros((0, 0), dtype=bool)
     assert _compose(empty, empty).shape == (0, 0)
     assert _closure(empty).shape == (0, 0)
-    assert _row_masks(empty) == []
+    assert _ints(_transpose(np.packbits(empty, axis=1, bitorder="little"), 0)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +288,31 @@ def test_reverse_structure_takes_its_cover_with_no_product(n, monkeypatch):
     _check_cover(rev, True)
     co.to_dot(rev)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The packed rows, the one stored form of the order, and their views
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, _BLOCK + 44])
+def test_views_match_the_matrix_passed_in(n):
+    """relation, succ_masks, pred_masks and leq read the packed rows; each
+    equals the matrix the causality was built from, and the reverse's its
+    transpose, at sizes on either side of a byte of the packing and past
+    _BLOCK (a sprinkle, validated by the blocked kernel)."""
+    rng = np.random.default_rng(n)
+    rel = _order(rng, n, "sprinkle1") if n > _BLOCK else _product_closure(np.triu(rng.random((n, n)) < 0.3))
+    rel = _relabel(rng, rel)
+    given = rel.copy()
+    c = co.validate_causality([f"v{i}" for i in range(n)], given)
+    given[:] = False  # the causality keeps no reference to its input
+    assert set(c._derived) == {"cover", "rows"}
+    rev = co.reverse_structure(c)
+    for d, mat in ((c, rel), (rev, rel.T)):
+        assert d.relation.dtype == bool and d.relation.shape == (n, n)
+        assert not d.relation.flags.writeable
+        assert np.array_equal(d.relation, mat)
+        assert d.succ_masks == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in mat]
+        assert d.pred_masks == [sum(1 << int(j) for j in np.flatnonzero(row)) for row in mat.T]
+        assert [[d.leq(x, y) for y in d.points] for x in d.points] == mat.tolist()
+    assert (rev.succ_masks, rev.pred_masks) == (c.pred_masks, c.succ_masks)

@@ -191,7 +191,7 @@ def test_reconstruction_stores_only_the_strict_families(l33, not_dense_7):
     # arrays, which it reads once per point: it stores no strict sets, no
     # ribbon and no PointSet, which would point back at the causality
     strict = (Kind.STRICTLY_CONVERGENT, Kind.STRICTLY_DIVERGENT)
-    want = {"cover", "class_codes", *((name, kind) for name in ("family", "family_arr")
+    want = {"cover", "rows", "succ", "pred", "class_codes", *((name, kind) for name in ("family", "family_arr")
                                       for kind in strict)}
     for c in (l33, not_dense_7):
         for _ in range(2):
@@ -201,10 +201,11 @@ def test_reconstruction_stores_only_the_strict_families(l33, not_dense_7):
 
 
 def test_reversal_report_builds_nothing(l33):
-    # the report follows from the proof: no reverse, no family of either side
+    # the report follows from the proof: no reverse, no family of either
+    # side, and no form of the order but the packed rows and cover
     rep = co.verify_reversal_theorem(l33)
     assert rep.all_hold
-    assert set(l33._derived) == {"cover"}
+    assert set(l33._derived) == {"cover", "rows"}
 
 
 # ---------------------------------------------------------------------------
