@@ -500,7 +500,8 @@ def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> tuple[np.ndarra
     of i | j on a side are those of the vertices v_i and v_j, so the AND
     is (reach_i | reach_j) & B[v_i, v_j] with B the _bound_table, and the
     AND of both sides' B entries for BOTH.  The laws and axioms pass one
-    member per vertex group (_groups), the measure suite every member."""
+    member per vertex group (_vertex_groups), the measure suite every
+    member."""
     sides = _sides(kind)
     meets = np.full((len(masks), len(masks)), c.full_mask, dtype=np.uint64)
     undefined = np.zeros(meets.shape, dtype=bool)
@@ -516,35 +517,33 @@ def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> tuple[np.ndarra
     return meets, _index_in(_family_array(c, kind), meets)
 
 
-def _groups(c: Causality, kind: Kind):
-    """(group, size, meets, union), read-only and stored: group[i] is the
-    group of member i by its vertices (both sides' for BOTH), size[g]
-    counts group g, group 0 is {∅}, and meets and union are the
-    _union_table of one member per group.  Whether a union is defined,
-    and the vertices of the result, depend on the operands' vertices
-    alone (_closed_union)."""
-    return _stored(c, ("groups", kind), _vertex_groups, kind)
-
-
 def _vertex_groups(c: Causality, kind: Kind):
+    """(group, size, meets, union): group[i] is the group of member i by
+    its vertices (both sides' for BOTH), size[g] counts group g, group 0
+    is {∅}, and meets and union are the _union_table of one member per
+    group.  Whether a union is defined, and the vertices of the result,
+    depend on the operands' vertices alone (_closed_union)."""
     fam = _family_array(c, kind)
     key = np.zeros(len(fam), dtype=np.intp)
     for side in _sides(kind):  # ∅, with vertex c.n on every side, keys 0
         key = key * (c.n + 1) + c.n - _vertices(c, fam, side)[0]
     _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return tuple(map(_frozen, (group, size, *_union_table(c, kind, fam[first]))))
+    return group, size, *_union_table(c, kind, fam[first])
 
 
-def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
+def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
     """The numbers of member pairs (A, B) on which law I, and of triples
     (A, B, C) on which law III, IV and V, has both sides defined: every
-    union is defined and every intersection that is united is a member.
+    union is defined and every intersection that is united is a member;
+    then the number of unordered member pairs, a member with itself
+    included, that have a superset of the kind (verify_algebra_axioms).
 
     ok[g, h] tells whether the union of a member of vertex group g and
     one of group h is defined, at[g, h] is the group of that union
-    (_groups), and ok is symmetric.  Laws I and III count each pair or
-    triple of groups where it is defined at the product of their sizes.
+    (_vertex_groups), and ok is symmetric.  Laws I and III count each
+    pair or triple of groups where it is defined at the product of their
+    sizes.
     Laws IV and V read ok alone, so they sum over classes of groups with
     equal ok rows: g and g' of one class are interchangeable in each ok
     factor, as ok[g, h] = ok[g', h] by their equal rows and ok[h, g] =
@@ -556,7 +555,9 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
     alone, so it sums hist with its rows K summed by class.  Counts are int64.
     """
     fam = _family_array(c, kind)
-    group, size, _, union = _groups(c, kind)
+    group, size, meets, union = _vertex_groups(c, kind)
+    # the ordered pairs with a superset, the f pairs A, A among them, halved
+    found = (int(np.einsum("g,gh,h->", size, meets != _NONE, size, dtype=np.int64)) + len(fam)) // 2
     ok, at = union >= 0, group[union]  # at: the group of the union, where ok
     defined = ok[:, :, None] & ok[at] & ok[None, :, :] & ok[:, at]
     law_i = np.einsum("p,pq,q->", size, ok, size, dtype=np.int64)
@@ -573,7 +574,7 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int]:
     law_iv = (np.einsum("cda,de->cea", hist, ok) * np.einsum("cad,de->cae", hist, ok)).sum()
     by_class = np.einsum("bgh,ah->abg", histogram(cls, k), ok)
     law_v = np.einsum("a,ab,ag,abg->", np.bincount(cls, minlength=k), ok, ok, by_class)
-    return int(law_i), int(law_iii), int(law_iv), int(law_v)
+    return int(law_i), int(law_iii), int(law_iv), int(law_v), found
 
 
 def _distributivity_witness(c: Causality, kind: Kind) -> tuple | None:
@@ -595,8 +596,9 @@ def _distributivity_witness(c: Causality, kind: Kind) -> tuple | None:
 
 
 def _laws(c: Causality, kind: Kind) -> tuple:
-    """The kind's law counts (_law_counts) and its IV/V witness
-    (_distributivity_witness), as one tuple: the data of its results."""
+    """The kind's law and superset-pair counts (_law_counts) and its IV/V
+    witness (_distributivity_witness), as one tuple: the data of the
+    union-law results and of the causal-union-closure count."""
     return *_law_counts(c, kind), _distributivity_witness(c, kind)
 
 
@@ -659,7 +661,7 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     A failing IV or V reports the singletons of the first construction
     that applies (_distributivity_witness) as its a, b and c.  The pairs
     of I and the triples with both sides defined are counted over vertex
-    groups, from no member-pair union table (_groups, _law_counts).
+    groups, from no member-pair union table (_vertex_groups, _law_counts).
 
     Law VI, that structural reversal maps the union to the dual union of
     the images, is proved and not reported.  Structural reversal keeps
@@ -675,7 +677,7 @@ def verify_union_laws(c: Causality, kinds: Iterable[Kind] = (Kind.CONVERGENT, Ki
     report = LawReport("union laws")
     for kind in kinds:
         f, tag = len(_family_array(c, kind)), kind.value
-        pairs, law_iii, law_iv, law_v, witness = _stored(c, ("laws", kind), _laws, kind)
+        pairs, law_iii, law_iv, law_v, _, witness = _stored(c, ("laws", kind), _laws, kind)
         ce = None if witness is None else dict(zip("abc", witness))
         verdict = "holds" if ce is None else "fails"
         report.results += [
@@ -751,11 +753,9 @@ def verify_algebra_axioms(c: Causality) -> LawReport:
     dual = primal and primal[2:] + primal[:2]  # (z, w, x, y)
     report = LawReport("algebra axioms")
     for kind, witness in ((Kind.CONVERGENT, primal), (Kind.DIVERGENT, dual)):
-        group, size, meets, _ = _groups(c, kind)
-        f, tag = len(group), kind.value
+        found = _stored(c, ("laws", kind), _laws, kind)[4]
+        f, tag = len(_family_array(c, kind)), kind.value
         pairs = f * (f + 1) // 2
-        # the ordered pairs with a superset, the f pairs A, A among them, halved
-        found = (int(np.einsum("g,gh,h->", size, meets != _NONE, size, dtype=np.int64)) + f) // 2
         meet = union = None
         if witness is not None:
             x, y, z, w = (c.index[p] for p in witness)

@@ -6,10 +6,10 @@ spacetime, ``verify`` runs the law suites over a causality file,
 against the input, and ``entropy`` evaluates truncated-cone horizon
 entropy (optionally with the Monte-Carlo cross-check).
 
-Exit codes: 0 success, 1 usage error, 2 verification failure or invalid
-input relation, 3 size-cap violation.  All randomness flows from the
-explicit ``--seed``; identical configurations produce byte-identical
-output files.
+Exit codes: 0 success, 1 usage or file error, 2 verification failure
+or invalid input relation, 3 size-cap violation.  All randomness flows
+from the explicit ``--seed``; identical configurations produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import functools
 import json
 import math
 import sys
-from contextlib import nullcontext
-from typing import ContextManager, IO
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 from .algebra import verify_algebra_axioms, verify_union_laws
 from .errors import (
@@ -36,6 +36,7 @@ from .minkowski import (
     ConeSetDescriptor,
     SprinkleConfig,
     SprinkleMode,
+    _cross_section_radius,
     bekenstein_hawking_alpha,
     horizon_entropy,
     monte_carlo_cross_section,
@@ -50,6 +51,11 @@ ALL_SUITES = DEFAULT_SUITES + ("measure-axioms", "monotonicity")
 
 class _UsageError(Exception):
     pass
+
+
+class _FileError(Exception):
+    """An input the job cannot read or an output it cannot write, as the
+    message to print."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,28 +120,44 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _open_out(path: str) -> ContextManager[IO[str]]:
-    return nullcontext(sys.stdout) if path == "-" else open(path, "w")
+def _parse_apex(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise _UsageError(f"bad apex {text!r}; expected comma-separated numbers") from None
+
+
+@contextmanager
+def _opened(path: str, mode: str) -> Iterator[IO[str]]:
+    """The file at ``path``, opened for reading ("r") or writing ("w"),
+    or the standard stream for "-".  An OSError from opening, reading or
+    writing it, or a JSONDecodeError from reading it, becomes a
+    _FileError: "cannot read input: ..." or "cannot write output: ..."."""
+    what = "read input" if mode == "r" else "write output"
+    try:
+        if path == "-":
+            yield sys.stdin if mode == "r" else sys.stdout
+        else:
+            with open(path, mode) as fp:
+                yield fp
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _FileError(f"cannot {what}: {exc}") from None
 
 
 def _write_out(path: str, text: str) -> None:
     # text is whole before the file opens, so a failed encoding leaves no file;
     # one-shot json.dumps runs the C encoder, json.dump the pure-Python one
-    with _open_out(path) as fp:
+    with _opened(path, "w") as fp:
         fp.write(text + "\n")
 
 
-def _open_in(path: str) -> ContextManager[IO[str]]:
-    return nullcontext(sys.stdin) if path == "-" else open(path)
-
-
 def _load_json(path: str) -> dict:
-    with _open_in(path) as fp:
+    with _opened(path, "r") as fp:
         return json.load(fp)
 
 
 def _load_causality(path: str) -> Causality:
-    with _open_in(path) as fp:
+    with _opened(path, "r") as fp:
         return load_causality(fp)
 
 
@@ -199,7 +221,7 @@ def _cmd_verify(args) -> int:
             lines.append(entry)
         ok &= report.all_hold
 
-    with _open_out(args.output) as fp:
+    with _opened(args.output, "w") as fp:
         for entry in lines:
             entry["counterexample"] = _spelled_out(entry["counterexample"])
             fp.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
@@ -227,11 +249,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    apex = (
-        tuple(float(v) for v in args.apex.split(","))
-        if args.apex
-        else (0.0, 0.0, 0.0, 0.0)
-    )
+    apex = _parse_apex(args.apex) if args.apex else (0.0, 0.0, 0.0, 0.0)
     kind = ConeKind.FUTURE_CONE if args.kind == "future" else ConeKind.PAST_CONE
     desc = ConeSetDescriptor(kind, apex, cut=args.t)
     alpha = (
@@ -243,7 +261,7 @@ def _cmd_entropy(args) -> int:
     doc["entropy"] = horizon_entropy(desc, alpha)
     if args.bekenstein_hawking:
         # S = kB * pi * t^2 / lp^2: report the dimensionless coefficient
-        span = abs(args.t - apex[0])
+        span = _cross_section_radius(desc, args.t)
         doc["entropy_in_kB_over_lp2"] = math.pi * span * span
     if args.mc_samples:
         area = monte_carlo_cross_section(desc, args.t, args.mc_samples, args.seed)
@@ -267,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except _FileError as exc:
+        print(exc, file=sys.stderr)
         return 1
     except GroundSetTooLarge as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

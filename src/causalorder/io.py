@@ -89,21 +89,9 @@ def _relation_matrix(rows) -> np.ndarray:
     if isinstance(rows, np.ndarray) and rows.dtype == bool:
         return rows
     n = len(rows) if type(rows) is list else 0
-    if n and all(type(row) is list for row in rows):
-        lengths = {len(row) for row in rows}
-        if len(lengths) > 1:
-            i = next(i for i, row in enumerate(rows) if len(row) != n)
-            raise ValueError(f"relation row {i} has {len(rows[i])} entries, not {n}")
-        if lengths == {n}:
-            # bytes() takes ints 0-255 and bools only, one C pass per row;
-            # anything it refuses is left to the checks below
-            try:
-                cells = np.frombuffer(b"".join(map(bytes, rows)), np.uint8)
-            except (TypeError, ValueError):
-                pass
-            else:
-                if (cells <= 1).all():
-                    return cells.view(bool).reshape(n, n)
+    if n and all(type(row) is list for row in rows) and len({len(row) for row in rows}) > 1:
+        i = next(i for i, row in enumerate(rows) if len(row) != n)
+        raise ValueError(f"relation row {i} has {len(rows[i])} entries, not {n}")
     rel = np.asarray(rows)
     if rel.dtype.kind in "biuf" and ((rel == 0) | (rel == 1)).all():
         return rel.astype(bool)

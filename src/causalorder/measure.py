@@ -62,10 +62,15 @@ class CausalMeasure:
     def value(self, u: PointSet) -> float:
         if u.parent is not self.parent:
             raise ValueError("point set does not belong to the measured causality")
+        return self._sigma(u.mask)
+
+    def _sigma(self, mask: int) -> float:
+        """The table's value on ``mask``; MissingValue, naming the set,
+        when it has none.  Every reader of the table reads through here."""
         try:
-            return self.table[u.mask]
+            return self.table[mask]
         except KeyError:
-            raise MissingValue(f"measure has no value for {u.ids()}") from None
+            raise MissingValue(f"measure has no value for {self.parent.ids_of(mask)}") from None
 
     @staticmethod
     def from_dict(c: Causality, data: dict) -> "CausalMeasure":
@@ -150,6 +155,14 @@ def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, w
     return LawResult(law, "holds" if stop is None else "fails", ce, n_checked, n_scanned - n_checked)
 
 
+def _family_sigma(c: Causality, measure: CausalMeasure) -> tuple[list[int], np.ndarray]:
+    """The measure's family, as family_masks lists it, and its value on
+    each member as a float array; MissingValue for the first member the
+    table lacks."""
+    fam = family_masks(c, measure.kind)
+    return fam, np.array([measure._sigma(m) for m in fam], dtype=float)
+
+
 def verify_measure_axioms(
     c: Causality, measure: CausalMeasure, rtol: float = EQUALITY_RTOL
 ) -> LawReport:
@@ -169,22 +182,18 @@ def verify_measure_axioms(
         raise ValueError(f"tolerance must be finite and non-negative, got {rtol}")
     _require_owner(c, measure)
     _law_cap(c, "measure-axiom verification")
-    fam = family_masks(c, measure.kind)
-    for m in fam:
-        if m not in measure.table:
-            raise MissingValue(f"measure has no value for {c.ids_of(m)}")
+    fam, sigma = _family_sigma(c, measure)
     report = LawReport("measure axioms")
 
     units = [0] + [1 << i for i in range(c.n)]  # ∅, then each singleton
-    sigma = np.array([measure.table[m] for m in fam], dtype=float)
     bad = np.concatenate([
-        np.array([measure.table[m] for m in units], dtype=float) != 1.0, ~(sigma >= 1.0)])
+        np.array([measure._sigma(m) for m in units], dtype=float) != 1.0, ~(sigma >= 1.0)])
 
     def normalization_witness(k):
         if k < len(units):
-            return {"set": c.points[k - 1] if k else "empty set", "sigma": measure.table[units[k]]}
+            return {"set": c.points[k - 1] if k else "empty set", "sigma": measure._sigma(units[k])}
         m = fam[k - len(units)]
-        return {"set": c.ids_of(m), "sigma": measure.table[m],
+        return {"set": c.ids_of(m), "sigma": measure._sigma(m),
                 "reason": "below the codomain [1, inf]"}
 
     every = np.ones(len(bad), dtype=bool)
@@ -226,23 +235,25 @@ def _isclose(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 
 def outer_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> float:
     """Infimum of the measure over family supersets of ``a``; +inf when
-    no family set contains it."""
+    no family set contains it.  Raises MissingValue for a family superset
+    the table lacks."""
     _require_owner(c, measure, a)
     best = math.inf
     for m in family_masks(c, measure.kind):
         if a.mask & ~m == 0:
-            best = min(best, measure.table[m])
+            best = min(best, measure._sigma(m))
     return best
 
 
 def inner_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> float:
     """Supremum of the measure over family subsets of ``a``; at least 1,
-    because the empty set always qualifies."""
+    because the empty set always qualifies.  Raises MissingValue for a
+    family subset the table lacks."""
     _require_owner(c, measure, a)
     best = 0.0
     for m in family_masks(c, measure.kind):
         if m & ~a.mask == 0:
-            best = max(best, measure.table[m])
+            best = max(best, measure._sigma(m))
     return best
 
 
@@ -280,8 +291,9 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     """Verify that the measure grows along inclusion of family sets.
 
     Reports one result, "family-pairs", over every nested pair a ⊆ b of
-    family sets.  The extensions to other sets need no scan, because
-    they are monotone by construction, for any table:
+    family sets, and raises MissingValue if the table lacks a family
+    set.  The extensions to other sets need no scan, because they are
+    monotone by construction, for any table:
 
     - for a ⊆ b, every family subset of a is also a family subset of b,
       so inner(a) ≤ inner(b);
@@ -292,9 +304,8 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     """
     _require_owner(c, measure)
     _law_cap(c, "monotonicity check")
-    fam = family_masks(c, measure.kind)
+    fam, sigma = _family_sigma(c, measure)
     fam_arr = _family_array(c, measure.kind)
-    sigma = np.array([measure.table[m] for m in fam], dtype=float)
     # the nested pairs fam[i] ⊆ fam[j], in row-major order
     i, j = np.nonzero((fam_arr[:, None] & ~fam_arr) == 0)
     with np.errstate(invalid="ignore"):  # inf - inf in _isclose
@@ -303,7 +314,7 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     def witness(k):
         a, b = fam[i[k]], fam[j[k]]
         return {"a": c.ids_of(a), "b": c.ids_of(b),
-                "sigma_a": measure.table[a], "sigma_b": measure.table[b]}
+                "sigma_a": measure._sigma(a), "sigma_b": measure._sigma(b)}
 
     every = np.ones(len(i), dtype=bool)
     report = LawReport("measure monotonicity")

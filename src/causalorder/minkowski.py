@@ -243,6 +243,17 @@ class ConeSetDescriptor:
             )
 
 
+def _diamond_apexes(desc: ConeSetDescriptor) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A diamond's bottom and top apexes; ValueError unless they share
+    their spatial coordinates, the only diamonds with spherical slices."""
+    lo, hi = desc.apex, desc.apex2
+    if lo[1:] != hi[1:]:
+        raise ValueError(
+            "analytic horizon slices cover diamonds with coincident spatial apexes only"
+        )
+    return lo, hi
+
+
 def _cross_section_radius(desc: ConeSetDescriptor, t: float) -> float:
     """Radius of the null-boundary slice at time t, or 0 outside the set."""
     if desc.kind is ConeKind.FUTURE_CONE:
@@ -253,11 +264,7 @@ def _cross_section_radius(desc: ConeSetDescriptor, t: float) -> float:
         if t > desc.apex[0] or (desc.cut is not None and t < desc.cut):
             return 0.0
         return desc.apex[0] - t
-    lo, hi = desc.apex, desc.apex2
-    if lo[1:] != hi[1:]:
-        raise ValueError(
-            "analytic horizon slices cover diamonds with coincident spatial apexes only"
-        )
+    lo, hi = _diamond_apexes(desc)
     if t < lo[0] or t > hi[0]:
         return 0.0
     mid = 0.5 * (lo[0] + hi[0])
@@ -275,17 +282,19 @@ def horizon_entropy(desc: ConeSetDescriptor, alpha: float) -> float:
     """alpha times the supremum over time of the horizon-slice area.
 
     For truncated cones the supremum sits at the cut; for diamonds at the
-    midpoint.  Untruncated cones have unbounded horizon: returns +inf.
+    midpoint, which needs coincident spatial apexes as horizon_area does.
+    Untruncated cones have unbounded horizon: returns +inf.
     """
     desc._require_3d()
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if desc.kind is ConeKind.DIAMOND:
-        r = 0.5 * (desc.apex2[0] - desc.apex[0])
+        lo, hi = _diamond_apexes(desc)
+        r = 0.5 * (hi[0] - lo[0])
     elif desc.cut is None:
         return math.inf
     else:
-        r = abs(desc.cut - desc.apex[0])
+        r = _cross_section_radius(desc, desc.cut)
     return alpha * 4.0 * math.pi * r * r
 
 

@@ -71,23 +71,24 @@ class Causality:
 
     - ``"rows"``, the packed rows, and ``"cover"``, the packed cover
       diagram, both made at construction;
-    - ``"relation"``, ``"succ"`` and ``"pred"``, the views behind
-      :attr:`relation`, :attr:`succ_masks` and :attr:`pred_masks`;
+    - ``"succ"`` and ``"pred"``, the views behind :attr:`succ_masks` and
+      :attr:`pred_masks`;
     - ``"crossing"``, the crossing verdict;
     - ``"reversed"``, the reversed structure (a weak reference in the
       reverse, back to its original);
     - ``"class_codes"``, the class code of every causal set;
     - ``("family", kind)`` and ``("family_arr", kind)``, each family as a
       tuple of masks and as a read-only uint64 array;
-    - ``("groups", kind)``, the vertex groups of a family and their union
-      table, and ``("laws", kind)``, its union-law counts and witness;
+    - ``("laws", kind)``, a family's union-law counts, its count of
+      member pairs with a superset, and its distributivity witness;
     - ``(a, b, kind)``, the finished answer of a causal union.
 
     Entries are data, never a report or a list handed to a caller, and
     each is made by _stored on its first read.  The cover is what
-    validation returns.  ``_cover``, when given, is the pair (cover,
-    rows) of an order known to be valid, and ``relation`` is then not
-    read: reverse_structure passes the transposes of the original's.
+    validation returns.  :attr:`relation` is unpacked from the rows on
+    each read and never stored.  ``_cover``, when given, is the pair
+    (cover, rows) of an order known to be valid, and ``relation`` is then
+    not read: reverse_structure passes the transposes of the original's.
     """
 
     def __init__(self, points: Sequence[str], relation, _cover: tuple[np.ndarray, np.ndarray] | None = None):
@@ -108,8 +109,9 @@ class Causality:
     @property
     def relation(self) -> np.ndarray:
         """The order as a read-only n × n bool matrix: ``relation[i, j]``
-        iff point i precedes point j."""
-        return _stored(self, "relation", lambda c: _frozen(_unpack(c._derived["rows"], c.n)))
+        iff point i precedes point j.  Unpacked from the rows on each read,
+        so a caller that reads it per cell binds it once."""
+        return _frozen(_unpack(self._derived["rows"], self.n))
 
     # Every per-mask query reads the masks once per call, so a view already
     # made is read straight off the store; a miss, or the empty list of an
@@ -576,7 +578,8 @@ class OrderReversal:
                     f"mapping is not an involution at {c.points[i]}"
                 )
         # the first cell in row-major order where rel[perm[i], perm[j]] != rel[j, i]
-        bad = np.argwhere(c.relation[np.ix_(perm, perm)] != c.relation.T)
+        rel = c.relation
+        bad = np.argwhere(rel[np.ix_(perm, perm)] != rel.T)
         if len(bad):
             i, j = bad[0]
             raise InvalidReversal(f"mapping does not reverse the order at ({c.points[i]}, {c.points[j]})")

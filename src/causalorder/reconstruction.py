@@ -174,12 +174,6 @@ def _density_gap(c: Causality, ip: int, a: int, b: int) -> tuple[int, int] | Non
     return int(cuts_a[i]), int(cuts_b[j])
 
 
-def _dense_witness(c: Causality, p: str, pair: RibbonPair):
-    """None when the pair is dense, else the failing (cut of upper, cut of lower)."""
-    gap = _density_gap(c, c.index[p], pair.upper.mask, pair.lower.mask)
-    return None if gap is None else (PointSet(c, gap[0]), PointSet(c, gap[1]))
-
-
 def is_dense(c: Causality, p: str, pair: RibbonPair) -> bool:
     """A pair is dense when every non-trivial cut of its components by
     strict sets through p can be refined back to some ribbon pair.
@@ -225,8 +219,7 @@ def is_dense(c: Causality, p: str, pair: RibbonPair) -> bool:
     first gap in ascending order, which may lie elsewhere.  Raises
     ValueError for a pair that is no ribbon pair over p in c.
     """
-    _ribbon_pair_masks(c, p, pair)
-    return _dense_witness(c, p, pair) is None
+    return _density_gap(c, c.index[p], *_ribbon_pair_masks(c, p, pair)) is None
 
 
 @dataclass(frozen=True)

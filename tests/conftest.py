@@ -115,11 +115,12 @@ def late_gap_7():
 
 def oracle_leq(c):
     """The relation as a set of id pairs."""
+    rel = c.relation  # unpacked on each read
     return {
         (c.points[i], c.points[j])
         for i in range(c.n)
         for j in range(c.n)
-        if c.relation[i, j]
+        if rel[i, j]
     }
 
 

@@ -26,9 +26,9 @@ from causalorder.algebra import (
     _class_code,
     _closed_union,
     _family_array,
-    _groups,
     _union_mask,
     _union_table,
+    _vertex_groups,
     _vertex_sets,
     class_of_mask,
     family_masks,
@@ -1152,7 +1152,7 @@ def test_laws_and_closures_equal_the_scans_at_either_end_of_the_ok_classes(make,
     # one class of equal ok rows; in K(3,4) each group has a row of its own
     c = make()
     for kind in _ALL_KINDS:
-        union = _groups(c, kind)[3]
+        union = _vertex_groups(c, kind)[3]
         classes = len(np.unique(union >= 0, axis=0))
         assert classes == (1 if one_class else len(union)), kind
     _check_laws_against_the_scans(c)

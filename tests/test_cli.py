@@ -157,6 +157,17 @@ def test_verify_infinite_measure_writes_strict_json(chain3_file, tmp_path, chain
     assert lines[-1] == {"summary": {"all_hold": False}}
 
 
+def test_verify_monotonicity_of_incomplete_measure_exits_2(chain3_file, tmp_path, capsys, chain3):
+    doc = co.constant_measure(chain3).to_dict()
+    doc["entries"] = [e for e in doc["entries"] if e["set"] != ["a"]]
+    mfile, out = tmp_path / "measure.json", tmp_path / "m.jsonl"
+    mfile.write_text(json.dumps(doc))
+    assert run("verify", "--input", chain3_file, "--suite", "monotonicity",
+               "--measure", str(mfile), "--output", str(out)) == 2
+    assert capsys.readouterr().err == "error: measure has no value for ('a',)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["NaN", '"2.0"', "null", "true"])
 def test_verify_measure_with_bad_sigma_exits_2(chain3_file, tmp_path, chain3, sigma):
     text = json.dumps(co.constant_measure(chain3).to_dict()).replace("1.0", sigma, 1)
@@ -349,7 +360,7 @@ def test_cli_jobs_leave_only_the_store_entries_they_read_again(tmp_path, monkeyp
     assert run("reconstruct", "--input", path, "--output", out) == 0
     families = {"cover", "rows", "succ", "pred", "class_codes", "family", "family_arr"}
     assert [{key if isinstance(key, str) else key[0] for key in d._derived} for d in loaded] == [
-        families | {"crossing", "groups", "laws"}, families, families]
+        families | {"crossing", "laws"}, families, families]
 
 
 def test_verify_cap_exits_3(tmp_path, capsys):
@@ -381,6 +392,17 @@ def test_verify_measure_suites_cap_exits_3(tmp_path, capsys, suite):
 
 def test_verify_missing_file_exits_1():
     assert run("verify", "--input", "/definitely/not/here.json") == 1
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--input", "{dir}"], "cannot read input: [Errno 21] Is a directory"),
+    (["sprinkle", "--output", "{dir}"], "cannot write output: [Errno 21] Is a directory"),
+    (["sprinkle", "--output", "{dir}/missing/out.json"],
+     "cannot write output: [Errno 2] No such file or directory"),
+], ids=["input-dir", "output-dir", "output-under-missing-dir"])
+def test_file_errors_exit_1(tmp_path, capsys, argv, err):
+    assert run(*(a.format(dir=tmp_path) for a in argv)) == 1
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_verify_unknown_suite_exits_1(chain3_file):
@@ -441,6 +463,10 @@ def test_entropy_bekenstein_hawking(tmp_path):
     doc = strict_loads(out.read_text())
     assert doc["entropy_in_kB_over_lp2"] == math.pi * 4.0
     assert doc["alpha"] == 0.25
+    # the radius of the slice at the cut, t minus the apex time
+    assert run("entropy", "--t", "3", "--apex", "1,0,0,0", "--bekenstein-hawking",
+               "--output", str(out)) == 0
+    assert strict_loads(out.read_text())["entropy_in_kB_over_lp2"] == math.pi * 4.0
 
 
 def test_entropy_with_mc_check(tmp_path):
@@ -449,6 +475,13 @@ def test_entropy_with_mc_check(tmp_path):
                "--output", str(out)) == 0
     doc = strict_loads(out.read_text())
     assert abs(doc["mc_entropy"] - doc["entropy"]) / doc["entropy"] < 0.02
+
+
+def test_entropy_bad_apex_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    assert run("entropy", "--t", "1", "--apex", "0,x,0,0", "--output", str(out)) == 1
+    assert capsys.readouterr().err == "usage error: bad apex '0,x,0,0'; expected comma-separated numbers\n"
+    assert not out.exists()
 
 
 def test_entropy_1plus1_apex_rejected(tmp_path):

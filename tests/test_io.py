@@ -212,16 +212,24 @@ def test_relation_json_at_sizes_0_and_1(n):
 
 def test_loads_sprinkles_and_cover_exports_keep_only_the_packed_forms(l33):
     # the order is stored once, as its packed rows next to the packed
-    # cover: a load, a sprinkle and the cover exports build no other form
+    # cover: construction, a load and a sprinkle build no other form, nor
+    # do the exports and the point-map check, which unpack the rows per call
     buf = io.StringIO()
     co.dump_causality(l33, buf)
     sprinkled = co.sprinkle(co.SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=40, seed=3))
-    for c in (co.load_causality(io.StringIO(buf.getvalue())),
+    for c in (co.validate_causality(l33.points, l33.relation),
+              co.load_causality(io.StringIO(buf.getvalue())),
               co.causality_from_dict(co.causality_to_dict(l33)), sprinkled.causality):
         assert set(c._derived) == {"cover", "rows"}
+        co.dump_causality(c, io.StringIO())
+        co.causality_to_dict(c)
         co.cover_relation(c)
         co.to_dot(c)
         assert set(c._derived) == {"cover", "rows"}
+    c = co.grid(3, 3)
+    flip = {f"{u}{v}": f"{2 - u}{2 - v}" for u in range(3) for v in range(3)}
+    co.OrderReversal.point_map(c, flip)
+    assert set(c._derived) == {"cover", "rows"}
 
 
 def _assert_dump_matches_pure_python_encoder(c):

@@ -226,6 +226,23 @@ def test_missing_value_raises(d4):
         co.verify_measure_axioms(d4, co.CausalMeasure(d4, Kind.DIVERGENT, table))
 
 
+def test_every_table_reader_raises_missing_value(chain3):
+    # each reader names the set it lacks; the extensions only for a set
+    # that qualifies
+    table = dict(co.constant_measure(chain3).table)
+    del table[chain3.mask_of(["a"])]
+    m, a, c = co.CausalMeasure(chain3, Kind.DIVERGENT, table), chain3.subset(["a"]), chain3.subset(["c"])
+    calls = [lambda: co.check_monotonicity(chain3, m),
+             lambda: co.inner_measure_value(chain3, m, a),
+             lambda: co.outer_measure_value(chain3, m, a),
+             lambda: co.formal_entropy(chain3, m, a),
+             lambda: co.formal_entropy(chain3, m, a, extension="outer")]
+    for call in calls:
+        with pytest.raises(co.MissingValue, match=r"^measure has no value for \('a',\)$"):
+            call()
+    assert co.inner_measure_value(chain3, m, c) == co.outer_measure_value(chain3, m, c) == 1.0
+
+
 def test_axioms_force_constant_measure(chain3, d4, l5):
     """Peeling a maximal element off any divergent set keeps it divergent
     and triggers the equality case, so by induction every axiom-passing

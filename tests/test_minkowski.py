@@ -308,6 +308,10 @@ def test_diamond_offset_apexes_rejected_for_area():
     )
     with pytest.raises(ValueError):
         co.horizon_area(desc, 1.0)
+    # the diamond (0,0,0,0) -> (2,0,0,0) boosted by rapidity 0.5
+    boosted = ConeSetDescriptor(ConeKind.DIAMOND, ORIGIN4, apex2=tuple(co.boost([(2.0, 0, 0, 0)], 0.5)[0]))
+    with pytest.raises(ValueError, match="coincident spatial apexes"):
+        co.horizon_entropy(boosted, 1.0)
 
 
 # ---------------------------------------------------------------------------

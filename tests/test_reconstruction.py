@@ -22,7 +22,6 @@ import causalorder as co
 from causalorder import Kind, SetClass
 from causalorder.algebra import _union_mask, class_of_mask, family_masks
 from causalorder.reconstruction import (
-    _dense_witness,
     _density_gap,
     _ribbon_masks,
     _strict_through,
@@ -113,9 +112,9 @@ def test_density_witness_is_a_real_cut(l33):
     for p in l33.points:
         rib = co.ribbon(l33, p)
         for pair in rib.pairs:
-            witness = _dense_witness(l33, p, pair)
+            witness = _density_gap(l33, l33.index[p], *pair.masks())
             assert witness is not None
-            cut_a, cut_b = witness
+            cut_a, cut_b = (co.PointSet(l33, m) for m in witness)
             bit = 1 << l33.index[p]
             assert cut_a.mask & bit and cut_b.mask & bit
             assert cut_a.mask != bit and cut_b.mask != bit
@@ -163,9 +162,7 @@ def _check_ribbons(c):
         got = [(frozenset(pr.upper.ids()), frozenset(pr.lower.ids())) for pr in rib.pairs]
         assert got == oracle_ribbon(c, p, families), (p, c.relation.tolist())
         for pair in rib.pairs:
-            w = _dense_witness(c, p, pair)
-            assert (None if w is None else (w[0].mask, w[1].mask)) == _scan_witness(
-                c, ip, *pair.masks())
+            assert _density_gap(c, ip, *pair.masks()) == _scan_witness(c, ip, *pair.masks())
         reg = co.is_regular_ribbon(c, p)
         witness = reg.witness and tuple(
             x.masks() if isinstance(x, co.RibbonPair) else x.mask for x in reg.witness)
@@ -660,12 +657,12 @@ def _ribbon_pair(c, p, upper, lower):
 def test_density_gap_cuts_need_not_be_chains(antichain_gap_5):
     c = antichain_gap_5
     pair = _ribbon_pair(c, "v3", ["v2", "v3", "v4"], ["v0", "v1", "v3"])
-    cut_a, cut_b = _dense_witness(c, "v3", pair)
-    assert (cut_a.ids(), cut_b.ids()) == (("v2", "v3"), ("v1", "v3"))
-    assert not _is_chain(c, cut_a.mask) and not _is_chain(c, cut_b.mask)
+    cut_a, cut_b = _density_gap(c, c.index["v3"], *pair.masks())
+    assert (c.ids_of(cut_a), c.ids_of(cut_b)) == (("v2", "v3"), ("v1", "v3"))
+    assert not _is_chain(c, cut_a) and not _is_chain(c, cut_b)
     # no failing cell of the pair has a chain for either cut
     _, gaps = _scan_cells(c, c.index["v3"], *pair.masks())
-    assert gaps[0] == (cut_a.mask, cut_b.mask)
+    assert gaps[0] == (cut_a, cut_b)
     assert not any(_is_chain(c, x) or _is_chain(c, y) for x, y in gaps)
     _check_ribbons(c)
 
@@ -673,10 +670,10 @@ def test_density_gap_cuts_need_not_be_chains(antichain_gap_5):
 def test_density_gap_past_the_first_cell(late_gap_7):
     c = late_gap_7
     pair = _ribbon_pair(c, "v4", ["v0", "v1", "v2", "v4"], ["v3", "v4", "v5", "v6"])
-    cut_a, cut_b = _dense_witness(c, "v4", pair)
-    assert (cut_a.ids(), cut_b.ids()) == (("v0", "v1", "v4"), ("v4", "v6"))
+    cut_a, cut_b = _density_gap(c, c.index["v4"], *pair.masks())
+    assert (c.ids_of(cut_a), c.ids_of(cut_b)) == (("v0", "v1", "v4"), ("v4", "v6"))
     cells, gaps = _scan_cells(c, c.index["v4"], *pair.masks())
-    assert gaps[0] == (cut_a.mask, cut_b.mask)
+    assert gaps[0] == (cut_a, cut_b)
     # the first cell, the two smallest cuts, is refined by a ribbon pair
     first = cells[0]
     assert (c.ids_of(first[0]), c.ids_of(first[1])) == (("v0", "v1", "v4"), ("v3", "v4", "v5"))
