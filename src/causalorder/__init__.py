@@ -1,106 +1,15 @@
 """Finite causal orders, their cone-like set algebra, order reconstruction
-from the algebra alone, causal measures, and the flat-spacetime bridge."""
+from the algebra alone, causal measures, and the flat-spacetime bridge.
 
-from .algebra import (
-    Kind,
-    LawReport,
-    LawResult,
-    SetClass,
-    causal_union,
-    classify,
-    enumerate_causal_sets,
-    intersect_causal,
-    verify_algebra_axioms,
-    verify_union_laws,
-    vertex,
-)
-from .catalog import antichain, chain, diamond4, from_cover_pairs, grid, star5
-from .errors import (
-    CausalOrderError,
-    DimensionMismatch,
-    GroundSetTooLarge,
-    InvalidRelation,
-    InvalidReversal,
-    MissingValue,
-    NoCausalSuperset,
-    NotAntisymmetric,
-    NotClosed,
-    NotCongruentDecidable,
-    NotReflexive,
-    NotRegular,
-    NotTransitive,
-    TheoremViolation,
-    UnsupportedDimension,
-)
-from .io import (
-    causality_from_dict,
-    causality_to_dict,
-    cover_relation,
-    dump_causality,
-    load_causality,
-    to_dot,
-)
-from .measure import (
-    CausalMeasure,
-    EntropyValue,
-    check_monotonicity,
-    constant_measure,
-    find_tsallis_violation,
-    formal_entropy,
-    inner_measure_value,
-    outer_measure_value,
-    tsallis_compose,
-    verify_measure_axioms,
-)
-from .minkowski import (
-    ConeKind,
-    ConeSetDescriptor,
-    SprinkleConfig,
-    SprinkleMode,
-    SprinkleResult,
-    bekenstein_hawking_alpha,
-    boost,
-    classify_interval,
-    cone_region_points,
-    horizon_area,
-    horizon_entropy,
-    induced_causality,
-    interval,
-    monte_carlo_cross_section,
-    precedes,
-    sprinkle,
-)
-from .order import (
-    Causality,
-    CrossingResult,
-    Direction,
-    OrderReversal,
-    PointSet,
-    ReversalMode,
-    diamond,
-    has_crossing_property,
-    incomplete_diamond,
-    is_causally_complete,
-    is_convergent,
-    is_divergent,
-    reverse,
-    reverse_structure,
-    validate_causality,
-)
-from .reconstruction import (
-    ReconstructionReport,
-    RegularCausalityReport,
-    RegularityReport,
-    Ribbon,
-    RibbonPair,
-    congruence_classes,
-    congruent,
-    is_dense,
-    is_regular_causality,
-    is_regular_ribbon,
-    reconstruct_order,
-    ribbon,
-    verify_reversal_theorem,
-)
+The public names are each module's ``__all__``, declared there once."""
+
+from .algebra import *  # noqa: F401,F403
+from .catalog import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .measure import *  # noqa: F401,F403
+from .minkowski import *  # noqa: F401,F403
+from .order import *  # noqa: F401,F403
+from .reconstruction import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

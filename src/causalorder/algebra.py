@@ -120,18 +120,16 @@ def _code_of(c: Causality, mask: int) -> int:
     return _class_code(c, mask) if codes is None else codes.get(mask, 0)
 
 
-def class_of_mask(c: Causality, mask: int) -> SetClass:
-    """Classify a subset given as a bit-mask."""
-    if mask & ~c.full_mask:  # as PointSet checks it; negative masks included
-        raise ValueError("membership mask exceeds the ground set")
-    return _CLASSES[_code_of(c, mask)]
-
-
 def classify(c: Causality, u: PointSet) -> SetClass:
     """Classify a subset of the causality's ground set."""
     if u._parent is not c:
         raise ValueError("point set does not belong to this causality")
     return _CLASSES[_code_of(c, u._mask)]
+
+
+def class_of_mask(c: Causality, mask: int) -> SetClass:
+    """Classify a subset given as a bit-mask."""
+    return classify(c, PointSet(c, mask))
 
 
 def _vertex_sets(rows: list[int], cones: list[int]) -> Iterator[int]:
@@ -175,17 +173,25 @@ def _class_codes(c: Causality) -> dict[int, int]:
     return codes
 
 
-def _family(c: Causality, kind: Kind) -> tuple[int, ...]:
-    """The masks of the kind's family, ascending, as family_masks lists them."""
+def _family(c: Causality, kind: Kind) -> np.ndarray:
+    """The masks of the kind's family, ascending, as a read-only uint64
+    array.  _class_codes stops at ENUMERATION_CAP (20) points, so every
+    mask stays below 2^64."""
     bits, want = _KIND_CODES[kind]
     codes = _stored(c, "class_codes", _class_codes)
-    return tuple(sorted(m for m, code in codes.items() if code & bits == want))
+    return _frozen(np.array(sorted(m for m, code in codes.items() if code & bits == want),
+                            dtype=np.uint64))
+
+
+def _family_array(c: Causality, kind: Kind) -> np.ndarray:
+    """The kind's family as it is stored: built on first use, by _family."""
+    return _stored(c, ("family", kind), _family, kind)
 
 
 def family_masks(c: Causality, kind: Kind) -> list[int]:
     """All subset masks of the requested kind, ascending: a fresh list of
-    the family, which is stored as a tuple."""
-    return list(_stored(c, ("family", kind), _family, kind))
+    the stored family array."""
+    return _family_array(c, kind).tolist()
 
 
 def enumerate_causal_sets(c: Causality, kind: Kind) -> list[PointSet]:
@@ -213,18 +219,6 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
 # ---------------------------------------------------------------------------
 # Causal union
 # ---------------------------------------------------------------------------
-
-def _family_array(c: Causality, kind: Kind) -> np.ndarray:
-    """family_masks as a read-only uint64 array, built on first use
-    (stored), so callers that only list the family never build it."""
-    return _stored(c, ("family_arr", kind), _uint64_family, kind)
-
-
-def _uint64_family(c: Causality, kind: Kind) -> np.ndarray:
-    # the one uint64 conversion of masks: family_masks stops at
-    # ENUMERATION_CAP (20) points, so every mask stays below 2^64
-    return _frozen(np.array(family_masks(c, kind), dtype=np.uint64))
-
 
 # Every bit set: the mark of a pair with no common superset in the union
 # and bound tables.  They and _fold's callers run under LAW_SCAN_CAP (12)

@@ -30,7 +30,7 @@ from .errors import (
     MissingValue,
 )
 from .io import _causality_json, load_causality
-from .measure import CausalMeasure, check_monotonicity, verify_measure_axioms
+from .measure import EQUALITY_RTOL, CausalMeasure, check_monotonicity, verify_measure_axioms
 from .minkowski import (
     ConeKind,
     ConeSetDescriptor,
@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--suite", default=",".join(DEFAULT_SUITES),
                    help="comma-separated: " + ",".join(ALL_SUITES))
     p.add_argument("--measure", help="measure JSON for the measure suites")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=EQUALITY_RTOL)
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("reconstruct", help="rebuild the order from the set algebra")

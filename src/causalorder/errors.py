@@ -2,6 +2,24 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CausalOrderError",
+    "InvalidRelation",
+    "NotReflexive",
+    "NotAntisymmetric",
+    "NotTransitive",
+    "GroundSetTooLarge",
+    "InvalidReversal",
+    "NoCausalSuperset",
+    "NotClosed",
+    "TheoremViolation",
+    "NotRegular",
+    "NotCongruentDecidable",
+    "MissingValue",
+    "DimensionMismatch",
+    "UnsupportedDimension",
+]
+
 
 class CausalOrderError(Exception):
     """Base class for all library errors."""

@@ -18,9 +18,11 @@ from itertools import product
 import numpy as np
 
 from .algebra import (
+    _KIND_CODES,
     Kind,
     LawReport,
     LawResult,
+    _code_of,
     _family_array,
     _index_in,
     _law_cap,
@@ -111,8 +113,7 @@ class CausalMeasure:
 
     def to_dict(self) -> dict:
         entries = []
-        for mask in sorted(self.table):
-            sigma = self.table[mask]
+        for mask, sigma in sorted(self.table.items()):
             entries.append(
                 {
                     "set": list(self.parent.ids_of(mask)),
@@ -155,12 +156,12 @@ def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, w
     return LawResult(law, "holds" if stop is None else "fails", ce, n_checked, n_scanned - n_checked)
 
 
-def _family_sigma(c: Causality, measure: CausalMeasure) -> tuple[list[int], np.ndarray]:
-    """The measure's family, as family_masks lists it, and its value on
+def _family_sigma(c: Causality, measure: CausalMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The measure's family, as the stored uint64 array, and its value on
     each member as a float array; MissingValue for the first member the
     table lacks."""
-    fam = family_masks(c, measure.kind)
-    return fam, np.array([measure._sigma(m) for m in fam], dtype=float)
+    fam = _family_array(c, measure.kind)
+    return fam, np.array([measure._sigma(m) for m in fam.tolist()], dtype=float)
 
 
 def verify_measure_axioms(
@@ -192,7 +193,7 @@ def verify_measure_axioms(
     def normalization_witness(k):
         if k < len(units):
             return {"set": c.points[k - 1] if k else "empty set", "sigma": measure._sigma(units[k])}
-        m = fam[k - len(units)]
+        m = int(fam[k - len(units)])
         return {"set": c.ids_of(m), "sigma": measure._sigma(m),
                 "reason": "below the codomain [1, inf]"}
 
@@ -200,9 +201,8 @@ def verify_measure_axioms(
     report.results.append(_scan("normalization", every, every, bad, normalization_witness))
 
     # every pair at once, from the family's union and intersection tables
-    fam_arr = _family_array(c, measure.kind)
-    meets, u_idx = _union_table(c, measure.kind, fam_arr)
-    i_idx = _index_in(fam_arr, fam_arr[:, None] & fam_arr)
+    meets, u_idx = _union_table(c, measure.kind, fam)
+    i_idx = _index_in(fam, fam[:, None] & fam)
     pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
     ok = (u_idx >= 0) & (i_idx >= 0)
     with np.errstate(all="ignore"):
@@ -210,11 +210,11 @@ def verify_measure_axioms(
         rhs = sigma[:, None] * sigma / sigma[i_idx]
         close = _isclose(lhs, rhs, rtol)
         below = (lhs < rhs) & ~close
-        plain = meets == (fam_arr[:, None] | fam_arr)
+        plain = meets == (fam[:, None] | fam)
         unequal = plain & ~(np.isinf(lhs) & np.isinf(rhs)) & ~close
 
     def witness(i, j):
-        out = {"a": c.ids_of(fam[i]), "b": c.ids_of(fam[j]),
+        out = {"a": c.ids_of(int(fam[i])), "b": c.ids_of(int(fam[j])),
                "sigma_union": float(lhs[i, j]), "bound": float(rhs[i, j])}
         if not below[i, j]:
             out["reason"] = "equality required when the causal union is the plain union"
@@ -272,18 +272,22 @@ def formal_entropy(
 ) -> EntropyValue:
     """k_B times the natural log of the measure of ``a``.
 
-    Sets outside the family are measured through the inner extension by
-    default (supremum over family subsets), or the outer one on request.
+    A member of the measure's family, by its class code, is measured by
+    its table value (MissingValue when the table lacks it).  Every other
+    set is measured through the inner extension by default (supremum over
+    family subsets), or the outer one on request, whatever the table
+    holds for it.  Raises ValueError for an unknown ``extension``, before
+    any work, and for a value <= 0, which has no logarithm.
     """
-    _require_owner(c, measure, a)
-    if a.mask in measure.table:
-        sigma = measure.table[a.mask]
-    elif extension == "inner":
-        sigma = inner_measure_value(c, measure, a)
-    elif extension == "outer":
-        sigma = outer_measure_value(c, measure, a)
-    else:
+    extend = {"inner": inner_measure_value, "outer": outer_measure_value}.get(extension)
+    if extend is None:
         raise ValueError(f"unknown extension {extension!r}")
+    _require_owner(c, measure, a)
+    bits, want = _KIND_CODES[measure.kind]
+    member = _code_of(c, a.mask) & bits == want
+    sigma = measure._sigma(a.mask) if member else extend(c, measure, a)
+    if sigma <= 0:
+        raise ValueError(f"measure value {sigma} of {c.ids_of(a.mask)} has no logarithm")
     return EntropyValue(boltzmann * math.log(sigma), boltzmann)
 
 
@@ -305,14 +309,13 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     _require_owner(c, measure)
     _law_cap(c, "monotonicity check")
     fam, sigma = _family_sigma(c, measure)
-    fam_arr = _family_array(c, measure.kind)
     # the nested pairs fam[i] ⊆ fam[j], in row-major order
-    i, j = np.nonzero((fam_arr[:, None] & ~fam_arr) == 0)
+    i, j = np.nonzero((fam[:, None] & ~fam) == 0)
     with np.errstate(invalid="ignore"):  # inf - inf in _isclose
         bad = (sigma[i] > sigma[j]) & ~_isclose(sigma[i], sigma[j], EQUALITY_RTOL)
 
     def witness(k):
-        a, b = fam[i[k]], fam[j[k]]
+        a, b = int(fam[i[k]]), int(fam[j[k]])
         return {"a": c.ids_of(a), "b": c.ids_of(b),
                 "sigma_a": measure._sigma(a), "sigma_b": measure._sigma(b)}
 

@@ -255,7 +255,11 @@ def _diamond_apexes(desc: ConeSetDescriptor) -> tuple[tuple[float, ...], tuple[f
 
 
 def _cross_section_radius(desc: ConeSetDescriptor, t: float) -> float:
-    """Radius of the null-boundary slice at time t, or 0 outside the set."""
+    """Radius of the null-boundary slice at time t, or 0 outside the set.
+    Raises ValueError for a NaN t, which every comparison below would
+    pass or fail silently."""
+    if math.isnan(t):
+        raise ValueError(f"slice time must be a number, got {t}")
     if desc.kind is ConeKind.FUTURE_CONE:
         if t < desc.apex[0] or (desc.cut is not None and t > desc.cut):
             return 0.0

@@ -77,8 +77,8 @@ class Causality:
     - ``"reversed"``, the reversed structure (a weak reference in the
       reverse, back to its original);
     - ``"class_codes"``, the class code of every causal set;
-    - ``("family", kind)`` and ``("family_arr", kind)``, each family as a
-      tuple of masks and as a read-only uint64 array;
+    - ``("family", kind)``, each family as its ascending masks in one
+      read-only uint64 array;
     - ``("laws", kind)``, a family's union-law counts, its count of
       member pairs with a superset, and its distributivity witness;
     - ``(a, b, kind)``, the finished answer of a causal union.

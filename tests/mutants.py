@@ -33,6 +33,14 @@ _STORE = "tests/test_io.py::test_loads_sprinkles_and_cover_exports_keep_only_the
 _CLI_STORE = "tests/test_cli.py::test_cli_jobs_leave_only_the_store_entries_they_read_again"
 _MISSING = "tests/test_measure.py::test_every_table_reader_raises_missing_value"
 _FILE_ERRORS = "tests/test_cli.py::test_file_errors_exit_1"
+_EVENTS = "tests/test_minkowski.py::test_relation_from_events_matches_the_full_matrix"
+_COVER = "tests/test_io.py::test_cover_relation_is_transitive_reduction"
+_RECONSTRUCTIONS = "tests/test_reconstruction.py::test_reconstruction_matches_reference_on_every_small_poset"
+_K66 = "tests/test_algebra.py::test_k66_law_counts_pinned"
+_SCANS = "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_up_to_the_cap"
+_PRODUCTS = "tests/test_source.py::test_matrix_products_only_in_the_kernel"
+_PRODUCT = "                    acc = x @ row[bk]\n"
+_FAMILY_STORE = "tests/test_algebra.py::test_family_array_built_on_first_use"
 
 MUTANTS = [
     # the order: relation kept in the store again
@@ -52,9 +60,9 @@ MUTANTS = [
       "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_on_every_small_poset"]),
     # a measure's values: a second σ array, or a bare table read
     ("measure.py",
-     "    fam, sigma = _family_sigma(c, measure)\n    fam_arr",
-     "    fam = family_masks(c, measure.kind)\n"
-     "    sigma = np.array([measure.table[m] for m in fam], dtype=float)\n    fam_arr",
+     "    fam, sigma = _family_sigma(c, measure)\n    # the nested pairs",
+     "    fam = _family_array(c, measure.kind)\n"
+     "    sigma = np.array([measure.table[m] for m in fam.tolist()], dtype=float)\n    # the nested pairs",
      [_MISSING,
       "tests/test_cli.py::test_verify_monotonicity_of_incomplete_measure_exits_2"]),
     ("measure.py",
@@ -97,6 +105,184 @@ MUTANTS = [
      "apex = _parse_apex(args.apex) if args.apex",
      'apex = tuple(map(float, args.apex.split(","))) if args.apex',
      ["tests/test_cli.py::test_entropy_bad_apex_is_a_usage_error"]),
+    # sprinkled relations: tie columns dropped, no un-permute, rows only
+    ("minkowski.py",
+     "start = int(np.searchsorted(t, t[lo]))",
+     "start = lo",
+     [_EVENTS]),
+    ("minkowski.py",
+     "    return out.take(back, 0).take(back, 1)\n\n\ndef induced",
+     "    return out\n\n\ndef induced",
+     [_EVENTS]),
+    ("minkowski.py",
+     "    return out.take(back, 0).take(back, 1)\n\n\ndef induced",
+     "    return out.take(back, 0)\n\n\ndef induced",
+     [_EVENTS]),
+    # the product kernel's layout, and the cover that validation keeps
+    ("order.py",
+     "return out.take(back, 0).take(back, 1)  # C order",
+     "return out[back][:, back]  # C order",
+     ["tests/test_kernel.py::test_blocked_compose_returns_c_order"]),
+    ("io.py",
+     'bits = c._derived["cover"]',
+     "bits = validate_matrix(c.relation)",
+     ["tests/test_kernel.py::test_reverse_structure_takes_its_cover_with_no_product[300]"]),
+    ("order.py",
+     'return np.packbits(strict & ~square, axis=1, bitorder="little")',
+     'return np.packbits(strict, axis=1, bitorder="little")',
+     [_COVER]),
+    # reconstruction and the reversal report: an off count, another
+    # failing condition, a transpose cell checked, no cap, classes=None,
+    # no reference, the last pair as witness
+    ("reconstruction.py",
+     "count = int(np.count_nonzero(_pair_grid(*_strict_through(c, ip), ip)))",
+     "count = int(np.count_nonzero(_pair_grid(*_strict_through(c, ip), ip))) + 1",
+     ["tests/test_cli.py::test_reconstruct_l33"]),
+    ("reconstruction.py",
+     'diag["failing_condition"] = "density"',
+     'diag["failing_condition"] = "extension"',
+     ["tests/test_reconstruction.py::test_reconstruct_l33_domain_empty_with_diagnostics"]),
+    ("reconstruction.py",
+     'LawResult("reconstruction-transposes", "holds", checked=0)',
+     'LawResult("reconstruction-transposes", "holds", checked=1)',
+     [_RECONSTRUCTIONS]),
+    ("reconstruction.py",
+     '    _cap(c, "order reconstruction")\n    return LawReport(',
+     "    return LawReport(",
+     ["tests/test_reconstruction.py::test_reconstruct_cap"]),
+    ("reconstruction.py",
+     "return Ribbon(p, (), regular=True, classes=())",
+     "return Ribbon(p, (), regular=True, classes=None)",
+     ["tests/test_reconstruction.py::test_congruence_classes_on_empty_ribbon"]),
+    ("reconstruction.py",
+     "empty if compare_with_reference else None)",
+     "None)",
+     ["tests/test_reconstruction.py::test_reconstruct_report_json"]),
+    ("reconstruction.py",
+     "a, b = int(upper[0]), int(lower[0])",
+     "a, b = int(upper[-1]), int(lower[-1])",
+     ["tests/test_reconstruction.py::test_density_gap_past_the_first_cell"]),
+    # the reverse's packed forms and the cover's columns
+    ("order.py",
+     'packed = (_transpose(c._derived[key], c.n) for key in ("cover", "rows"))',
+     'packed = (c._derived["cover"], _transpose(c._derived["rows"], c.n))',
+     ["tests/test_kernel.py::test_reverse_structure_takes_its_cover_with_no_product[5]"]),
+    ("order.py",
+     'np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="little")',
+     'np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="big")',
+     ["tests/test_kernel.py::test_views_match_the_matrix_passed_in[300]"]),
+    ("io.py",
+     "rows, cols = rows[cell], byte[cell] * 8 + bit",
+     "rows, cols = rows[cell], byte[cell] * 8 + 7 - bit",
+     [_COVER]),
+    # union laws by theorem: no join condition, V counted as IV, a wrong
+    # witness member, the diagonal left out of the closure count, and the
+    # stored union answers used for the witnesses
+    ("algebra.py",
+     "        if meet & bounds:\n",
+     "        if bounds:\n",
+     [_K66]),
+    ("algebra.py",
+     'LawResult(f"V[{tag}]", verdict, ce, law_v, f**3 - law_v)',
+     'LawResult(f"V[{tag}]", verdict, ce, law_iv, f**3 - law_iv)',
+     [_K66]),
+    ("algebra.py",
+     "return c.ids_of(below & -below), c.ids_of(above & -above)",
+     "return c.ids_of(below), c.ids_of(above & -above)",
+     [_SCANS]),
+    ("algebra.py",
+     "meets != _NONE, size, dtype=np.int64)) + len(fam)) // 2",
+     "meets != _NONE, size, dtype=np.int64)) - len(fam)) // 2",
+     ["tests/test_algebra.py::test_laws_and_closures_equal_the_scans_at_either_end_of_the_ok_classes[k34]"]),
+    ("algebra.py",
+     "a, b = (_closed_union(c, 1 << x | 1 << y, 1 << v, kind) for v in (z, w))",
+     "a, b = (_union_answer(c, 1 << x | 1 << y, 1 << v, kind) for v in (z, w))",
+     [_CLI_STORE]),
+    # law counts over vertex groups: the ∅ row left at _NONE, class sizes
+    # counted as 1, the member class dropped, classes merged, classes keyed
+    # on a row's first byte
+    ("algebra.py",
+     "return np.pad(meet, (0, 1))",
+     "return np.pad(meet, (0, 1), constant_values=_NONE)",
+     ["tests/test_algebra.py::test_bound_table_of_an_antichain[5]"]),
+    ("algebra.py",
+     "np.bincount(cls, minlength=k), ok",
+     "np.ones(k, dtype=np.int64), ok",
+     [_K66]),
+    ("algebra.py",
+     "cell = (keys[:, None] * k + cls) * (k + 1) + inter",
+     "cell = (keys[:, None] * k + 0 * cls) * (k + 1) + inter",
+     [_K66]),
+    ("algebra.py",
+     "np.unique([row.tobytes() for row in ok]",
+     "np.unique([b'' for row in ok]",
+     [_K66]),
+    ("algebra.py",
+     "np.unique([row.tobytes() for row in ok]",
+     "np.unique([row.tobytes()[:1] for row in ok]",
+     [_K66]),
+    # a second product path beside the kernel's @
+    ("order.py", _PRODUCT, "                    acc = np.dot(x, row[bk])\n", [_PRODUCTS]),
+    ("order.py", _PRODUCT, "                    acc = x.dot(row[bk])\n", [_PRODUCTS]),
+    ("order.py", _PRODUCT, "                    acc = np.tensordot(x, row[bk], 1)\n", [_PRODUCTS]),
+    # the union answers: recomputed on every call, or kept as PointSets
+    ("algebra.py",
+     "    answer = c._derived.get((a, b, kind) if a <= b else (b, a, kind))\n"
+     "    if answer is None:\n        answer = _union_answer(c, a, b, kind)\n",
+     "    answer = _closed_union(c, a, b, kind)\n",
+     ["tests/test_algebra.py::test_warm_queries_compute_nothing"]),
+    ("algebra.py",
+     "    if type(answer) is int:\n        return PointSet(c, answer)\n",
+     "    if type(answer) is int:\n"
+     "        c._derived[(a, b, kind) if a <= b else (b, a, kind)] = answer = PointSet(c, answer)\n"
+     "    if type(answer) is PointSet:\n        return answer\n",
+     ["tests/test_source.py::test_store_entries_made_in_one_accessor",
+      "tests/test_algebra.py::test_union_answers_leave_no_reference_cycle"]),
+    # a family stored once, as an array that family_masks lists afresh
+    ("algebra.py",
+     "return _family_array(c, kind).tolist()",
+     "return _family_array(c, kind)",
+     ["tests/test_algebra.py::test_family_masks_hands_out_a_copy"]),
+    ("algebra.py",
+     'return _stored(c, ("family", kind), _family, kind)',
+     'return _stored(c, ("family_arr", kind), lambda c, kind: _stored(c, ("family", kind), _family, kind), kind)',
+     [_FAMILY_STORE, _CLI_STORE]),
+    ("algebra.py",
+     "return classify(c, PointSet(c, mask))",
+     "return _CLASSES[_code_of(c, mask)]",
+     ["tests/test_algebra.py::test_class_of_mask_rejects_masks_outside_the_ground_set"]),
+    # the entropy: membership by table keys, any extension, a log of 0
+    ("measure.py",
+     "member = _code_of(c, a.mask) & bits == want",
+     "member = a.mask in measure.table",
+     ["tests/test_measure.py::test_entropy_reads_the_table_only_on_family_members",
+      "tests/test_source.py::test_measure_tables_read_in_one_method"]),
+    ("measure.py",
+     "    if extend is None:\n",
+     "    if extend is None and False:\n",
+     ["tests/test_measure.py::test_entropy_rejects_an_unknown_extension_for_every_set"]),
+    ("measure.py",
+     "if sigma <= 0:",
+     "if sigma < 0:",
+     ["tests/test_measure.py::test_entropy_of_a_value_without_logarithm"]),
+    # a NaN slice time, and the CLI's tolerance as a second literal
+    ("minkowski.py",
+     "if math.isnan(t):",
+     "if False:",
+     ["tests/test_minkowski.py::test_horizon_slices_reject_a_nan_time"]),
+    ("cli.py",
+     "default=EQUALITY_RTOL)",
+     "default=1e-9)",
+     ["tests/test_cli.py::test_verify_tolerance_defaults_to_the_library_tolerance"]),
+    # public names: one declared twice, one not declared
+    ("measure.py",
+     '    "CausalMeasure",\n',
+     '    "CausalMeasure",\n    "Kind",\n',
+     ["tests/test_source.py::test_public_names_declared_once"]),
+    ("errors.py",
+     '    "MissingValue",\n',
+     "",
+     [_MISSING]),
 ]
 
 

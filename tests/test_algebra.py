@@ -653,12 +653,14 @@ def test_union_mask_and_causal_union_share_answers(fixture, request):
 
 
 def test_family_array_built_on_first_use(l33):
-    # listing a family builds no uint64 array; the array scans build it once
+    # a family is stored once, as one read-only uint64 array under
+    # ("family", kind): listing it builds that array, which every later
+    # read hands back as the same object
     for kind in Kind:
-        co.enumerate_causal_sets(l33, kind)
-        assert ("family_arr", kind) not in l33._derived
-        arr = _family_array(l33, kind)
-        assert arr.dtype == np.uint64 and arr.tolist() == family_masks(l33, kind)
+        listed = [s.mask for s in co.enumerate_causal_sets(l33, kind)]
+        arr = l33._derived["family", kind]
+        assert [key for key in l33._derived if key[1:] == (kind,)] == [("family", kind)]
+        assert arr.dtype == np.uint64 and arr.tolist() == listed == family_masks(l33, kind)
         assert _family_array(l33, kind) is arr
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1

@@ -191,6 +191,12 @@ def test_verify_bad_tolerance_exits_2(chain3_file, tmp_path, capsys, chain3, tol
     assert not out.exists()
 
 
+def test_verify_tolerance_defaults_to_the_library_tolerance():
+    # the default is the one the library compares with, not a copy of it
+    args = _build_parser().parse_args(["verify", "--input", "x"])
+    assert args.tolerance is co.measure.EQUALITY_RTOL
+
+
 MALFORMED_MEASURES = [
     ({"kind": "divergent", "entries": [{"set": ["00"], "sigma": 1.0}]},
      "measure entry 0 names unknown point '00'"),
@@ -358,7 +364,7 @@ def test_cli_jobs_leave_only_the_store_entries_they_read_again(tmp_path, monkeyp
     assert run("verify", "--input", path, "--suite", "measure-axioms,monotonicity",
                "--measure", str(mfile), "--output", out) == 0
     assert run("reconstruct", "--input", path, "--output", out) == 0
-    families = {"cover", "rows", "succ", "pred", "class_codes", "family", "family_arr"}
+    families = {"cover", "rows", "succ", "pred", "class_codes", "family"}
     assert [{key if isinstance(key, str) else key[0] for key in d._derived} for d in loaded] == [
         families | {"crossing", "laws"}, families, families]
 

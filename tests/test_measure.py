@@ -347,6 +347,31 @@ def test_entropy_boltzmann_scaling(d4):
     assert ent.boltzmann == 3.0
 
 
+def test_entropy_reads_the_table_only_on_family_members(chain3):
+    # {a, c} is incomplete, so not divergent: a stray table entry for it
+    # is never read, by the axioms as by the entropy, which measures it
+    # through either extension
+    m = _perturbed(chain3, {("a", "c"): 5.0})
+    ac = chain3.subset(["a", "c"])
+    assert co.verify_measure_axioms(chain3, m).all_hold
+    assert co.formal_entropy(chain3, m, ac).value == 0.0
+    assert co.formal_entropy(chain3, m, ac, extension="outer").value == 0.0
+
+
+def test_entropy_rejects_an_unknown_extension_for_every_set(chain3):
+    m = co.constant_measure(chain3)
+    for mask in range(1 << chain3.n):
+        with pytest.raises(ValueError, match="^unknown extension 'bogus'$"):
+            co.formal_entropy(chain3, m, PointSet(chain3, mask), extension="bogus")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_entropy_of_a_value_without_logarithm(chain3, value):
+    m = _perturbed(chain3, {("a",): value})
+    with pytest.raises(ValueError, match=rf"^measure value {value} of \('a',\) has no logarithm$"):
+        co.formal_entropy(chain3, m, chain3.subset(["a"]))
+
+
 def test_entropy_additive_on_disjoint_equality_case(chain3):
     # for an axiom-passing measure: A ∪ B = A ∪c B disjoint gives
     # S(A ∪ B) = S(A) + S(B); with the forced constant table this is 0 = 0,

@@ -230,6 +230,20 @@ def test_horizon_area_diamond():
     assert co.horizon_area(desc, 2.5) == 0.0
 
 
+@pytest.mark.parametrize("desc", [
+    ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4),
+    ConeSetDescriptor(ConeKind.PAST_CONE, ORIGIN4, cut=-1.0),
+    ConeSetDescriptor(ConeKind.DIAMOND, ORIGIN4, apex2=(2.0, 0.0, 0.0, 0.0)),
+])
+def test_horizon_slices_reject_a_nan_time(desc):
+    # every comparison with NaN is false, so the radius would come out NaN
+    # (horizon_area) or as a sampling box numpy refuses (the Monte Carlo)
+    for call in (lambda: co.horizon_area(desc, math.nan),
+                 lambda: co.monte_carlo_cross_section(desc, math.nan, 10**4)):
+        with pytest.raises(ValueError, match="^slice time must be a number, got nan$"):
+            call()
+
+
 def test_horizon_entropy_formula():
     for t in (0.5, 1.0, 2.0):
         desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=t)

@@ -188,13 +188,12 @@ def test_reconstruction_stores_only_the_strict_families(l33, not_dense_7):
     # arrays, which it reads once per point: it stores no strict sets, no
     # ribbon and no PointSet, which would point back at the causality
     strict = (Kind.STRICTLY_CONVERGENT, Kind.STRICTLY_DIVERGENT)
-    want = {"cover", "rows", "succ", "pred", "class_codes", *((name, kind) for name in ("family", "family_arr")
-                                      for kind in strict)}
+    want = {"cover", "rows", "succ", "pred", "class_codes", *(("family", kind) for kind in strict)}
     for c in (l33, not_dense_7):
         for _ in range(2):
             co.reconstruct_order(c)
             assert set(c._derived) == want
-        assert not any(c._derived["family_arr", kind].flags.writeable for kind in strict)
+        assert not any(c._derived["family", kind].flags.writeable for kind in strict)
 
 
 def test_reversal_report_builds_nothing(l33):

@@ -1,8 +1,9 @@
 """Checks on the library source: no private module-level name that
 nothing in ``src/causalorder`` refers to, no import a module never uses,
 each size cap read where it is enforced, in exactly one function,
-matrix products only in the one product kernel, and the derived-data
-store written in one accessor.
+matrix products only in the one product kernel, the derived-data store
+written in one accessor, a measure table read by key in one method, and
+each public name declared once, in its module's ``__all__``.
 
 The package ``__init__`` is exempt from the import check, because its
 imports are the public namespace.
@@ -11,6 +12,8 @@ imports are the public namespace.
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import causalorder
@@ -168,3 +171,39 @@ def test_store_entries_made_in_one_accessor():
         "_derived =": {"order.__init__"},
         "_derived[...] =": {"order._stored", "order.reverse_structure"},
     }
+
+
+def _table_read(node: ast.AST) -> str | None:
+    """How ``node`` reads a ``.table`` attribute by key, if it does: a
+    subscript, or an ``in`` or ``not in`` test."""
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "table":
+        return "table[...]"
+    if (isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+            and any(isinstance(x, ast.Attribute) and x.attr == "table" for x in node.comparators)):
+        return "in .table"
+    return None
+
+
+def test_measure_tables_read_in_one_method():
+    """CausalMeasure._sigma is the one reader of a measure table by key,
+    so every value read raises MissingValue alike, and membership of the
+    family is never read off the table's keys."""
+    assert _enclosing(_table_read) == {"table[...]": {"measure._sigma"}}
+
+
+def test_public_names_declared_once():
+    """The package ``__init__`` star-imports modules and lists no name;
+    each of those modules declares its public names in ``__all__``, no
+    two lists share a name, and together they are the package's public
+    namespace."""
+    init = _modules()["__init__.py"]
+    stars = [node.module for node in init.body if isinstance(node, ast.ImportFrom)
+             and [a.name for a in node.names] == ["*"]]
+    assert not any(isinstance(node, (ast.List, ast.Tuple, ast.Set)) for node in ast.walk(init))
+    assert len(stars) == sum(isinstance(node, (ast.Import, ast.ImportFrom)) for node in init.body)
+    lists = [importlib.import_module(f"causalorder.{name}").__all__ for name in stars]
+    names = [name for names in lists for name in names]
+    assert len(names) == len(set(names))
+    public = {name for name, value in vars(causalorder).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(names)
