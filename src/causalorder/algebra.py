@@ -11,6 +11,7 @@ module decides at desk scale, each verdict by a proof from order facts
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -128,8 +129,9 @@ def classify(c: Causality, u: PointSet) -> SetClass:
 
 
 def class_of_mask(c: Causality, mask: int) -> SetClass:
-    """Classify a subset given as a bit-mask."""
-    return classify(c, PointSet(c, mask))
+    """Classify a subset given as a bit-mask: an int, or any integer that
+    ``operator.index`` takes, such as a numpy one read off a family array."""
+    return classify(c, PointSet(c, operator.index(mask)))
 
 
 def _vertex_sets(rows: list[int], cones: list[int]) -> Iterator[int]:

@@ -144,11 +144,12 @@ def _opened(path: str, mode: str) -> Iterator[IO[str]]:
         raise _FileError(f"cannot {what}: {exc}") from None
 
 
-def _write_out(path: str, text: str) -> None:
-    # text is whole before the file opens, so a failed encoding leaves no file;
-    # one-shot json.dumps runs the C encoder, json.dump the pure-Python one
+def _write_out(path: str, *pieces: str) -> None:
+    # every piece is made before the file opens, so a failed encoding leaves
+    # no file; one-shot json.dumps runs the C encoder, json.dump the
+    # pure-Python one.  The pieces are written in turn, not joined.
     with _opened(path, "w") as fp:
-        fp.write(text + "\n")
+        fp.writelines([*pieces, "\n"])
 
 
 def _load_json(path: str) -> dict:
@@ -173,8 +174,8 @@ def _cmd_sprinkle(args) -> int:
     # json.dumps({"causality": ..., "events": ...}, sort_keys=True), with
     # the relation written in bulk rather than one list entry at a time
     events = json.dumps(result.events, allow_nan=False)  # tuples encode as arrays
-    text = '{"causality": ' + _causality_json(result.causality) + ', "events": ' + events + "}"
-    _write_out(args.output, text)
+    before, relation, after = _causality_json(result.causality)
+    _write_out(args.output, '{"causality": ' + before, relation, after + ', "events": ' + events + "}")
     return 0
 
 

@@ -53,31 +53,36 @@ def _brackets(indent: int | None, level: int) -> tuple[str, str, str]:
     return "[" + inner, "," + inner, "\n" + " " * (indent * level) + "]"
 
 
-def _relation_bytes(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> bytes:
+def _relation_bytes(rel: np.ndarray, rows=_FLAT, cells=_FLAT) -> bytearray:
     """``json.dumps(rel.astype(int).tolist())`` of a square bool matrix, as
     ASCII bytes, framed by the (opening, separator, closing) triples of the
-    outer list and of each row.  One byte template per row, its digits
-    raised by the relation."""
+    outer list and of each row.  Written into one buffer: every row as the
+    text of a zero row, its digits then raised by the relation."""
     n = len(rel)
     if n == 0:
-        return b"[]"
-    cell_open, cell_sep, cell_close = (s.encode() for s in cells)
-    row_sep = rows[1].encode()
-    line = cell_open + cell_sep.join([b"0"] * n) + cell_close + row_sep
-    text = np.tile(np.frombuffer(line, np.uint8), (n, 1))
-    step = 1 + len(cell_sep)
-    text[:, len(cell_open):len(cell_open) + n * step:step] |= rel
-    return rows[0].encode() + text.ravel()[:-len(row_sep)].tobytes() + rows[2].encode()
+        return bytearray(b"[]")
+    (row_open, row_sep, row_close), (cell_open, cell_sep, cell_close) = (
+        [s.encode() for s in t] for t in (rows, cells))
+    line = cell_open + cell_sep.join([b"0"] * n) + cell_close
+    head, stride = len(row_open), len(line) + len(row_sep)
+    out = bytearray(head + n * stride - len(row_sep) + len(row_close))
+    out[:head], out[len(out) - len(row_close):] = row_open, row_close
+    np.ndarray((n, len(line)), np.uint8, out, head, (stride, 1))[...] = memoryview(line)
+    np.ndarray((n - 1, len(row_sep)), np.uint8, out, head + len(line), (stride, 1))[...] = memoryview(row_sep)
+    np.ndarray((n, n), np.uint8, out, head + len(cell_open), (stride, 1 + len(cell_sep)))[...] |= rel
+    return out
 
 
-def _causality_json(c: Causality, indent: int | None = None) -> str:
-    """``json.dumps(causality_to_dict(c), indent=indent, sort_keys=True)``
-    with the relation written by :func:`_relation_bytes`."""
+def _causality_json(c: Causality, indent: int | None = None) -> list[str]:
+    """``json.dumps(causality_to_dict(c), indent=indent, sort_keys=True)`` in
+    three pieces: the text before the relation, the relation as
+    :func:`_relation_bytes` writes it, and the text after it.  Written in
+    turn, they need no joined copy of the relation."""
     head = {"closure": "explicit", "points": list(c.points), "relation": 0}
     # "relation" sorts last, so the last "0" of the text is its value
     before, _, after = json.dumps(head, indent=indent, sort_keys=True).rpartition("0")
     rows, cells = _brackets(indent, 1), _brackets(indent, 2)
-    return before + _relation_bytes(c.relation, rows, cells).decode("ascii") + after
+    return [before, _relation_bytes(c.relation, rows, cells).decode("ascii"), after]
 
 
 def _relation_matrix(rows) -> np.ndarray:
@@ -136,48 +141,69 @@ def causality_from_dict(data: dict) -> Causality:
 
 
 def dump_causality(c: Causality, fp: IO[str]) -> None:
-    fp.write(_causality_json(c, indent=1) + "\n")
+    fp.writelines([*_causality_json(c, indent=1), "\n"])
+
+
+def _words(pattern: str) -> list[tuple[int, np.dtype, int]]:
+    """``pattern``'s bytes as little-endian ints of the widest width w <=
+    its length in 1, 2, 4 and 8 bytes: (offset, dtype, value) for every w
+    bytes, the last ending where the pattern ends."""
+    raw = pattern.encode()
+    w = 1 << min(3, len(raw).bit_length() - 1)
+    return [(at, np.dtype(f"<u{w}"), int.from_bytes(raw[at:at + w], "little"))
+            for at in sorted({*range(0, len(raw) - w, w), len(raw) - w})]
 
 
 # The relation framings the library writes: flat (CLI sprinkle, and
-# json.dumps of causality_to_dict) and indent=1 (dump_causality).
-_FRAMINGS = [(_brackets(None, 1), _brackets(None, 2)), (_brackets(1, 1), _brackets(1, 2))]
+# json.dumps of causality_to_dict) and indent=1 (dump_causality); each
+# with the words of its cell separator.
+_FRAMINGS = [(rows, cells, _words(cells[1])) for rows, cells in (
+    (_brackets(None, 1), _brackets(None, 2)), (_brackets(1, 1), _brackets(1, 2)))]
 _RELATION_KEY = '"relation": '
 _HOLE = object()  # what the placeholder of the relation parses to
 
 
 def _framed_relation(text: str) -> tuple[int, int, np.ndarray] | None:
-    """``(start, end, rel)`` when ``text[start:end]`` follows the first
-    ``"relation": `` key that opens a framing of :data:`_FRAMINGS` and is
-    exactly what :func:`_relation_bytes` writes for ``rel`` in it.  Inside
-    a JSON string every ``"`` is escaped, so ``relation"`` ends a key."""
-    for rows, cells in _FRAMINGS:
-        at = text.find(_RELATION_KEY + rows[0] + cells[0])
-        if at >= 0:
+    """``(start, end, rel)`` when the first ``"relation": [`` of ``text``
+    opens a framing of :data:`_FRAMINGS`, and ``text[start:end]``, its
+    value, is exactly what :func:`_relation_bytes` writes for ``rel`` in
+    it.  Inside a JSON string every ``"`` is escaped, so ``relation"``
+    ends a key.  The writer's texts are ASCII (``json.dumps`` escapes the
+    rest), so the text is read as its ASCII bytes.
+
+    It is checked in place, on strided views of those bytes (ndarray
+    checks that each lies inside them): the digits, the words of every
+    cell separator, the joints from each row's last digit to the next
+    row's first, and the close of the last row."""
+    at = text.find(_RELATION_KEY + "[") if text.isascii() else -1
+    start = at + len(_RELATION_KEY)
+    for rows, cells, words in _FRAMINGS:
+        if at >= 0 and text.startswith(rows[0] + cells[0], start):
             break
     else:
         return None
-    start = at + len(_RELATION_KEY)
-    first = start + len(rows[0])  # where the first row opens
-    (cell_open, cell_sep, cell_close), row_sep = cells, rows[1]
+    (row_open, row_sep, row_close), (cell_open, cell_sep, cell_close) = rows, cells
+    first = start + len(row_open)  # where the first row opens
     row_len = text.find(cell_close, first) + len(cell_close) - first
     step = 1 + len(cell_sep)  # from one digit to the next
     n, extra = divmod(row_len - len(cell_open) - len(cell_close) + len(cell_sep), step)
     stride = row_len + len(row_sep)  # from one row to the next
-    end = first + n * stride - len(row_sep) + len(rows[2])
-    span = text[start:end]
-    if n < 1 or extra or len(span) != end - start or not span.isascii():
+    end = first + n * stride - len(row_sep) + len(row_close)
+    if n < 1 or extra or end > len(text) or not text.endswith(cell_close + row_close, start, end):
         return None
-    raw = span.encode()
-    # the n x n digits, read in place; ndarray checks they lie inside raw
-    digits = np.ndarray((n, n), np.uint8, raw, len(rows[0]) + len(cell_open),
-                        (stride, step)) - ord("0")
-    if not (digits <= 1).all():
+    raw = text.encode()
+    at = first + len(cell_open)  # the first digit
+    digits = np.ndarray((n, n), np.uint8, raw, at, (stride, step)) ^ ord("0")
+    if digits.max() > 1:
         return None
-    rel = digits.view(bool)
-    if _relation_bytes(rel, rows, cells) != raw:
+    for offset, dtype, value in words:
+        if (np.ndarray((n, n - 1), dtype, raw, at + 1 + offset, (stride, step)) != value).any():
+            return None
+    joint = cell_close + row_sep + cell_open
+    joints = np.ndarray((n - 1, len(joint)), np.uint8, raw, at + n * step - len(cell_sep), (stride, 1))
+    if joints.tobytes() != joint.encode() * (n - 1):
         return None
-    return start, end, rel
+    return start, end, digits.view(bool)
 
 
 def _fast_document(text) -> dict | None:

@@ -236,25 +236,22 @@ def _isclose(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
 def outer_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> float:
     """Infimum of the measure over family supersets of ``a``; +inf when
     no family set contains it.  Raises MissingValue for a family superset
-    the table lacks."""
+    the table lacks.  The supersets are found by one test on the stored
+    family array and folded in ascending order, so a NaN value never
+    wins."""
     _require_owner(c, measure, a)
-    best = math.inf
-    for m in family_masks(c, measure.kind):
-        if a.mask & ~m == 0:
-            best = min(best, measure._sigma(m))
-    return best
+    fam = _family_array(c, measure.kind)
+    return min([math.inf, *map(measure._sigma, fam[(fam & a.mask) == a.mask].tolist())])
 
 
 def inner_measure_value(c: Causality, measure: CausalMeasure, a: PointSet) -> float:
     """Supremum of the measure over family subsets of ``a``; at least 1,
     because the empty set always qualifies.  Raises MissingValue for a
-    family subset the table lacks."""
+    family subset the table lacks.  Found and folded as the supersets of
+    :func:`outer_measure_value` are."""
     _require_owner(c, measure, a)
-    best = 0.0
-    for m in family_masks(c, measure.kind):
-        if m & ~a.mask == 0:
-            best = max(best, measure._sigma(m))
-    return best
+    fam = _family_array(c, measure.kind)
+    return max([0.0, *map(measure._sigma, fam[(fam | a.mask) == a.mask].tolist())])
 
 
 @dataclass(frozen=True)
@@ -277,7 +274,8 @@ def formal_entropy(
     set is measured through the inner extension by default (supremum over
     family subsets), or the outer one on request, whatever the table
     holds for it.  Raises ValueError for an unknown ``extension``, before
-    any work, and for a value <= 0, which has no logarithm.
+    any work, and for a value that is not > 0 (NaN included), which has no
+    logarithm.
     """
     extend = {"inner": inner_measure_value, "outer": outer_measure_value}.get(extension)
     if extend is None:
@@ -286,7 +284,7 @@ def formal_entropy(
     bits, want = _KIND_CODES[measure.kind]
     member = _code_of(c, a.mask) & bits == want
     sigma = measure._sigma(a.mask) if member else extend(c, measure, a)
-    if sigma <= 0:
+    if not sigma > 0:  # NaN included
         raise ValueError(f"measure value {sigma} of {c.ids_of(a.mask)} has no logarithm")
     return EntropyValue(boltzmann * math.log(sigma), boltzmann)
 

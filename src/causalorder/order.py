@@ -263,9 +263,14 @@ def validate_matrix(relation: np.ndarray) -> np.ndarray:
     return the cover diagram strict & ~(strict∘strict), rows packed by
     ``np.packbits(..., axis=1, bitorder="little")``.
 
-    Transitivity is checked as strict∘strict ⊆ rel.  rel is reflexive by
-    then, so rel∘rel = rel ∪ strict∘strict: the same cells are missing,
-    and for a missing (i, k) no j in {i, k} has rel[i, j] and rel[j, k].
+    Antisymmetry is read off the same product, with no transposed pass:
+    square[i, i] holds iff strict[i, j] and strict[j, i] for some j, so
+    the diagonal of square is clear iff no pair is symmetric.  Only a
+    failure builds strict & strict.T, to name the first symmetric pair in
+    row-major order.  Transitivity is checked next, as strict∘strict ⊆
+    rel.  rel is reflexive by then, so rel∘rel = rel ∪ strict∘strict: the
+    same cells are missing, and for a missing (i, k) no j in {i, k} has
+    rel[i, j] and rel[j, k].
     """
     rel = np.asarray(relation, dtype=bool)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
@@ -273,12 +278,12 @@ def validate_matrix(relation: np.ndarray) -> np.ndarray:
     diag = np.diagonal(rel)
     if not diag.all():
         raise NotReflexive(int(np.flatnonzero(~diag)[0]))
-    strict = rel & ~np.eye(len(rel), dtype=bool)
-    sym = strict & strict.T
-    if sym.any():
-        i, j = np.argwhere(sym)[0]
-        raise NotAntisymmetric(int(i), int(j))
+    strict = rel.copy()
+    np.fill_diagonal(strict, False)
     square = _compose(strict, strict)
+    if np.diagonal(square).any():
+        i, j = np.argwhere(strict & strict.T)[0]
+        raise NotAntisymmetric(int(i), int(j))
     missing = square & ~rel
     if missing.any():
         i, k = np.argwhere(missing)[0]

@@ -41,6 +41,11 @@ _SCANS = "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_up_to_th
 _PRODUCTS = "tests/test_source.py::test_matrix_products_only_in_the_kernel"
 _PRODUCT = "                    acc = x @ row[bk]\n"
 _FAMILY_STORE = "tests/test_algebra.py::test_family_array_built_on_first_use"
+_LOGARITHM = "tests/test_measure.py::test_entropy_of_a_value_without_logarithm"
+_EXTENSIONS = "tests/test_measure.py::test_extensions_match_the_loop_over_the_family"
+_FAST_PATH = "tests/test_io.py::test_library_framings_take_the_fast_path"
+_EVERY_BYTE = "tests/test_io.py::test_reader_matches_json_loads_on_every_byte_of_the_relation"
+_LAST_ROW = "tests/test_io.py::test_reader_matches_json_loads_on_a_separator_of_the_last_row"
 
 MUTANTS = [
     # the order: relation kept in the store again
@@ -66,12 +71,12 @@ MUTANTS = [
      [_MISSING,
       "tests/test_cli.py::test_verify_monotonicity_of_incomplete_measure_exits_2"]),
     ("measure.py",
-     "best = max(best, measure._sigma(m))",
-     "best = max(best, measure.table[m])",
+     "[0.0, *map(measure._sigma,",
+     "[0.0, *map(measure.table.__getitem__,",
      [_MISSING]),
     ("measure.py",
-     "best = min(best, measure._sigma(m))",
-     "best = min(best, measure.table[m])",
+     "[math.inf, *map(measure._sigma,",
+     "[math.inf, *map(measure.table.__getitem__,",
      [_MISSING]),
     # the density test
     ("reconstruction.py",
@@ -118,6 +123,31 @@ MUTANTS = [
      "    return out.take(back, 0).take(back, 1)\n\n\ndef induced",
      "    return out.take(back, 0)\n\n\ndef induced",
      [_EVENTS]),
+    # the fixed-stride reader: a check dropped, or the stride off by one
+    ("io.py",
+     "    for offset, dtype, value in words:\n",
+     "    for offset, dtype, value in []:\n",
+     [_EVERY_BYTE, _LAST_ROW]),
+    ("io.py",
+     "    if digits.max() > 1:\n        return None\n",
+     "",
+     [_EVERY_BYTE]),
+    ("io.py",
+     "    if joints.tobytes() != joint.encode() * (n - 1):\n        return None\n",
+     "",
+     [_EVERY_BYTE]),
+    ("io.py",
+     "stride = row_len + len(row_sep)  #",
+     "stride = row_len + len(row_sep) + 1  #",
+     [_FAST_PATH]),
+    # validation: antisymmetry not read off the product's diagonal
+    ("order.py",
+     "    if np.diagonal(square).any():\n"
+     "        i, j = np.argwhere(strict & strict.T)[0]\n"
+     "        raise NotAntisymmetric(int(i), int(j))\n",
+     "",
+     ["tests/test_order.py::test_validate_rejects_symmetry",
+      "tests/test_order.py::test_validate_names_the_first_symmetric_pair_past_the_block_size"]),
     # the product kernel's layout, and the cover that validation keeps
     ("order.py",
      "return out.take(back, 0).take(back, 1)  # C order",
@@ -248,9 +278,13 @@ MUTANTS = [
      'return _stored(c, ("family_arr", kind), lambda c, kind: _stored(c, ("family", kind), _family, kind), kind)',
      [_FAMILY_STORE, _CLI_STORE]),
     ("algebra.py",
-     "return classify(c, PointSet(c, mask))",
-     "return _CLASSES[_code_of(c, mask)]",
+     "return classify(c, PointSet(c, operator.index(mask)))",
+     "return _CLASSES[_code_of(c, operator.index(mask))]",
      ["tests/test_algebra.py::test_class_of_mask_rejects_masks_outside_the_ground_set"]),
+    ("algebra.py",
+     "return classify(c, PointSet(c, operator.index(mask)))",
+     "return classify(c, PointSet(c, mask))",
+     ["tests/test_algebra.py::test_class_of_mask_takes_numpy_integers"]),
     # the entropy: membership by table keys, any extension, a log of 0
     ("measure.py",
      "member = _code_of(c, a.mask) & bits == want",
@@ -262,9 +296,18 @@ MUTANTS = [
      "    if extend is None and False:\n",
      ["tests/test_measure.py::test_entropy_rejects_an_unknown_extension_for_every_set"]),
     ("measure.py",
+     "if not sigma > 0:",
+     "if not sigma >= 0:",
+     [_LOGARITHM]),
+    ("measure.py",
+     "if not sigma > 0:",
      "if sigma <= 0:",
-     "if sigma < 0:",
-     ["tests/test_measure.py::test_entropy_of_a_value_without_logarithm"]),
+     [_LOGARITHM]),
+    # the extensions: subsets taken for supersets
+    ("measure.py",
+     "fam[(fam | a.mask) == a.mask]",
+     "fam[(fam & a.mask) == a.mask]",
+     [_EXTENSIONS]),
     # a NaN slice time, and the CLI's tolerance as a second literal
     ("minkowski.py",
      "if math.isnan(t):",

@@ -211,6 +211,16 @@ def test_class_of_mask_rejects_masks_outside_the_ground_set(d4):
     assert "class_codes" in d4._derived
 
 
+def test_class_of_mask_takes_numpy_integers():
+    # a mask read off a family array is a numpy integer: it classifies as
+    # the int does, and one outside the ground set raises the same error
+    c = co.chain(3)
+    assert class_of_mask(c, np.uint64(3)) is class_of_mask(c, 3)
+    assert class_of_mask(c, np.int64(5)) is class_of_mask(c, 5)
+    with pytest.raises(ValueError, match="exceeds the ground set"):
+        class_of_mask(c, np.uint64(8))
+
+
 def _per_mask_table(c):
     return np.array([_class_code(c, m) for m in range(1 << c.n)], dtype=np.uint8)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import causalorder as co
-from causalorder.io import _fast_document, _relation_bytes
+from causalorder.io import _fast_document, _framed_relation, _relation_bytes
 
 from conftest import MALFORMED_CAUSALITY, random_poset
 
@@ -377,3 +377,37 @@ def test_reader_matches_json_loads(n, p_edge, seed, order, indent):
             fast = _outcome(lambda: co.load_causality(io.StringIO(text)))
             slow = _outcome(lambda: co.causality_from_dict(json.loads(text)))
             assert fast == slow, text
+
+
+def _same_outcome(text):
+    """Whether the reader and ``json.loads`` agree on ``text``."""
+    return (_outcome(lambda: co.load_causality(io.StringIO(text)))
+            == _outcome(lambda: co.causality_from_dict(json.loads(text))))
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_reader_matches_json_loads_on_every_byte_of_the_relation(chain3, indent):
+    # every ASCII character, and one that is not, in place of each one of
+    # the relation's text: the fixed-stride reader rejects what the
+    # writer would not write, and json.loads decides
+    text = json.dumps(co.causality_to_dict(chain3), indent=indent)
+    start, end, _ = _framed_relation(text)
+    for at in range(start, end):
+        for char in map(chr, [*range(128), 0xE9]):
+            if char != text[at]:
+                edited = text[:at] + char + text[at + 1:]
+                assert _same_outcome(edited), edited
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_reader_matches_json_loads_on_a_separator_of_the_last_row(indent):
+    # a 300-point relation with one cell separator of its last row edited:
+    # into another one json accepts, and into one it rejects
+    c = co.sprinkle(co.SprinkleConfig(d=3, box=((0, 1),) * 4, n=300, seed=4)).causality
+    text = json.dumps(co.causality_to_dict(c), indent=indent)
+    start, end, _ = _framed_relation(text)
+    at = text.rindex(",", start, end - 10)
+    for edit in ("\t", ";"):
+        edited = text[:at + 1] + edit + text[at + 2:]
+        assert _framed_relation(edited) is None
+        assert _same_outcome(edited)

@@ -318,6 +318,44 @@ def test_inner_extension_at_least_one(d4):
     assert co.inner_measure_value(d4, m, d4.subset([])) == 1.0
 
 
+def _extension_by_loop(c, measure, a, outer):
+    """The extensions as a loop over the family: the ascending fold, the
+    table read through the measure, so the first missing member raises."""
+    best = math.inf if outer else 0.0
+    for m in family_masks(c, measure.kind):
+        if (a.mask & ~m if outer else m & ~a.mask) == 0:
+            best = (min if outer else max)(best, measure._sigma(m))
+    return best
+
+
+def _outcome(call):
+    try:
+        return call()
+    except co.MissingValue as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", [Kind.DIVERGENT, Kind.CONVERGENT])
+@pytest.mark.parametrize("name", ["chain3", "d4", "l5", "l33"])
+def test_extensions_match_the_loop_over_the_family(request, name, kind):
+    # on the unit table, one with a NaN and a value either side of 1, and
+    # one missing a member: the same value, or the same set named missing
+    c = request.getfixturevalue(name)
+    unit = dict(co.constant_measure(c, kind).table)
+    members = sorted(unit)
+    nan = dict(unit)
+    nan.update({members[-1]: math.nan, members[len(members) // 2]: 3.0, members[1]: 0.5})
+    missing = dict(unit)
+    del missing[members[len(members) // 2]]
+    for table in (unit, nan, missing):
+        m = co.CausalMeasure(c, kind, table)
+        for mask in range(1 << c.n):
+            a = PointSet(c, mask)
+            for fn, outer in ((co.inner_measure_value, False), (co.outer_measure_value, True)):
+                want = _outcome(lambda: _extension_by_loop(c, m, a, outer))
+                assert _outcome(lambda: fn(c, m, a)) == want, (fn.__name__, mask)
+
+
 # ---------------------------------------------------------------------------
 # Entropy
 # ---------------------------------------------------------------------------
@@ -365,7 +403,7 @@ def test_entropy_rejects_an_unknown_extension_for_every_set(chain3):
             co.formal_entropy(chain3, m, PointSet(chain3, mask), extension="bogus")
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 def test_entropy_of_a_value_without_logarithm(chain3, value):
     m = _perturbed(chain3, {("a",): value})
     with pytest.raises(ValueError, match=rf"^measure value {value} of \('a',\) has no logarithm$"):

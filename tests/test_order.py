@@ -43,6 +43,19 @@ def test_validate_rejects_symmetry():
     assert set(exc.value.witness) == {0, 1}
 
 
+def test_validate_names_the_first_symmetric_pair_past_the_block_size():
+    # one pair made symmetric in a 300-point order, so the product is
+    # blocked: the witness is the first symmetric pair in row-major order
+    cfg = co.SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=300, seed=5)
+    rel = co.sprinkle(cfg).causality.relation.copy()
+    i, j = np.argwhere(rel & ~np.eye(300, dtype=bool))[-1]
+    rel[j, i] = True
+    strict = rel & ~np.eye(300, dtype=bool)
+    with pytest.raises(co.NotAntisymmetric) as exc:
+        co.validate_causality([f"p{k}" for k in range(300)], rel)
+    assert exc.value.witness == tuple(np.argwhere(strict & strict.T)[0]) == (min(i, j), max(i, j))
+
+
 def test_validate_rejects_missing_closure():
     rel = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     with pytest.raises(co.NotTransitive) as exc:
