@@ -223,8 +223,9 @@ def vertex(c: Causality, u: PointSet, direction: Direction) -> str | None:
 # ---------------------------------------------------------------------------
 
 # Every bit set: the mark of a pair with no common superset in the union
-# and bound tables.  They and _fold's callers run under LAW_SCAN_CAP (12)
-# points, so no subset mask they meet has it; the AND fold's identity.
+# and bound tables, and the AND fold's identity.  Every mask they meet is
+# a subset of a ground set of at most ENUMERATION_CAP (20) points, since
+# the families stop there, so none has all 64 bits set.
 _NONE = np.uint64(2**64 - 1)
 
 # The sides on which the sets of each union kind have their vertex: a top
@@ -466,50 +467,52 @@ def _fold(fam: np.ndarray, rows: list[int], op: np.ufunc) -> np.ndarray:
     return op.reduce(np.where(member, np.array(rows, dtype=np.uint64), identity), axis=1)
 
 
-def _vertices(c: Causality, fam: np.ndarray, side: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """For each mask of the uint64 array ``fam``: the index of its vertex
-    on ``side`` (c.n when it has none, as ∅), and its reach away from that
-    side (↑S for UPPER), as _bound_meet gives them for one mask."""
-    rows = c.succ_masks if side is Direction.UPPER else c.pred_masks
-    bit = _fold(fam, rows, np.bitwise_and) & fam
-    index = np.where(bit == 0, c.n, np.log2(np.maximum(bit, 1)).astype(np.intp))
-    return index, _fold(fam, rows, np.bitwise_or)
+def _vertices(c: Causality, fam: np.ndarray, side: Direction) -> np.ndarray:
+    """The index of the vertex on ``side`` of each mask of the uint64
+    array ``fam``, c.n when it has none, as ∅."""
+    bit = _fold(fam, _rows_cones(c, side)[0], np.bitwise_and) & fam
+    return np.where(bit == 0, c.n, np.log2(np.maximum(bit, 1)).astype(np.intp))
 
 
 def _bound_table(c: Causality, side: Direction) -> np.ndarray:
     """B[v, w] = the kernel's meet for the points v and w on ``side`` (the
     AND of ↓q over their common upper bounds q, for UPPER), or _NONE
     where they have no common bound: one AND fold of the cones over the
-    common-bound masks.  Row and column c.n, for ∅, are 0."""
+    common-bound masks.  Index c.n is ∅, which every point bounds, so
+    B[v, c.n] is the meet for v alone, its cone ↓v; B[c.n, c.n] is 0,
+    as ∅ ∪ ∅ = ∅."""
     rows, cones = _rows_cones(c, side)
-    r = np.array(rows, dtype=np.uint64)
-    meet = _fold((r[:, None] & r).ravel(), cones, np.bitwise_and).reshape(c.n, c.n)
-    return np.pad(meet, (0, 1))  # ∅: row and column 0
+    r = np.array([*rows, c.full_mask], dtype=np.uint64)
+    meet = _fold((r[:, None] & r).ravel(), cones, np.bitwise_and).reshape(c.n + 1, c.n + 1)
+    meet[c.n, c.n] = 0
+    return meet
 
 
-def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(meets, index) over the pairs of family members ``masks`` (uint64,
-    ∅ first): meets[i, j] is the AND of the family supersets of members i
-    and j (_NONE when there is none), and index[i, j] the family index of
-    that AND, their causal union, or -1 when the union is undefined.
-    This is _closed_union's AND read off the vertices: the common bounds
-    of i | j on a side are those of the vertices v_i and v_j, so the AND
-    is (reach_i | reach_j) & B[v_i, v_j] with B the _bound_table, and the
-    AND of both sides' B entries for BOTH.  The laws and axioms pass one
-    member per vertex group (_vertex_groups), the measure suite every
-    member."""
+def _union_table(c: Causality, kind: Kind, masks: np.ndarray, i: np.ndarray,
+                 j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(meets, index) over the pairs (masks[i], masks[j]) of family
+    members, for index arrays i and j that broadcast together: meets is
+    the AND of the family supersets of each pair (_NONE when there is
+    none), and index the family index of that AND, their causal union,
+    or -1 when the union is undefined.  This is _closed_union's AND read
+    off the vertices: the common bounds of a | b on a side are those of
+    the vertices v_a and v_b, so the AND is (reach_a | reach_b) &
+    B[v_a, v_b] with B the _bound_table, whose ∅ entries make ∅ every
+    union's identity, and the AND of both sides' B entries for BOTH.
+    The laws and axioms pass the grid of one member per vertex group
+    (_vertex_groups), the measure suite the unordered member pairs."""
     sides = _sides(kind)
-    meets = np.full((len(masks), len(masks)), c.full_mask, dtype=np.uint64)
+    meets = np.full(np.broadcast_shapes(i.shape, j.shape), c.full_mask, dtype=np.uint64)
     undefined = np.zeros(meets.shape, dtype=bool)
     for side in sides:
-        v, reach = _vertices(c, masks, side)
-        bound = _bound_table(c, side)[v[:, None], v]
+        v = _vertices(c, masks, side)
+        bound = _bound_table(c, side)[v[i], v[j]]
         undefined |= bound == _NONE
         meets &= bound
-    if len(sides) == 1:
-        meets &= reach[:, None] | reach  # ↑X for CONVERGENT, ↓X for DIVERGENT
+    if len(sides) == 1:  # ↑X for CONVERGENT, ↓X for DIVERGENT
+        reach = _fold(masks, _rows_cones(c, sides[0])[0], np.bitwise_or)
+        meets &= reach[i] | reach[j]
     meets[undefined] = _NONE
-    meets[0, :] = meets[:, 0] = masks  # ∅ is every union's identity
     return meets, _index_in(_family_array(c, kind), meets)
 
 
@@ -517,15 +520,16 @@ def _vertex_groups(c: Causality, kind: Kind):
     """(group, size, meets, union): group[i] is the group of member i by
     its vertices (both sides' for BOTH), size[g] counts group g, group 0
     is {∅}, and meets and union are the _union_table of one member per
-    group.  Whether a union is defined, and the vertices of the result,
-    depend on the operands' vertices alone (_closed_union)."""
+    group, over every pair of groups.  Whether a union is defined, and
+    the vertices of the result, depend on the operands' vertices alone
+    (_closed_union)."""
     fam = _family_array(c, kind)
     key = np.zeros(len(fam), dtype=np.intp)
     for side in _sides(kind):  # ∅, with vertex c.n on every side, keys 0
-        key = key * (c.n + 1) + c.n - _vertices(c, fam, side)[0]
+        key = key * (c.n + 1) + c.n - _vertices(c, fam, side)
     _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return group, size, *_union_table(c, kind, fam[first])
+    return group, size, *_union_table(c, kind, fam[first], *np.ogrid[:len(first), :len(first)])
 
 
 def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:

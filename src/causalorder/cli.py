@@ -222,11 +222,9 @@ def _cmd_verify(args) -> int:
             lines.append(entry)
         ok &= report.all_hold
 
-    with _opened(args.output, "w") as fp:
-        for entry in lines:
-            entry["counterexample"] = _spelled_out(entry["counterexample"])
-            fp.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
-        fp.write(json.dumps({"summary": {"all_hold": ok}}, sort_keys=True) + "\n")
+    lines.append({"summary": {"all_hold": ok}})
+    _write_out(args.output, "\n".join(
+        json.dumps(_spelled_out(entry), sort_keys=True, allow_nan=False) for entry in lines))
     return 0 if ok else 2
 
 

@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .order import Causality, _closure, validate_causality
+from .order import Causality, _bool_matrix, _closure, validate_causality
 
 __all__ = [
     "causality_to_dict",
@@ -86,24 +86,23 @@ def _causality_json(c: Causality, indent: int | None = None) -> list[str]:
 
 
 def _relation_matrix(rows) -> np.ndarray:
-    """The relation of a file as a bool matrix.  Entries must be 0 or 1
-    (JSON true and false count as 1 and 0); anything else raises
-    ValueError naming the first bad entry, or the first row of a ragged
-    matrix whose length differs from the number of rows.  A bool ndarray,
-    as :func:`load_causality` reads it, is returned as it is."""
-    if isinstance(rows, np.ndarray) and rows.dtype == bool:
-        return rows
+    """The relation of a file as an array of numbers or JSON values, for
+    order._bool_matrix, which states the 0/1 rule (JSON true and false
+    count as 1 and 0).  Raises ValueError naming the first row of a
+    ragged matrix whose length differs from the number of rows, or the
+    first string entry of a matrix of mixed JSON values (numpy would read
+    its numbers as text)."""
     n = len(rows) if type(rows) is list else 0
     if n and all(type(row) is list for row in rows) and len({len(row) for row in rows}) > 1:
         i = next(i for i, row in enumerate(rows) if len(row) != n)
         raise ValueError(f"relation row {i} has {len(rows[i])} entries, not {n}")
     rel = np.asarray(rows)
-    if rel.dtype.kind in "biuf" and ((rel == 0) | (rel == 1)).all():
-        return rel.astype(bool)
+    if rel.dtype.kind in "biuf" or rel.dtype.kind == "O" and rel.ndim == 2:
+        return rel
     if rel.ndim == 2:
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                if not isinstance(v, (int, float)) or v not in (0, 1):
+                if isinstance(v, str):
                     raise ValueError(f"relation entry ({i}, {j}) is {v!r}, not 0 or 1")
     raise ValueError("relation must be a matrix of 0 and 1 entries")
 
@@ -134,7 +133,7 @@ def causality_from_dict(data: dict) -> Causality:
         n = len(points)
         if rel.shape != (n, n):
             raise ValueError("cover matrix must be square over the points")
-        rel = _closure(rel)
+        rel = _closure(_bool_matrix(rel))
     elif mode != "explicit":
         raise ValueError(f"unknown closure mode {mode!r}")
     return validate_causality(points, rel)

@@ -143,17 +143,16 @@ def constant_measure(c: Causality, kind: Kind = Kind.DIVERGENT) -> CausalMeasure
     return CausalMeasure(c, kind, {m: 1.0 for m in family_masks(c, kind)})
 
 
-def _scan(law: str, scanned: np.ndarray, checked: np.ndarray, bad: np.ndarray, witness) -> LawResult:
-    """The result of scanning the ``scanned`` cells of a family table in
-    row-major order: ``checked`` cells count as checked and the others as
-    skipped, until the first ``bad`` one (a checked cell), which fails
-    with the counterexample ``witness(*cell)``."""
-    hits = np.flatnonzero(bad & scanned)
-    stop = int(hits[0]) + 1 if hits.size else None
-    n_scanned = int(np.count_nonzero(scanned.ravel()[:stop]))
-    n_checked = int(np.count_nonzero((scanned & checked).ravel()[:stop]))
-    ce = None if stop is None else witness(*np.unravel_index(stop - 1, bad.shape))
-    return LawResult(law, "holds" if stop is None else "fails", ce, n_checked, n_scanned - n_checked)
+def _scan(law: str, checked: np.ndarray, bad: np.ndarray, witness) -> LawResult:
+    """The result of scanning a flat list of cases in order: ``checked``
+    cases count as checked and the others as skipped, until the first
+    ``bad`` one (a checked case), which fails with the counterexample
+    ``witness(k)`` for its position k."""
+    hits = np.flatnonzero(bad)
+    stop = int(hits[0]) + 1 if hits.size else len(bad)
+    n_checked = int(np.count_nonzero(checked[:stop]))
+    ce = witness(stop - 1) if hits.size else None
+    return LawResult(law, "fails" if hits.size else "holds", ce, n_checked, stop - n_checked)
 
 
 def _family_sigma(c: Causality, measure: CausalMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -197,31 +196,29 @@ def verify_measure_axioms(
         return {"set": c.ids_of(m), "sigma": measure._sigma(m),
                 "reason": "below the codomain [1, inf]"}
 
-    every = np.ones(len(bad), dtype=bool)
-    report.results.append(_scan("normalization", every, every, bad, normalization_witness))
+    report.results.append(_scan("normalization", np.ones_like(bad), bad, normalization_witness))
 
-    # every pair at once, from the family's union and intersection tables
-    meets, u_idx = _union_table(c, measure.kind, fam)
-    i_idx = _index_in(fam, fam[:, None] & fam)
-    pairs = np.triu(np.ones(u_idx.shape, dtype=bool))
+    # every unordered pair at once, in row-major order of the f x f grid
+    i, j = np.triu_indices(len(fam))
+    meets, u_idx = _union_table(c, measure.kind, fam, i, j)
+    i_idx = _index_in(fam, fam[i] & fam[j])
     ok = (u_idx >= 0) & (i_idx >= 0)
     with np.errstate(all="ignore"):
         lhs = sigma[u_idx]
-        rhs = sigma[:, None] * sigma / sigma[i_idx]
+        rhs = sigma[i] * sigma[j] / sigma[i_idx]
         close = _isclose(lhs, rhs, rtol)
         below = (lhs < rhs) & ~close
-        plain = meets == (fam[:, None] | fam)
+        plain = meets == (fam[i] | fam[j])
         unequal = plain & ~(np.isinf(lhs) & np.isinf(rhs)) & ~close
 
-    def witness(i, j):
-        out = {"a": c.ids_of(int(fam[i])), "b": c.ids_of(int(fam[j])),
-               "sigma_union": float(lhs[i, j]), "bound": float(rhs[i, j])}
-        if not below[i, j]:
+    def witness(k):
+        out = {"a": c.ids_of(int(fam[i[k]])), "b": c.ids_of(int(fam[j[k]])),
+               "sigma_union": float(lhs[k]), "bound": float(rhs[k])}
+        if not below[k]:
             out["reason"] = "equality required when the causal union is the plain union"
         return out
 
-    report.results.append(_scan(
-        "super-multiplicativity", pairs, ok, ok & (below | unequal), witness))
+    report.results.append(_scan("super-multiplicativity", ok, ok & (below | unequal), witness))
     return report
 
 
@@ -317,9 +314,8 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
         return {"a": c.ids_of(a), "b": c.ids_of(b),
                 "sigma_a": measure._sigma(a), "sigma_b": measure._sigma(b)}
 
-    every = np.ones(len(i), dtype=bool)
     report = LawReport("measure monotonicity")
-    report.results.append(_scan("family-pairs", every, every, bad, witness))
+    report.results.append(_scan("family-pairs", np.ones_like(bad), bad, witness))
     return report
 
 

@@ -93,7 +93,7 @@ class Causality:
 
     def __init__(self, points: Sequence[str], relation, _cover: tuple[np.ndarray, np.ndarray] | None = None):
         if _cover is None:
-            rel = np.asarray(relation, dtype=bool)
+            rel = _bool_matrix(relation)
             _cover = validate_matrix(rel), np.packbits(rel, axis=1, bitorder="little")
         pts = tuple(str(p) for p in points)
         if len(set(pts)) != len(pts):
@@ -258,9 +258,25 @@ def _transpose(packed: np.ndarray, n: int) -> np.ndarray:
     return np.packbits(np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="little")
 
 
+def _bool_matrix(relation) -> np.ndarray:
+    """``relation`` as a square bool matrix.  A bool array is taken as it
+    is.  Any other must hold only 0 and 1: ValueError names its first
+    other entry in row-major order, by its Python value, as a file's
+    relation does."""
+    rel = np.asarray(relation)
+    if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
+        raise ValueError("relation must be a square matrix")
+    bad = [] if rel.dtype == bool else np.argwhere((rel != 0) & (rel != 1))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"relation entry ({i}, {j}) is {rel.item(i, j)!r}, not 0 or 1")
+    return rel.astype(bool, copy=False)
+
+
 def validate_matrix(relation: np.ndarray) -> np.ndarray:
-    """Check the poset axioms, raising with a witness on the first failure;
-    return the cover diagram strict & ~(strict∘strict), rows packed by
+    """Check the shape and the 0/1 rule (_bool_matrix), then the poset
+    axioms, raising with a witness on the first failure; return the cover
+    diagram strict & ~(strict∘strict), rows packed by
     ``np.packbits(..., axis=1, bitorder="little")``.
 
     Antisymmetry is read off the same product, with no transposed pass:
@@ -272,9 +288,7 @@ def validate_matrix(relation: np.ndarray) -> np.ndarray:
     same cells are missing, and for a missing (i, k) no j in {i, k} has
     rel[i, j] and rel[j, k].
     """
-    rel = np.asarray(relation, dtype=bool)
-    if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
-        raise ValueError("relation must be a square matrix")
+    rel = _bool_matrix(relation)
     diag = np.diagonal(rel)
     if not diag.all():
         raise NotReflexive(int(np.flatnonzero(~diag)[0]))

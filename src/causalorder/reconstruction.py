@@ -333,7 +333,7 @@ class ReconstructionReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> ReconstructionReport:
+def reconstruct_order(c: Causality) -> ReconstructionReport:
     """Rebuild the order between points with non-empty regular ribbons.
 
     In the paper, p precedes q when some pair of congruence classes
@@ -344,9 +344,8 @@ def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> Reco
     empty relation, and each point's diagnostics hold its number of
     ribbon pairs: with none the ribbon is regular and empty, and with
     some it fails condition 1, density.  The pairs are counted in the
-    pair grid, with no pair gathered or stored.  With
-    compare_with_reference the report also holds the input order on the
-    domain, likewise empty, and no diff.
+    pair grid, with no pair gathered or stored.  The report also holds
+    the input order on the domain, likewise empty, and no diff.
     """
     _cap(c, "order reconstruction")
     diagnostics: dict[str, dict] = {}
@@ -357,7 +356,7 @@ def reconstruct_order(c: Causality, compare_with_reference: bool = True) -> Reco
             diag["failing_condition"] = "density"
         diagnostics[p] = diag
     empty = np.zeros((0, 0), dtype=bool)
-    return ReconstructionReport((), empty, diagnostics, empty if compare_with_reference else None)
+    return ReconstructionReport((), empty, diagnostics, empty)
 
 
 def verify_reversal_theorem(c: Causality) -> LawReport:

@@ -458,10 +458,11 @@ def k66():
 
 def member_tables(c, kind):
     """The family's uint64 masks plus its f x f union and intersection
-    tables over every member pair: (fam, meets, u_idx, i_idx), as the
-    measure suite builds them."""
+    tables over every ordered member pair: (fam, meets, u_idx, i_idx);
+    the measure suite reads the same tables on the unordered pairs."""
     fam = _family_array(c, kind)
-    return (fam, *_union_table(c, kind, fam), _index_in(fam, fam[:, None] & fam))
+    grid = np.ogrid[:len(fam), :len(fam)]
+    return (fam, *_union_table(c, kind, fam, *grid), _index_in(fam, fam[:, None] & fam))
 
 
 def reference_union_laws(c, kinds):

@@ -41,6 +41,7 @@ _SCANS = "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_up_to_th
 _PRODUCTS = "tests/test_source.py::test_matrix_products_only_in_the_kernel"
 _PRODUCT = "                    acc = x @ row[bk]\n"
 _FAMILY_STORE = "tests/test_algebra.py::test_family_array_built_on_first_use"
+_INFINITIES = "tests/test_measure.py::test_super_multiplicativity_skips_equality_between_infinities"
 _LOGARITHM = "tests/test_measure.py::test_entropy_of_a_value_without_logarithm"
 _EXTENSIONS = "tests/test_measure.py::test_extensions_match_the_loop_over_the_family"
 _FAST_PATH = "tests/test_io.py::test_library_framings_take_the_fast_path"
@@ -48,6 +49,11 @@ _EVERY_BYTE = "tests/test_io.py::test_reader_matches_json_loads_on_every_byte_of
 _LAST_ROW = "tests/test_io.py::test_reader_matches_json_loads_on_a_separator_of_the_last_row"
 
 MUTANTS = [
+    # relation entries: a non-bool relation cast to bool unchecked
+    ("order.py",
+     "bad = [] if rel.dtype == bool else np.argwhere((rel != 0) & (rel != 1))",
+     "bad = []",
+     ["tests/test_order.py::test_validate_rejects_entries_other_than_0_and_1_as_a_file_does"]),
     # the order: relation kept in the store again
     ("order.py",
      'return _frozen(_unpack(self._derived["rows"], self.n))',
@@ -185,8 +191,8 @@ MUTANTS = [
      "return Ribbon(p, (), regular=True, classes=None)",
      ["tests/test_reconstruction.py::test_congruence_classes_on_empty_ribbon"]),
     ("reconstruction.py",
-     "empty if compare_with_reference else None)",
-     "None)",
+     "ReconstructionReport((), empty, diagnostics, empty)",
+     "ReconstructionReport((), empty, diagnostics, None)",
      ["tests/test_reconstruction.py::test_reconstruct_report_json"]),
     ("reconstruction.py",
      "a, b = int(upper[0]), int(lower[0])",
@@ -228,13 +234,18 @@ MUTANTS = [
      "a, b = (_closed_union(c, 1 << x | 1 << y, 1 << v, kind) for v in (z, w))",
      "a, b = (_union_answer(c, 1 << x | 1 << y, 1 << v, kind) for v in (z, w))",
      [_CLI_STORE]),
-    # law counts over vertex groups: the ∅ row left at _NONE, class sizes
-    # counted as 1, the member class dropped, classes merged, classes keyed
-    # on a row's first byte
+    # law counts over vertex groups: the ∅ row left at _NONE, the ∅ corner
+    # not zeroed, class sizes counted as 1, the member class dropped,
+    # classes merged, classes keyed on a row's first byte
     ("algebra.py",
-     "return np.pad(meet, (0, 1))",
-     "return np.pad(meet, (0, 1), constant_values=_NONE)",
+     "r = np.array([*rows, c.full_mask], dtype=np.uint64)",
+     "r = np.array([*rows, 0], dtype=np.uint64)",
      ["tests/test_algebra.py::test_bound_table_of_an_antichain[5]"]),
+    ("algebra.py",
+     "    meet[c.n, c.n] = 0\n",
+     "",
+     ["tests/test_algebra.py::test_bound_table_of_an_antichain[5]",
+      "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_on_every_small_poset"]),
     ("algebra.py",
      "np.bincount(cls, minlength=k), ok",
      "np.ones(k, dtype=np.int64), ok",
@@ -303,6 +314,21 @@ MUTANTS = [
      "if not sigma > 0:",
      "if sigma <= 0:",
      [_LOGARITHM]),
+    # the measure scans on their flat pair list: the stop off by one, the
+    # triangle without its diagonal, the witness's second set read as the
+    # first
+    ("measure.py",
+     "stop = int(hits[0]) + 1 if hits.size",
+     "stop = int(hits[0]) if hits.size",
+     [_INFINITIES]),
+    ("measure.py",
+     "i, j = np.triu_indices(len(fam))",
+     "i, j = np.triu_indices(len(fam), 1)",
+     [_INFINITIES]),
+    ("measure.py",
+     '"b": c.ids_of(int(fam[j[k]]))',
+     '"b": c.ids_of(int(fam[i[k]]))',
+     ["tests/test_measure.py::test_super_multiplicativity_matches_pairwise_check"]),
     # the extensions: subsets taken for supersets
     ("measure.py",
      "fam[(fam | a.mask) == a.mask]",

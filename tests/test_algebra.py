@@ -365,8 +365,11 @@ def _check_bound_table(c):
     for side in (Direction.UPPER, Direction.LOWER):
         table = _bound_table(c, side)
         assert table.shape == (c.n + 1, c.n + 1)
-        assert not table[c.n].any() and not table[:, c.n].any()  # ∅ has no vertex
+        assert table[c.n, c.n] == 0  # ∅ ∪ ∅ = ∅
         for v in range(c.n):
+            # every point bounds ∅: the meet for v alone, its cone
+            cone = _bound_meet(c, 1 << v, side)[1]
+            assert table[v, c.n] == table[c.n, v] == cone, (side, v)
             for w in range(c.n):
                 bounds, meet, _ = _bound_meet(c, 1 << v | 1 << w, side)
                 assert table[v, w] == (meet if bounds else _NONE), (side, v, w)
@@ -387,11 +390,12 @@ def test_bound_table_equals_the_kernel_on_relabelled_posets(seed, n, p_edge):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_bound_table_of_an_antichain(n):
-    # a point is its own one bound; two distinct points have none
+    # a point is its own one bound; two distinct points have none; with
+    # ∅ a point's meet is its cone, itself, and ∅ with ∅ gives ∅
     c = co.antichain(n)
     want = np.full((n + 1, n + 1), _NONE)
-    want[range(n), range(n)] = [1 << v for v in range(n)]
-    want[n, :] = want[:, n] = 0
+    want[range(n), range(n)] = want[range(n), n] = want[n, range(n)] = [1 << v for v in range(n)]
+    want[n, n] = 0
     for side in (Direction.UPPER, Direction.LOWER):
         assert np.array_equal(_bound_table(c, side), want)
     _check_bound_table(c)
@@ -1185,17 +1189,18 @@ def test_laws_and_axioms_build_no_member_union_table(make, monkeypatch):
               for v in (value if isinstance(value, tuple) else (value,))]
     assert not [v.shape for v in values if isinstance(v, np.ndarray) and v.ndim == 2
                 and v.shape[0] in sizes]
-    # the measure suite still builds its table over every member pair
+    # the measure suite builds its table over the unordered member pairs,
+    # as a flat list
     built = []
 
-    def spy(c, kind, masks):
-        built.append(len(masks))
-        return _union_table(c, kind, masks)
+    def spy(c, kind, masks, i, j):
+        built.append((len(masks), np.broadcast_shapes(i.shape, j.shape)))
+        return _union_table(c, kind, masks, i, j)
 
     monkeypatch.setattr(co.measure, "_union_table", spy)
     f = len(family_masks(c, Kind.DIVERGENT))
     res = co.verify_measure_axioms(c, co.constant_measure(c)).result("super-multiplicativity")
-    assert built == [f] and res.checked + res.skipped == f * (f + 1) // 2
+    assert built == [(f, (f * (f + 1) // 2,))] and res.checked + res.skipped == f * (f + 1) // 2
 
 
 def test_k66_law_counts_pinned():

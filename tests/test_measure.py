@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,26 @@ def test_measure_scans_cap_before_any_work():
     for fn in (co.verify_measure_axioms, co.check_monotonicity):
         with pytest.raises(co.GroundSetTooLarge, match="capped at 12 points, got 13"):
             fn(c, m)
+
+
+def test_measure_axioms_memory_on_the_unordered_pairs():
+    # nine points below one top: a convergent family of 2^9 + 9 + 1 = 522
+    # members, 136,503 unordered pairs.  The scan on the flat pair list
+    # peaks near 12 MiB; f x f tables of its per-pair quantities would
+    # take it near 20 MiB
+    points = [f"p{i}" for i in range(9)] + ["top"]
+    c = co.from_cover_pairs(points, [(p, "top") for p in points[:-1]])
+    m = co.constant_measure(c, Kind.CONVERGENT)
+    assert len(m.table) == 522
+    tracemalloc.start()
+    try:
+        report = co.verify_measure_axioms(c, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    res = report.result("super-multiplicativity")
+    assert (res.verdict, res.checked, res.skipped) == ("holds", 522 * 523 // 2, 0)
+    assert peak < 14 * 2**20
 
 
 def test_super_multiplicativity_skips_equality_between_infinities(chain3):

@@ -79,6 +79,24 @@ def test_validate_rejects_missing_diagonal():
     assert exc.value.witness == (1,)
 
 
+@pytest.mark.parametrize("rel, message", [
+    ([[2]], "relation entry (0, 0) is 2, not 0 or 1"),
+    ([[0.5]], "relation entry (0, 0) is 0.5, not 0 or 1"),
+    ([[float("nan")]], "relation entry (0, 0) is nan, not 0 or 1"),
+    ([["0"]], "relation entry (0, 0) is '0', not 0 or 1"),
+    ([[None]], "relation entry (0, 0) is None, not 0 or 1"),
+    ([[1, 3], [0, 1]], "relation entry (0, 1) is 3, not 0 or 1"),
+], ids=repr)
+def test_validate_rejects_entries_other_than_0_and_1_as_a_file_does(rel, message):
+    # a cast to bool would read 2, 0.5, nan and "0" as True and None as False
+    points = [f"p{i}" for i in range(len(rel))]
+    for build in (lambda: co.validate_causality(points, rel),
+                  lambda: co.causality_from_dict({"points": points, "relation": rel})):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 def test_duplicate_point_ids_rejected():
     with pytest.raises(ValueError):
         co.validate_causality(["a", "a"], np.eye(2, dtype=bool))

@@ -356,9 +356,8 @@ def _check_reconstruction(c):
     against the construction they replaced: regularity by both
     conditions, union-find classes, the relation loop with its
     partial-order check, and a reconstruction of the reverse."""
-    for compare in (True, False):
-        assert co.reconstruct_order(c, compare).to_dict() == reference_reconstruct_order(
-            c, compare).to_dict(), c.relation.tolist()
+    assert co.reconstruct_order(c).to_dict() == reference_reconstruct_order(
+        c).to_dict(), c.relation.tolist()
     assert co.verify_reversal_theorem(c).to_dict() == reference_reversal_theorem(c).to_dict()
     for p in c.points:
         try:
