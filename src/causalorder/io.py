@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .order import Causality, _bool_matrix, _closure, validate_causality
+from .order import Causality, _bool_matrix, _closure, _cover_of, _stored, validate_causality
 
 __all__ = [
     "causality_to_dict",
@@ -130,9 +130,6 @@ def causality_from_dict(data: dict) -> Causality:
         rel = rel.reshape(0, 0)
     mode = data.get("closure", "explicit")
     if mode == "cover":
-        n = len(points)
-        if rel.shape != (n, n):
-            raise ValueError("cover matrix must be square over the points")
         rel = _closure(_bool_matrix(rel))
     elif mode != "explicit":
         raise ValueError(f"unknown closure mode {mode!r}")
@@ -240,10 +237,11 @@ def load_causality(fp: IO[str]) -> Causality:
 
 def cover_relation(c: Causality) -> list[tuple[str, str]]:
     """The transitive reduction: pairs x < y with nothing strictly between,
-    in row-major order, read off the packed cover the causality keeps.
-    Only its nonzero bytes are unpacked; with little bit order, bit k of
-    byte j in row i is column 8j + k."""
-    bits = c._derived["cover"]
+    in row-major order, read off the packed cover the causality keeps,
+    which a certified sprinkle makes on this first read.  Only its nonzero
+    bytes are unpacked; with little bit order, bit k of byte j in row i is
+    column 8j + k."""
+    bits = _stored(c, "cover", _cover_of)
     rows, byte = np.nonzero(bits)
     cell, bit = np.nonzero(np.unpackbits(bits[rows, byte][:, None], axis=1, bitorder="little"))
     rows, cols = rows[cell], byte[cell] * 8 + bit

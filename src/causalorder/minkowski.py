@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-from .order import Causality, PointSet, validate_causality
+from .order import Causality, PointSet, _pack, validate_causality
 
 __all__ = [
     "interval",
@@ -122,22 +122,47 @@ class SprinkleResult:
 _ROWS = 64  # event rows per block of _relation_from_events
 
 
-def _relation_from_events(coords: np.ndarray) -> np.ndarray:
+def _relation_from_events(coords: np.ndarray) -> tuple[np.ndarray, bool]:
     """The whole-matrix float test t_j - t_i >= 0 and (e_j - e_i)^2 >= 0,
     run in a stable sort by time, _ROWS rows at a time, from the first
-    column tying the block's first time, then un-permuted.
+    column tying the block's first time, then un-permuted; and whether
+    every cell off the diagonal is certified, so that the relation is the
+    exact light-cone order.
 
     A skipped cell is false.  NaN sorts last, so either its row time is
     NaN, and so is t_j - t_i, or t_j < t_i, and t_j - t_i < 0: with
     gradual underflow the exact difference of unequal floats is at least
     the least subnormal in size, so x - y = 0 iff x = y, and rounding
     keeps the sign.
+
+    The certificate.  Let u = 2⁻⁵³, span_k the computed range of
+    coordinate k, S the computed Σ_k span_k², and τ = max(1e-12·S,
+    2⁻¹⁰⁰⁰).  A computed cell is certified iff its float interval ŝ has
+    |ŝ| > τ.  Let I be the cell's exact interval and N the sum of the
+    squares of its rounded coordinate differences.  Each difference
+    rounds once (and is exact where it would underflow), each square once
+    (with an absolute error of at most 2⁻¹⁰⁷⁵ where it underflows) and
+    each of the d running subtractions once, on a partial sum at most N
+    in size, so |ŝ - I| ≤ (d+4)·u·N + (d+1)·2⁻¹⁰⁷⁴.  Rounding is
+    monotone, so no rounded difference exceeds span_k in size, and N ≤
+    (1+u)^(d+3)·S + (d+1)·2⁻¹⁰⁷⁴.  For d below 4000 the error is then
+    below τ, so |ŝ| > τ gives sign(ŝ) = sign(I) ≠ 0; events of 4000
+    coordinates or more certify nothing.  The sign of t_j -
+    t_i is exact (above), so a relation with every cell certified is the
+    exact causal order: reflexive; antisymmetric, since distinct events
+    of one time have I ≤ 0, and so I < 0 once certified; and transitive,
+    since the future cone is a convex cone.  The n diagonal cells have ŝ = 0 and are
+    counted apart; a NaN ŝ is not certified; and a NaN or an inf in the
+    coordinates, or an S that overflows, certifies nothing.
     """
     n = len(coords)
     order = np.argsort(coords[:, 0], kind="stable")
     ev = coords[order]
-    t = ev[:, 0]
+    t, d = ev[:, 0], ev.shape[1] - 1
+    norm = float(np.sum(np.ptp(ev, axis=0) ** 2)) if n else 0.0
+    tau = max(1e-12 * norm, 2.0 ** -1000)
     out = np.zeros((n, n), dtype=bool)
+    uncertain = 0  # cells with |ŝ| ≤ τ or ŝ NaN, the diagonal among them
     for lo in range(0, n, _ROWS):
         start = int(np.searchsorted(t, t[lo]))
         rows, cols = ev[lo:lo + _ROWS, None], ev[None, start:]
@@ -147,13 +172,20 @@ def _relation_from_events(coords: np.ndarray) -> np.ndarray:
             dk = cols[..., k] - rows[..., k]
             sq -= dk * dk
         np.logical_and(sq >= 0, diff0 >= 0, out=out[lo:lo + _ROWS, start:])
+        uncertain += int(np.count_nonzero(~(np.abs(sq, out=sq) > tau)))
     back = np.argsort(order)
-    return out.take(back, 0).take(back, 1)
+    return out.take(back, 0).take(back, 1), math.isfinite(norm) and uncertain == n and d < 4000
 
 
 def induced_causality(events: Sequence[Event], ids: Sequence[str] | None = None) -> Causality:
     """The finite causality the metric order induces on a list of events.
-    Events of different lengths raise DimensionMismatch."""
+    Events of different lengths raise DimensionMismatch.
+
+    A relation whose every pair is certified (_relation_from_events) is
+    a partial order by the proof there, and is built with no validation;
+    its cover diagram is made on its first read.  Any other, such as
+    lattice events (exactly lightlike), coincident events or NaN, is
+    validated as validate_causality validates it."""
     try:
         coords = np.asarray(events, dtype=float)
     except ValueError:
@@ -167,7 +199,10 @@ def induced_causality(events: Sequence[Event], ids: Sequence[str] | None = None)
         coords = coords.reshape(0, 2)
     if ids is None:
         ids = [f"e{i}" for i in range(len(coords))]
-    return validate_causality(list(ids), _relation_from_events(coords))
+    rel, certified = _relation_from_events(coords)
+    if certified:
+        return Causality(ids, None, {"rows": _pack(rel)})
+    return validate_causality(list(ids), rel)
 
 
 def sprinkle(cfg: SprinkleConfig) -> SprinkleResult:

@@ -69,8 +69,10 @@ class Causality:
     derived from it, lives in the one dict ``_derived``, keyed by what
     each entry depends on:
 
-    - ``"rows"``, the packed rows, and ``"cover"``, the packed cover
-      diagram, both made at construction;
+    - ``"rows"``, the packed rows, made at construction;
+    - ``"cover"``, the packed cover diagram: made by validation at
+      construction, or from the rows on its first read when the order
+      came certified (minkowski.induced_causality) and no product ran;
     - ``"succ"`` and ``"pred"``, the views behind :attr:`succ_masks` and
       :attr:`pred_masks`;
     - ``"crossing"``, the crossing verdict;
@@ -84,27 +86,28 @@ class Causality:
     - ``(a, b, kind)``, the finished answer of a causal union.
 
     Entries are data, never a report or a list handed to a caller, and
-    each is made by _stored on its first read.  The cover is what
+    each is made by _stored on its first read.  A validated cover is what
     validation returns.  :attr:`relation` is unpacked from the rows on
-    each read and never stored.  ``_cover``, when given, is the pair
-    (cover, rows) of an order known to be valid, and ``relation`` is then
-    not read: reverse_structure passes the transposes of the original's.
+    each read and never stored.  ``_packed``, when given, holds the
+    ``"rows"`` of an order known to be valid, with its ``"cover"`` if that
+    is built, and ``relation`` is then not read: reverse_structure passes
+    the transposes of the original's, and induced_causality the rows of a
+    certified sprinkle.
     """
 
-    def __init__(self, points: Sequence[str], relation, _cover: tuple[np.ndarray, np.ndarray] | None = None):
-        if _cover is None:
+    def __init__(self, points: Sequence[str], relation, _packed: dict[str, np.ndarray] | None = None):
+        if _packed is None:
             rel = _bool_matrix(relation)
-            _cover = validate_matrix(rel), np.packbits(rel, axis=1, bitorder="little")
+            _packed = {"cover": validate_matrix(rel), "rows": _pack(rel)}
         pts = tuple(str(p) for p in points)
         if len(set(pts)) != len(pts):
             raise ValueError("point identifiers must be unique")
-        cover, rows = _cover
-        if len(pts) != len(rows):
+        if len(pts) != len(_packed["rows"]):
             raise ValueError("points and relation size disagree")
         self.points = pts
         self.index = {p: i for i, p in enumerate(pts)}
         self.full_mask = (1 << len(pts)) - 1
-        self._derived: dict[object, object] = {"cover": _frozen(cover), "rows": _frozen(rows)}
+        self._derived: dict[object, object] = {key: _frozen(m) for key, m in _packed.items()}
 
     @property
     def relation(self) -> np.ndarray:
@@ -158,8 +161,8 @@ class Causality:
 
 def _stored(c: Causality, key, build, *args):
     """The entry ``key`` of c's derived-data store, made as ``build(c,
-    *args)`` on the first read.  Every entry is made here but the cover
-    and the rows (Causality.__init__) and the reverse with its
+    *args)`` on the first read.  Every entry is made here but the rows
+    and a validated cover (Causality.__init__) and the reverse with its
     back-reference (reverse_structure).  causal_union, algebra._code_of,
     succ_masks and pred_masks read the store directly first: on that
     per-call path, reading a made entry calls nothing."""
@@ -241,6 +244,21 @@ def _closure(rel: np.ndarray) -> np.ndarray:
         closed = squared
 
 
+def _cover_of(c: Causality) -> np.ndarray:
+    """The packed cover diagram strict & ~(strict∘strict) of c's order,
+    made from its rows: the store's ``"cover"`` when no validation kept
+    one."""
+    strict = _unpack(c._derived["rows"], c.n)
+    np.fill_diagonal(strict, False)
+    return _frozen(_pack(strict & ~_compose(strict, strict)))
+
+
+def _pack(rel: np.ndarray) -> np.ndarray:
+    """The rows of a bool matrix packed to one bit per cell, bit j of row
+    i as bit j & 7 of byte j >> 3: the form the store keeps."""
+    return np.packbits(rel, axis=1, bitorder="little")
+
+
 def _ints(packed: np.ndarray) -> list[int]:
     """Each packed row as an int, bit j set iff bit j of the row is."""
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -255,7 +273,7 @@ def _transpose(packed: np.ndarray, n: int) -> np.ndarray:
     """The packed rows of the transpose of the n × n matrix whose rows are
     ``packed``.  The transpose is copied to C order before packing: 0.8 ms
     against 3.5 ms for the strided view at n = 1000."""
-    return np.packbits(np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="little")
+    return _pack(np.ascontiguousarray(_unpack(packed, n).T))
 
 
 def _bool_matrix(relation) -> np.ndarray:
@@ -303,7 +321,7 @@ def validate_matrix(relation: np.ndarray) -> np.ndarray:
         i, k = np.argwhere(missing)[0]
         j = int(np.flatnonzero(rel[i, :] & rel[:, k])[0])
         raise NotTransitive(int(i), j, int(k))
-    return np.packbits(strict & ~square, axis=1, bitorder="little")
+    return _pack(strict & ~square)
 
 
 def validate_causality(points: Sequence[str], relation) -> Causality:
@@ -612,14 +630,15 @@ def reverse_structure(c: Causality) -> Causality:
     The reverse refers back to the original through a weak reference, so
     the pair forms no cycle and a finished causality is freed at once,
     without waiting for the cyclic garbage collector.  It is not validated
-    again: its cover diagram and its rows are the transposes of the
-    original's."""
+    again: its rows are the transposes of the original's, and so is its
+    cover diagram when the original's is built; a cover not yet built is
+    not built here."""
     rev = c._derived.get("reversed")
     if type(rev) is weakref.ref:
         rev = rev()
     if rev is None:
-        packed = (_transpose(c._derived[key], c.n) for key in ("cover", "rows"))
-        rev = c._derived["reversed"] = Causality(c.points, None, tuple(packed))
+        packed = {key: _transpose(c._derived[key], c.n) for key in ("cover", "rows") if key in c._derived}
+        rev = c._derived["reversed"] = Causality(c.points, None, packed)
         rev._derived["reversed"] = weakref.ref(c)
     return rev
 

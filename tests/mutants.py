@@ -47,6 +47,9 @@ _EXTENSIONS = "tests/test_measure.py::test_extensions_match_the_loop_over_the_fa
 _FAST_PATH = "tests/test_io.py::test_library_framings_take_the_fast_path"
 _EVERY_BYTE = "tests/test_io.py::test_reader_matches_json_loads_on_every_byte_of_the_relation"
 _LAST_ROW = "tests/test_io.py::test_reader_matches_json_loads_on_a_separator_of_the_last_row"
+_CERTIFIED = "tests/test_minkowski.py::test_certified_sprinkle_runs_no_product_until_its_cover_is_read[1]"
+_UNCERTIFIED = "tests/test_minkowski.py::test_uncertified_events_take_the_validation"
+_FOREIGN = "tests/test_algebra.py::test_queries_reject_objects_of_another_causality"
 
 MUTANTS = [
     # relation entries: a non-bool relation cast to bool unchecked
@@ -122,13 +125,59 @@ MUTANTS = [
      "start = lo",
      [_EVENTS]),
     ("minkowski.py",
-     "    return out.take(back, 0).take(back, 1)\n\n\ndef induced",
-     "    return out\n\n\ndef induced",
+     "return out.take(back, 0).take(back, 1), ",
+     "return out, ",
      [_EVENTS]),
     ("minkowski.py",
-     "    return out.take(back, 0).take(back, 1)\n\n\ndef induced",
-     "    return out.take(back, 0)\n\n\ndef induced",
+     "return out.take(back, 0).take(back, 1), ",
+     "return out.take(back, 0), ",
      [_EVENTS]),
+    # the rounding certificate: τ dropped, so any nonzero ŝ certifies; no
+    # guard against NaN and inf; the diagonal's n cells, where ŝ = 0,
+    # taken for certified, so that no sprinkle certifies; no bound on d
+    ("minkowski.py",
+     "~(np.abs(sq, out=sq) > tau)",
+     "~(np.abs(sq, out=sq) > 0)",
+     [_UNCERTIFIED + "[near-lightlike]"]),
+    ("minkowski.py",
+     "math.isfinite(norm) and uncertain == n",
+     "uncertain == n",
+     [_UNCERTIFIED + "[nan]"]),
+    ("minkowski.py",
+     "and uncertain == n",
+     "and uncertain == 0",
+     [_CERTIFIED]),
+    ("minkowski.py",
+     " and d < 4000",
+     "",
+     [_UNCERTIFIED + "[d=4000]"]),
+    # guards of the Minkowski bridge and of the per-set queries
+    ("minkowski.py",
+     "        if self.n < 0:\n",
+     "        if False:\n",
+     ["tests/test_minkowski.py::test_sprinkle_config_validation"]),
+    ("minkowski.py",
+     "        if bad is None:\n            raise\n",
+     "",
+     ["tests/test_minkowski.py::test_events_numpy_cannot_read_raise_numpys_error"]),
+    ("minkowski.py",
+     "if self.kind is ConeKind.PAST_CONE and self.cut > self.apex[0]:",
+     "if False:",
+     ["tests/test_minkowski.py::test_descriptor_validation"]),
+    ("minkowski.py",
+     "elif causality.n != len(events):",
+     "elif False:",
+     ["tests/test_minkowski.py::test_region_selection_rejects_a_causality_of_another_size"]),
+    ("algebra.py",
+     "    if u._parent is not c:\n",
+     "    if False:\n",
+     [_FOREIGN + "[classify]"]),
+    ("algebra.py",
+     "if a._parent is not c or b._parent is not c:\n"
+     "        raise ValueError(\"operands must belong to this causality\")\n"
+     "    a, b = a._mask, b._mask",
+     "a, b = a._mask, b._mask",
+     [_FOREIGN + "[causal_union]"]),
     # the fixed-stride reader: a check dropped, or the stride off by one
     ("io.py",
      "    for offset, dtype, value in words:\n",
@@ -154,19 +203,24 @@ MUTANTS = [
      "",
      ["tests/test_order.py::test_validate_rejects_symmetry",
       "tests/test_order.py::test_validate_names_the_first_symmetric_pair_past_the_block_size"]),
-    # the product kernel's layout, and the cover that validation keeps
+    # the product kernel's layout, the cover that validation keeps, read
+    # afresh per call, and the cover made from the rows
     ("order.py",
      "return out.take(back, 0).take(back, 1)  # C order",
      "return out[back][:, back]  # C order",
      ["tests/test_kernel.py::test_blocked_compose_returns_c_order"]),
     ("io.py",
-     'bits = c._derived["cover"]',
-     "bits = validate_matrix(c.relation)",
+     'bits = _stored(c, "cover", _cover_of)',
+     "bits = _cover_of(c)",
      ["tests/test_kernel.py::test_reverse_structure_takes_its_cover_with_no_product[300]"]),
     ("order.py",
-     'return np.packbits(strict & ~square, axis=1, bitorder="little")',
-     'return np.packbits(strict, axis=1, bitorder="little")',
+     "return _pack(strict & ~square)",
+     "return _pack(strict)",
      [_COVER]),
+    ("order.py",
+     "return _frozen(_pack(strict & ~_compose(strict, strict)))",
+     "return _frozen(_pack(strict))",
+     [_CERTIFIED]),
     # reconstruction and the reversal report: an off count, another
     # failing condition, a transpose cell checked, no cap, classes=None,
     # no reference, the last pair as witness
@@ -200,12 +254,17 @@ MUTANTS = [
      ["tests/test_reconstruction.py::test_density_gap_past_the_first_cell"]),
     # the reverse's packed forms and the cover's columns
     ("order.py",
-     'packed = (_transpose(c._derived[key], c.n) for key in ("cover", "rows"))',
-     'packed = (c._derived["cover"], _transpose(c._derived["rows"], c.n))',
+     "{key: _transpose(c._derived[key], c.n) for key",
+     '{key: c._derived[key] if key == "cover" else _transpose(c._derived[key], c.n) for key',
      ["tests/test_kernel.py::test_reverse_structure_takes_its_cover_with_no_product[5]"]),
+    # the reverse of an order whose cover is not built builds it
     ("order.py",
-     'np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="little")',
-     'np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="big")',
+     'packed = {key: _transpose(c._derived[key], c.n) for key in ("cover", "rows") if key in c._derived}',
+     'packed = {key: _transpose(_stored(c, key, _cover_of), c.n) for key in ("cover", "rows")}',
+     [_CERTIFIED]),
+    ("order.py",
+     "return _pack(np.ascontiguousarray(_unpack(packed, n).T))",
+     'return np.packbits(np.ascontiguousarray(_unpack(packed, n).T), axis=1, bitorder="big")',
      ["tests/test_kernel.py::test_views_match_the_matrix_passed_in[300]"]),
     ("io.py",
      "rows, cols = rows[cell], byte[cell] * 8 + bit",

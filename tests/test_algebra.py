@@ -820,6 +820,11 @@ _FOREIGN_CALLS = {
     "is_causally_complete": (lambda: co.is_causally_complete(_D4, _L33.full_set()), _NOT_OWNED),
     "is_convergent": (lambda: co.is_convergent(_D4, _L33.full_set()), _NOT_OWNED),
     "is_divergent": (lambda: co.is_divergent(_D4, _L33.full_set()), _NOT_OWNED),
+    "classify": (lambda: co.classify(_D4, _L33.full_set()), _NOT_OWNED),
+    # {00, 01}: the diamond's p and q read as the grid's 00 and 01
+    "causal_union": (
+        lambda: co.causal_union(_L33, _D4.subset(["p"]), _D4.subset(["q"]), Kind.DIVERGENT),
+        "operands must belong to this causality"),
     # True: read as the grid's points 01 and 02, which are related
     "is_convergent-smaller": (lambda: co.is_convergent(_L33, _D4.subset(["q", "r"])), _NOT_OWNED),
     # False, as if the star's pair were the grid's

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import ConeKind, ConeSetDescriptor, SetClass, SprinkleConfig, SprinkleMode
+from causalorder.cli import main
 from causalorder.minkowski import _ROWS, _relation_from_events
+from causalorder.order import _compose, validate_matrix
 
-from conftest import full_minkowski_relation
+from conftest import full_minkowski_relation, product_cover
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,8 @@ def test_sprinkle_config_validation():
         SprinkleConfig(d=1, box=((0, 0), (0, 1)), n=5)
     with pytest.raises(co.UnsupportedDimension):
         SprinkleConfig(d=3, box=((0, 1),) * 4, mode=SprinkleMode.LATTICE)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=-1)
 
 
 @pytest.mark.parametrize("mode", list(SprinkleMode))
@@ -177,7 +181,7 @@ def test_event_draws_pass_the_row_block():
 def test_relation_from_events_matches_the_full_matrix(ev, as_tuples):
     with np.errstate(invalid="ignore", over="ignore"):
         want = full_minkowski_relation(ev)
-        assert np.array_equal(_relation_from_events(ev), want)
+        assert np.array_equal(_relation_from_events(ev)[0], want)
         got = _outcome(lambda: co.induced_causality(ev.tolist() if as_tuples else ev))
         ids = [f"e{i}" for i in range(len(ev))]
         expected = _outcome(lambda: co.validate_causality(ids, want))
@@ -185,6 +189,54 @@ def test_relation_from_events_matches_the_full_matrix(ev, as_tuples):
         assert isinstance(got, tuple) and got == expected
     else:
         assert np.array_equal(got, expected)
+
+
+def test_events_numpy_cannot_read_raise_numpys_error():
+    # every event has one length, so no DimensionMismatch names a pair
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        co.induced_causality([("x", 0.0)])
+
+
+def _cover_pairs(c):
+    return [(c.points[i], c.points[j]) for i, j in zip(*np.nonzero(product_cover(c.relation)))]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_certified_sprinkle_runs_no_product_until_its_cover_is_read(d, monkeypatch, tmp_path):
+    """Every pair of a uniform 1000-point sprinkle is certified: building
+    it, writing it with CLI sprinkle and reversing it run no product, and
+    the cover each of the pair makes on its first read is the product's."""
+    calls = []
+    monkeypatch.setattr(co.order, "_compose", lambda a, b: calls.append(1) or _compose(a, b))
+    box = ",".join(["0:1"] * (d + 1))
+    assert main(["sprinkle", "--dim", str(d), "--box", box, "--n", "1000", "--seed", "7",
+                 "--output", str(tmp_path / "run.json")]) == 0
+    c = co.sprinkle(SprinkleConfig(d=d, box=((0, 1),) * (d + 1), n=1000, seed=7)).causality
+    rev = co.reverse_structure(c)
+    assert calls == [] and "cover" not in c._derived and "cover" not in rev._derived
+    for x in (c, rev):
+        assert co.cover_relation(x) == _cover_pairs(x)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("events, outcome", [
+    # |ŝ| is about 2e-15, below τ = 2e-12: the sign is not certified
+    ([(0.0, 0.0), (1.0, 1.0 - 1e-15)], [[True, True], [False, True]]),
+    (co.sprinkle(SprinkleConfig(d=1, box=((0, 2), (0, 2)), mode=SprinkleMode.LATTICE)).events,
+     co.grid(3, 3).relation.tolist()),
+    ([(0.0, 0.0), (0.5, 0.1), (0.0, 0.0)], (co.NotAntisymmetric, (0, 2))),
+    ([(math.nan, 0.0)], (co.NotReflexive, (0,))),
+    ([(0.0, 0.0), (1.0, 0.0), (math.nan, 0.5)], (co.NotReflexive, (2,))),
+    # every cell is past τ, but the rounding bound needs d < 4000
+    ([(0.0,) * 4001, (1.0,) + (0.0,) * 4000], [[True, True], [False, True]]),
+], ids=["near-lightlike", "lattice", "duplicate", "nan", "nan-among-others", "d=4000"])
+def test_uncertified_events_take_the_validation(events, outcome, monkeypatch):
+    seen = []
+    monkeypatch.setattr(co.order, "validate_matrix", lambda rel: seen.append(len(rel)) or validate_matrix(rel))
+    with np.errstate(invalid="ignore"):
+        got = _outcome(lambda: co.induced_causality(events))
+    assert seen == [len(events)]
+    assert (got.tolist() if isinstance(got, np.ndarray) else got) == outcome
 
 
 def test_relation_builder_holds_no_n_by_n_float_temporaries():
@@ -281,6 +333,8 @@ def test_horizon_refuses_1plus1():
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         ConeSetDescriptor(ConeKind.FUTURE_CONE, ORIGIN4, cut=-1.0)
+    with pytest.raises(ValueError, match="^past-cone cut lies after the apex$"):
+        ConeSetDescriptor(ConeKind.PAST_CONE, ORIGIN4, cut=1.0)
     with pytest.raises(ValueError):
         ConeSetDescriptor(ConeKind.DIAMOND, ORIGIN4)
     with pytest.raises(ValueError):
@@ -452,6 +506,13 @@ def test_region_selection_without_causality():
         for i, e in enumerate(res.events)
         if co.precedes((0.0, 0.0), e)
     }
+
+
+def test_region_selection_rejects_a_causality_of_another_size():
+    res = _centered_lattice()
+    desc = ConeSetDescriptor(ConeKind.FUTURE_CONE, (0.0, 0.0))
+    with pytest.raises(ValueError, match="^causality and event list disagree on size$"):
+        co.cone_region_points(desc, res.events[1:], res.causality)
 
 
 def test_truncated_sets_divergent_on_random_sprinkles():
