@@ -14,7 +14,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -458,11 +458,27 @@ def _index_in(fam: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.where(fam[pos] == masks, pos, -1)
 
 
-def _fold(fam: np.ndarray, rows: list[int], op: np.ufunc) -> np.ndarray:
+# Member pairs per block of _member_pairs, rounded down to whole rows.
+_PAIRS = 1 << 16
+
+
+def _member_pairs(fam: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The row-major f x f grid of the member pairs (fam[i], fam[j]) of
+    the uint64 family array ``fam``, walked in blocks of whole rows: at
+    least one row, and at most _PAIRS cells where more rows fit, so that
+    no f x f array is built.  Yields (i, j, meet) per block: i its row
+    numbers as a column, j every column number, and meet the block of
+    fam[i] & fam[j].  Each caller keeps the cells it needs, in order."""
+    rows = max(1, _PAIRS // len(fam))
+    for i in np.split(np.arange(len(fam)), range(rows, len(fam), rows)):
+        yield i[:, None], np.arange(len(fam)), fam[i, None] & fam
+
+
+def _fold(masks: np.ndarray, rows: list[int], op: np.ufunc) -> np.ndarray:
     """``op`` (bitwise OR or AND) of ``rows[i]`` over the set bits i of
-    each mask of the uint64 array ``fam``, reduced over its (f x n)
+    each mask of the uint64 array ``masks``, reduced over its (m x n)
     membership matrix; ∅ gets the identity of op, 0 or _NONE."""
-    member = (fam[:, None] >> np.arange(len(rows), dtype=np.uint64)) & np.uint64(1) != 0
+    member = (masks[:, None] >> np.arange(len(rows), dtype=np.uint64)) & np.uint64(1) != 0
     identity = _NONE if op is np.bitwise_and else np.uint64(0)
     return op.reduce(np.where(member, np.array(rows, dtype=np.uint64), identity), axis=1)
 
@@ -488,32 +504,35 @@ def _bound_table(c: Causality, side: Direction) -> np.ndarray:
     return meet
 
 
-def _union_table(c: Causality, kind: Kind, masks: np.ndarray, i: np.ndarray,
-                 j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(meets, index) over the pairs (masks[i], masks[j]) of family
-    members, for index arrays i and j that broadcast together: meets is
-    the AND of the family supersets of each pair (_NONE when there is
-    none), and index the family index of that AND, their causal union,
-    or -1 when the union is undefined.  This is _closed_union's AND read
-    off the vertices: the common bounds of a | b on a side are those of
-    the vertices v_a and v_b, so the AND is (reach_a | reach_b) &
-    B[v_a, v_b] with B the _bound_table, whose ∅ entries make ∅ every
+def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """The union table of the family members in the uint64 array
+    ``masks``: a function that maps index arrays i and j that broadcast
+    together to (meets, index) over the pairs (masks[i], masks[j]).
+    meets is the AND of the family supersets of each pair (_NONE when
+    there is none), and index the family index of that AND, their causal
+    union, or -1 when the union is undefined.  This is _closed_union's
+    AND read off the vertices: the common bounds of a | b on a side are
+    those of the vertices v_a and v_b, so the AND is (reach_a | reach_b)
+    & B[v_a, v_b] with B the _bound_table, whose ∅ entries make ∅ every
     union's identity, and the AND of both sides' B entries for BOTH.
-    The laws and axioms pass the grid of one member per vertex group
-    (_vertex_groups), the measure suite the unordered member pairs."""
+    Each member's vertices and reach are found once, for every call of
+    the function.  The laws and axioms call it on the grid of one member
+    per vertex group (_vertex_groups), the measure suite on the
+    unordered member pairs of each block of the member-pair walk
+    (_member_pairs)."""
     sides = _sides(kind)
-    meets = np.full(np.broadcast_shapes(i.shape, j.shape), c.full_mask, dtype=np.uint64)
-    undefined = np.zeros(meets.shape, dtype=bool)
-    for side in sides:
-        v = _vertices(c, masks, side)
-        bound = _bound_table(c, side)[v[i], v[j]]
-        undefined |= bound == _NONE
-        meets &= bound
-    if len(sides) == 1:  # ↑X for CONVERGENT, ↓X for DIVERGENT
-        reach = _fold(masks, _rows_cones(c, sides[0])[0], np.bitwise_or)
-        meets &= reach[i] | reach[j]
-    meets[undefined] = _NONE
-    return meets, _index_in(_family_array(c, kind), meets)
+    parts = [(_vertices(c, masks, side), _bound_table(c, side)) for side in sides]
+    # ↑X for CONVERGENT, ↓X for DIVERGENT; the intervals of BOTH need none
+    reach = (_fold(masks, _rows_cones(c, sides[0])[0], np.bitwise_or) if len(sides) == 1
+             else np.full(len(masks), c.full_mask, dtype=np.uint64))
+
+    def table(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bounds = [bound[v[i], v[j]] for v, bound in parts]
+        meets = np.bitwise_and.reduce([reach[i] | reach[j], *bounds])
+        meets[np.any([b == _NONE for b in bounds], axis=0)] = _NONE
+        return meets, _index_in(_family_array(c, kind), meets)
+
+    return table
 
 
 def _vertex_groups(c: Causality, kind: Kind):
@@ -529,7 +548,7 @@ def _vertex_groups(c: Causality, kind: Kind):
         key = key * (c.n + 1) + c.n - _vertices(c, fam, side)
     _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return group, size, *_union_table(c, kind, fam[first], *np.ogrid[:len(first), :len(first)])
+    return group, size, *_union_table(c, kind, fam[first])(*np.ogrid[:len(first), :len(first)])
 
 
 def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
@@ -548,11 +567,16 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
     equal ok rows: g and g' of one class are interchangeable in each ok
     factor, as ok[g, h] = ok[g', h] by their equal rows and ok[h, g] =
     ok[h, g'] by symmetry.  hist[K, p, q] counts the members M of class p
-    whose intersection with member K is a member of class q.  Law IV
-    needs A ∪c B and (C ∩ A) ∪c (C ∩ B), so it counts, over the members
-    C, <hist[C], ok hist[C] ok> = <ok hist[C], hist[C] ok>.  Law V needs
-    A ∪c (B ∩ C), A ∪c B and A ∪c C, which depend on A through its class
-    alone, so it sums hist with its rows K summed by class.  Counts are int64.
+    whose intersection with member K is a member of class q.  It is
+    filled a block of rows K at a time from the walk over the member
+    pairs (_member_pairs), by one intersection index and one bincount
+    per block, so no f x f array is built.  Law IV needs A ∪c B and
+    (C ∩ A) ∪c (C ∩ B), so it counts, over the members C, <hist[C],
+    ok hist[C] ok> = <ok hist[C], hist[C] ok>.  Law V needs A ∪c (B ∩ C),
+    A ∪c B and A ∪c C, which depend on A through its class a alone.  With
+    B the member K and C of class p, it sums n_a ok[a, class of K]
+    ok[a, p] (hist[K] ok)[p, a] over a, K and p, where n_a counts the
+    members of class a: hist's rows summed by class.  Counts are int64.
     """
     fam = _family_array(c, kind)
     group, size, meets, union = _vertex_groups(c, kind)
@@ -564,16 +588,14 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
     law_iii = np.einsum("pqr,p,q,r->", defined, size, size, size, dtype=np.int64)
     _, first, cls = np.unique([row.tobytes() for row in ok], return_index=True, return_inverse=True)
     k, ok, cls = len(first), ok[np.ix_(first, first)].astype(np.int64), cls[group]
-    inter = np.append(cls, k)[_index_in(fam, fam[:, None] & fam)]  # index -1 (no member): k
-
-    def histogram(keys: np.ndarray, m: int) -> np.ndarray:
-        cell = (keys[:, None] * k + cls) * (k + 1) + inter
-        return np.bincount(cell.ravel(), minlength=m * k * (k + 1)).reshape(m, k, k + 1)[:, :, :k]
-
-    hist = histogram(np.arange(len(fam)), len(fam))
-    law_iv = (np.einsum("cda,de->cea", hist, ok) * np.einsum("cad,de->cae", hist, ok)).sum()
-    by_class = np.einsum("bgh,ah->abg", histogram(cls, k), ok)
-    law_v = np.einsum("a,ab,ag,abg->", np.bincount(cls, minlength=k), ok, ok, by_class)
+    inter, hist = np.append(cls, k), np.empty((len(fam), k, k), dtype=np.int64)
+    for i, _, meet in _member_pairs(fam):  # index -1 (no member) reads class k, dropped
+        cell = ((i - i[0]) * k + cls) * (k + 1) + inter[_index_in(fam, meet)]
+        block = np.bincount(cell.ravel(), minlength=len(i) * k * (k + 1))
+        hist[i[:, 0]] = block.reshape(-1, k, k + 1)[:, :, :k]
+    ok_hist = np.einsum("cad,de->cae", hist, ok)  # [K, p, a]: hist[K] ok
+    law_iv = (np.einsum("cda,de->cea", hist, ok) * ok_hist).sum()
+    law_v = np.einsum("a,aK,ag,Kga->", np.bincount(cls, minlength=k), ok[:, cls], ok, ok_hist)
     return int(law_i), int(law_iii), int(law_iv), int(law_v), found
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .algebra import (
     _family_array,
     _index_in,
     _law_cap,
+    _member_pairs,
     _union_table,
     family_masks,
 )
@@ -143,16 +144,21 @@ def constant_measure(c: Causality, kind: Kind = Kind.DIVERGENT) -> CausalMeasure
     return CausalMeasure(c, kind, {m: 1.0 for m in family_masks(c, kind)})
 
 
-def _scan(law: str, checked: np.ndarray, bad: np.ndarray, witness) -> LawResult:
-    """The result of scanning a flat list of cases in order: ``checked``
-    cases count as checked and the others as skipped, until the first
-    ``bad`` one (a checked case), which fails with the counterexample
-    ``witness(k)`` for its position k."""
-    hits = np.flatnonzero(bad)
-    stop = int(hits[0]) + 1 if hits.size else len(bad)
-    n_checked = int(np.count_nonzero(checked[:stop]))
-    ce = witness(stop - 1) if hits.size else None
-    return LawResult(law, "fails" if hits.size else "holds", ce, n_checked, stop - n_checked)
+def _scan(law: str, blocks) -> LawResult:
+    """The result of scanning the cases of ``blocks``, (checked, bad,
+    witness) triples of flat arrays, in order: ``checked`` cases count as
+    checked and the others as skipped, until the first ``bad`` one (a
+    checked case), which fails with the counterexample ``witness(k)`` for
+    its position k in its block.  No block after that one is taken."""
+    n_checked = n_cases = 0
+    for checked, bad, witness in blocks:
+        hits = np.flatnonzero(bad)
+        stop = int(hits[0]) + 1 if hits.size else len(bad)
+        n_checked += int(np.count_nonzero(checked[:stop]))
+        n_cases += stop
+        if hits.size:
+            return LawResult(law, "fails", witness(stop - 1), n_checked, n_cases - n_checked)
+    return LawResult(law, "holds", None, n_checked, n_cases - n_checked)
 
 
 def _family_sigma(c: Causality, measure: CausalMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -176,50 +182,54 @@ def verify_measure_axioms(
 
     Normalization checks the value 1 on the empty set and on each
     singleton, then the codomain [1, inf] on each family set, in that
-    order, and stops at the first failure.
+    order, and stops at the first failure.  Super-multiplicativity takes
+    the unordered pairs, a member with itself included, from the walk
+    over the member pairs (_member_pairs), one block of rows at a time
+    in row-major order, and stops at the block of the first failure.
     """
     if not 0 <= rtol < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tolerance must be finite and non-negative, got {rtol}")
     _require_owner(c, measure)
     _law_cap(c, "measure-axiom verification")
     fam, sigma = _family_sigma(c, measure)
-    report = LawReport("measure axioms")
-
+    union = _union_table(c, measure.kind, fam)
     units = [0] + [1 << i for i in range(c.n)]  # ∅, then each singleton
-    bad = np.concatenate([
-        np.array([measure._sigma(m) for m in units], dtype=float) != 1.0, ~(sigma >= 1.0)])
+    units_bad = np.array([measure._sigma(m) for m in units], dtype=float) != 1.0
 
-    def normalization_witness(k):
-        if k < len(units):
-            return {"set": c.points[k - 1] if k else "empty set", "sigma": measure._sigma(units[k])}
-        m = int(fam[k - len(units)])
-        return {"set": c.ids_of(m), "sigma": measure._sigma(m),
-                "reason": "below the codomain [1, inf]"}
+    def unit(k):
+        return {"set": c.points[k - 1] if k else "empty set", "sigma": measure._sigma(units[k])}
 
-    report.results.append(_scan("normalization", np.ones_like(bad), bad, normalization_witness))
+    def member(k):
+        m = int(fam[k])
+        return {"set": c.ids_of(m), "sigma": measure._sigma(m), "reason": "below the codomain [1, inf]"}
 
-    # every unordered pair at once, in row-major order of the f x f grid
-    i, j = np.triu_indices(len(fam))
-    meets, u_idx = _union_table(c, measure.kind, fam, i, j)
-    i_idx = _index_in(fam, fam[i] & fam[j])
-    ok = (u_idx >= 0) & (i_idx >= 0)
-    with np.errstate(all="ignore"):
-        lhs = sigma[u_idx]
-        rhs = sigma[i] * sigma[j] / sigma[i_idx]
-        close = _isclose(lhs, rhs, rtol)
-        below = (lhs < rhs) & ~close
-        plain = meets == (fam[i] | fam[j])
-        unequal = plain & ~(np.isinf(lhs) & np.isinf(rhs)) & ~close
+    def pairs(i, j, meet):  # a block of the unordered pairs i <= j, in row-major order
+        keep = i <= j
+        i, j, meet = (x[keep] for x in np.broadcast_arrays(i, j, meet))
+        meets, u_idx = union(i, j)
+        i_idx = _index_in(fam, meet)
+        ok = (u_idx >= 0) & (i_idx >= 0)
+        with np.errstate(all="ignore"):
+            lhs = sigma[u_idx]
+            rhs = sigma[i] * sigma[j] / sigma[i_idx]
+            close = _isclose(lhs, rhs, rtol)
+            below = (lhs < rhs) & ~close
+            plain = meets == (fam[i] | fam[j])
+            unequal = plain & ~(np.isinf(lhs) & np.isinf(rhs)) & ~close
 
-    def witness(k):
-        out = {"a": c.ids_of(int(fam[i[k]])), "b": c.ids_of(int(fam[j[k]])),
-               "sigma_union": float(lhs[k]), "bound": float(rhs[k])}
-        if not below[k]:
-            out["reason"] = "equality required when the causal union is the plain union"
-        return out
+        def witness(k):
+            out = {"a": c.ids_of(int(fam[i[k]])), "b": c.ids_of(int(fam[j[k]])),
+                   "sigma_union": float(lhs[k]), "bound": float(rhs[k])}
+            if not below[k]:
+                out["reason"] = "equality required when the causal union is the plain union"
+            return out
 
-    report.results.append(_scan("super-multiplicativity", ok, ok & (below | unequal), witness))
-    return report
+        return ok, ok & (below | unequal), witness
+
+    return LawReport("measure axioms", [
+        _scan("normalization", [(np.ones_like(units_bad), units_bad, unit),
+                                (np.ones_like(sigma, dtype=bool), ~(sigma >= 1.0), member)]),
+        _scan("super-multiplicativity", starmap(pairs, _member_pairs(fam)))])
 
 
 def _isclose(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -290,8 +300,9 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     """Verify that the measure grows along inclusion of family sets.
 
     Reports one result, "family-pairs", over every nested pair a ⊆ b of
-    family sets, and raises MissingValue if the table lacks a family
-    set.  The extensions to other sets need no scan, because they are
+    family sets, taken in row-major order from the walk over the member
+    pairs (_member_pairs), and raises MissingValue if the table lacks a
+    family set.  The extensions to other sets need no scan, because they are
     monotone by construction, for any table:
 
     - for a ⊆ b, every family subset of a is also a family subset of b,
@@ -304,19 +315,21 @@ def check_monotonicity(c: Causality, measure: CausalMeasure) -> LawReport:
     _require_owner(c, measure)
     _law_cap(c, "monotonicity check")
     fam, sigma = _family_sigma(c, measure)
-    # the nested pairs fam[i] ⊆ fam[j], in row-major order
-    i, j = np.nonzero((fam[:, None] & ~fam) == 0)
-    with np.errstate(invalid="ignore"):  # inf - inf in _isclose
-        bad = (sigma[i] > sigma[j]) & ~_isclose(sigma[i], sigma[j], EQUALITY_RTOL)
 
-    def witness(k):
-        a, b = int(fam[i[k]]), int(fam[j[k]])
-        return {"a": c.ids_of(a), "b": c.ids_of(b),
-                "sigma_a": measure._sigma(a), "sigma_b": measure._sigma(b)}
+    def nested(i, j, meet):  # a block of the nested pairs fam[i] ⊆ fam[j], in row-major order
+        keep = meet == fam[i]
+        i, j = (x[keep] for x in np.broadcast_arrays(i, j))
+        with np.errstate(invalid="ignore"):  # inf - inf in _isclose
+            bad = (sigma[i] > sigma[j]) & ~_isclose(sigma[i], sigma[j], EQUALITY_RTOL)
 
-    report = LawReport("measure monotonicity")
-    report.results.append(_scan("family-pairs", np.ones_like(bad), bad, witness))
-    return report
+        def witness(k):
+            a, b = int(fam[i[k]]), int(fam[j[k]])
+            return {"a": c.ids_of(a), "b": c.ids_of(b),
+                    "sigma_a": measure._sigma(a), "sigma_b": measure._sigma(b)}
+
+        return np.ones_like(bad), bad, witness
+
+    return LawReport("measure monotonicity", [_scan("family-pairs", starmap(nested, _member_pairs(fam)))])
 
 
 # ---------------------------------------------------------------------------

@@ -456,13 +456,19 @@ def k66():
     return complete_bipartite(6, 6)
 
 
+def below_one_top(k):
+    """k points below one top: a convergent family of 2^k + k + 1 members."""
+    points = [f"p{i}" for i in range(k)] + ["top"]
+    return co.from_cover_pairs(points, [(p, "top") for p in points[:-1]])
+
+
 def member_tables(c, kind):
     """The family's uint64 masks plus its f x f union and intersection
     tables over every ordered member pair: (fam, meets, u_idx, i_idx);
     the measure suite reads the same tables on the unordered pairs."""
     fam = _family_array(c, kind)
     grid = np.ogrid[:len(fam), :len(fam)]
-    return (fam, *_union_table(c, kind, fam, *grid), _index_in(fam, fam[:, None] & fam))
+    return (fam, *_union_table(c, kind, fam)(*grid), _index_in(fam, fam[:, None] & fam))
 
 
 def reference_union_laws(c, kinds):

@@ -50,8 +50,31 @@ _LAST_ROW = "tests/test_io.py::test_reader_matches_json_loads_on_a_separator_of_
 _CERTIFIED = "tests/test_minkowski.py::test_certified_sprinkle_runs_no_product_until_its_cover_is_read[1]"
 _UNCERTIFIED = "tests/test_minkowski.py::test_uncertified_events_take_the_validation"
 _FOREIGN = "tests/test_algebra.py::test_queries_reject_objects_of_another_causality"
+_WALKED_LAWS = "tests/test_algebra.py::test_law_counts_walked_one_row_at_a_time[k34]"
+_WALKED_SCANS = "tests/test_measure.py::test_measure_scans_walked_one_row_at_a_time[above-Kind.DIVERGENT-grid33]"
 
 MUTANTS = [
+    # guards on the arguments of public calls
+    ("order.py",
+     "if any(v is None for v in perm):",
+     "if False:",
+     ["tests/test_order.py::test_point_map_validation_rejects_a_mapping_that_misses_a_point"]),
+    ("order.py",
+     "if perm[j] != i:",
+     "if False:",
+     ["tests/test_order.py::test_point_map_validation_rejects_non_involution"]),
+    ("measure.py",
+     "if self.kind not in (Kind.DIVERGENT, Kind.CONVERGENT):",
+     "if False:",
+     ["tests/test_measure.py::test_measure_rejects_the_kind_both"]),
+    ("measure.py",
+     "if u.parent is not self.parent:",
+     "if False:",
+     ["tests/test_measure.py::test_measure_value_rejects_a_set_of_another_causality"]),
+    ("reconstruction.py",
+     "if p not in self.points:",
+     "if False:",
+     ["tests/test_reconstruction.py::test_regular_causality_point_ok_rejects_an_unknown_id"]),
     # relation entries: a non-bool relation cast to bool unchecked
     ("order.py",
      "bad = [] if rel.dtype == bool else np.argwhere((rel != 0) & (rel != 1))",
@@ -74,9 +97,9 @@ MUTANTS = [
       "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_on_every_small_poset"]),
     # a measure's values: a second σ array, or a bare table read
     ("measure.py",
-     "    fam, sigma = _family_sigma(c, measure)\n    # the nested pairs",
+     "    fam, sigma = _family_sigma(c, measure)\n\n    def nested",
      "    fam = _family_array(c, measure.kind)\n"
-     "    sigma = np.array([measure.table[m] for m in fam.tolist()], dtype=float)\n    # the nested pairs",
+     "    sigma = np.array([measure.table[m] for m in fam.tolist()], dtype=float)\n\n    def nested",
      [_MISSING,
       "tests/test_cli.py::test_verify_monotonicity_of_incomplete_measure_exits_2"]),
     ("measure.py",
@@ -310,9 +333,20 @@ MUTANTS = [
      "np.ones(k, dtype=np.int64), ok",
      [_K66]),
     ("algebra.py",
-     "cell = (keys[:, None] * k + cls) * (k + 1) + inter",
-     "cell = (keys[:, None] * k + 0 * cls) * (k + 1) + inter",
+     "cell = ((i - i[0]) * k + cls) * (k + 1)",
+     "cell = ((i - i[0]) * k + 0 * cls) * (k + 1)",
      [_K66]),
+    # law V: hist's rows summed by class against the class of A where the
+    # class of the member M belongs
+    ("algebra.py",
+     '"a,aK,ag,Kga->"',
+     '"a,aK,ag,Kag->"',
+     [_K66]),
+    # the member-pair walk: the last row of each block dropped
+    ("algebra.py",
+     "    for i in np.split(np.arange(len(fam)), range(rows, len(fam), rows)):\n",
+     "    for i in np.split(np.arange(len(fam)), range(rows, len(fam), rows)):\n        i = i[:-1]\n",
+     [_WALKED_LAWS, "tests/test_measure.py::test_measure_axioms_memory_on_the_unordered_pairs"]),
     ("algebra.py",
      "np.unique([row.tobytes() for row in ok]",
      "np.unique([b'' for row in ok]",
@@ -373,17 +407,26 @@ MUTANTS = [
      "if not sigma > 0:",
      "if sigma <= 0:",
      [_LOGARITHM]),
-    # the measure scans on their flat pair list: the stop off by one, the
-    # triangle without its diagonal, the witness's second set read as the
-    # first
+    # the measure scans, a block of member pairs at a time: the counts
+    # restarted in each block, the stop off by one, the triangle without
+    # its diagonal, the nested test reversed, the witness's second set
+    # read as the first
+    ("measure.py",
+     "    for checked, bad, witness in blocks:\n",
+     "    for checked, bad, witness in blocks:\n        n_checked = n_cases = 0\n",
+     [_WALKED_SCANS]),
     ("measure.py",
      "stop = int(hits[0]) + 1 if hits.size",
      "stop = int(hits[0]) if hits.size",
      [_INFINITIES]),
     ("measure.py",
-     "i, j = np.triu_indices(len(fam))",
-     "i, j = np.triu_indices(len(fam), 1)",
+     "keep = i <= j",
+     "keep = i < j",
      [_INFINITIES]),
+    ("measure.py",
+     "keep = meet == fam[i]",
+     "keep = meet == fam[j]",
+     [_WALKED_SCANS]),
     ("measure.py",
      '"b": c.ids_of(int(fam[j[k]]))',
      '"b": c.ids_of(int(fam[i[k]]))',

@@ -26,6 +26,8 @@ from causalorder.algebra import (
     _class_code,
     _closed_union,
     _family_array,
+    _law_counts,
+    _member_pairs,
     _union_mask,
     _union_table,
     _vertex_groups,
@@ -38,6 +40,7 @@ from causalorder.order import _bound_meet
 from conftest import (
     K66_LAW_COUNTS,
     NOT_DENSE_7_RELATION,
+    below_one_top,
     complete_bipartite,
     k66,
     member_tables,
@@ -1195,17 +1198,52 @@ def test_laws_and_axioms_build_no_member_union_table(make, monkeypatch):
     assert not [v.shape for v in values if isinstance(v, np.ndarray) and v.ndim == 2
                 and v.shape[0] in sizes]
     # the measure suite builds its table over the unordered member pairs,
-    # as a flat list
+    # a flat list per block of the walk, the blocks covering them once
     built = []
 
-    def spy(c, kind, masks, i, j):
-        built.append((len(masks), np.broadcast_shapes(i.shape, j.shape)))
-        return _union_table(c, kind, masks, i, j)
+    def spy(c, kind, masks):
+        table = _union_table(c, kind, masks)
+
+        def recorded(i, j):
+            built.append((len(masks), np.broadcast_shapes(i.shape, j.shape)))
+            return table(i, j)
+
+        return recorded
 
     monkeypatch.setattr(co.measure, "_union_table", spy)
     f = len(family_masks(c, Kind.DIVERGENT))
     res = co.verify_measure_axioms(c, co.constant_measure(c)).result("super-multiplicativity")
-    assert built == [(f, (f * (f + 1) // 2,))] and res.checked + res.skipped == f * (f + 1) // 2
+    assert {(m, len(shape)) for m, shape in built} == {(f, 1)}
+    assert sum(shape[0] for _, shape in built) == res.checked + res.skipped == f * (f + 1) // 2
+
+
+@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), lambda: complete_bipartite(3, 4), _sprinkle12,
+                                  co.star5], ids=["grid34", "k34", "sprinkle", "star5"])
+def test_law_counts_walked_one_row_at_a_time(make, monkeypatch):
+    # blocks of one row each give every law count and the superset-pair
+    # count of one block, which the reference scans pin as well
+    whole = {kind: _law_counts(make(), kind) for kind in _ALL_KINDS}
+    monkeypatch.setattr(co.algebra, "_PAIRS", 1)
+    c = make()
+    fam = _family_array(c, Kind.CONVERGENT)
+    assert [i.ravel().tolist() for i, _, _ in _member_pairs(fam)] == [[r] for r in range(len(fam))]
+    assert {kind: _law_counts(c, kind) for kind in _ALL_KINDS} == whole
+    _check_laws_against_the_scans(c)
+
+
+def test_law_counts_memory_in_blocks_of_member_pairs():
+    # f = 2,060: one f x f intersection index of 8-byte entries alone
+    # would take 32 MiB; the walk holds one block of rows at a time
+    c = below_one_top(11)
+    assert len(_family_array(c, Kind.CONVERGENT)) == 2060
+    tracemalloc.start()
+    try:
+        counts = _law_counts(c, Kind.CONVERGENT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[0] == 2060**2  # every union is defined: the family is a lattice
+    assert peak < 8 * 2**20
 
 
 def test_k66_law_counts_pinned():

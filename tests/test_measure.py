@@ -15,7 +15,13 @@ from causalorder import Kind, PointSet, config
 from causalorder.algebra import _union_mask, family_masks
 from causalorder.measure import EQUALITY_RTOL, _isclose
 
-from conftest import naturally_labelled_posets, oracle_causal_union, oracle_family, random_poset
+from conftest import (
+    below_one_top,
+    naturally_labelled_posets,
+    oracle_causal_union,
+    oracle_family,
+    random_poset,
+)
 
 
 def _perturbed(c, overrides, kind=Kind.DIVERGENT):
@@ -182,11 +188,10 @@ def test_measure_scans_cap_before_any_work():
 
 def test_measure_axioms_memory_on_the_unordered_pairs():
     # nine points below one top: a convergent family of 2^9 + 9 + 1 = 522
-    # members, 136,503 unordered pairs.  The scan on the flat pair list
-    # peaks near 12 MiB; f x f tables of its per-pair quantities would
-    # take it near 20 MiB
-    points = [f"p{i}" for i in range(9)] + ["top"]
-    c = co.from_cover_pairs(points, [(p, "top") for p in points[:-1]])
+    # members, 136,503 unordered pairs.  One flat list of them peaked near
+    # 12 MiB, f x f tables of the per-pair quantities near 20 MiB; the
+    # walk holds one block of member rows at a time
+    c = below_one_top(9)
     m = co.constant_measure(c, Kind.CONVERGENT)
     assert len(m.table) == 522
     tracemalloc.start()
@@ -198,6 +203,61 @@ def test_measure_axioms_memory_on_the_unordered_pairs():
     res = report.result("super-multiplicativity")
     assert (res.verdict, res.checked, res.skipped) == ("holds", 522 * 523 // 2, 0)
     assert peak < 14 * 2**20
+
+
+@pytest.mark.parametrize("check, bound", [(co.verify_measure_axioms, 16), (co.check_monotonicity, 8)],
+                         ids=["axioms", "monotonicity"])
+def test_measure_scans_memory_in_blocks_of_member_pairs(check, bound):
+    # eleven points below one top, f = 2,060: the flat list of the
+    # unordered pairs peaked at 184 MiB and the nested-pair mask at 36 MiB
+    c = below_one_top(11)
+    m = co.constant_measure(c, Kind.CONVERGENT)
+    tracemalloc.start()
+    try:
+        report = check(c, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_hold
+    assert peak < bound * 2**20
+
+
+def _late_member(c, kind):
+    """A family member of two or more points, past the first half of the
+    family in mask order, so that its pairs lie past the first rows."""
+    fam = family_masks(c, kind)
+    return next(m for m in fam[len(fam) // 2:] if m & (m - 1))
+
+
+@pytest.mark.parametrize("make", [lambda: co.grid(3, 3), lambda: random_poset(7, 0.3, np.random.default_rng(3)),
+                                  lambda: below_one_top(4)], ids=["grid33", "poset7", "below_top4"])
+@pytest.mark.parametrize("kind", [Kind.DIVERGENT, Kind.CONVERGENT])
+@pytest.mark.parametrize("sigma", [None, 2.0, 0.5, math.inf], ids=["unit", "above", "below", "inf"])
+def test_measure_scans_walked_one_row_at_a_time(make, kind, sigma, monkeypatch):
+    # blocks of one row each report what one block does, and what the
+    # loops over the pairs report; a table off 1 on a late member fails
+    # first in a later block
+    c = make()
+    table = dict(co.constant_measure(c, kind).table)
+    if sigma is not None:
+        table[_late_member(c, kind)] = sigma
+    m = co.CausalMeasure(c, kind, table)
+
+    def reports():
+        return repr([co.verify_measure_axioms(c, m).results, co.check_monotonicity(c, m).results])
+
+    whole = reports()
+    monkeypatch.setattr(co.algebra, "_PAIRS", 1)
+    assert reports() == whole == repr([
+        [_loop_normalization(c, m), co.LawResult("super-multiplicativity",
+                                                 *_pairwise_super_multiplicativity(c, kind, table, EQUALITY_RTOL))],
+        [_loop_monotonicity(c, m)]])
+    res = co.verify_measure_axioms(c, m).result("super-multiplicativity")
+    assert res.checked + res.skipped > len(table)  # past the first row, ∅ with each member
+    late = _late_member(c, kind)
+    if sigma == 2.0 and any(b != late and b & late == late for b in table):
+        mono = co.check_monotonicity(c, m).results[0]  # fails first on the row of the late member
+        assert (mono.verdict, mono.counterexample["a"]) == ("fails", c.ids_of(late))
 
 
 def test_super_multiplicativity_skips_equality_between_infinities(chain3):
@@ -557,6 +617,18 @@ def test_measure_from_dict_rejects_a_set_named_twice(d4, first, second):
         {"set": first, "sigma": 1}, {"set": ["r"], "sigma": 1}, {"set": second, "sigma": 5}]}
     with pytest.raises(ValueError, match="^measure entries 0 and 2 name the same set$"):
         co.CausalMeasure.from_dict(d4, doc)
+
+
+def test_measure_rejects_the_kind_both(d4):
+    with pytest.raises(ValueError, match="^measure kind must be DIVERGENT or CONVERGENT$"):
+        co.CausalMeasure(d4, Kind.BOTH, {0: 1.0})
+
+
+def test_measure_value_rejects_a_set_of_another_causality(d4):
+    # the same mask, valued 1 in the table, of an equal but other causality
+    m, other = co.constant_measure(d4), co.diamond4()
+    with pytest.raises(ValueError, match="^point set does not belong to the measured causality$"):
+        m.value(other.subset(["p", "q", "r"]))
 
 
 def test_measure_value_lookup(d4):

@@ -383,9 +383,16 @@ def test_reverse_rejects_point_map_of_another_causality():
         co.reverse(c, t, c.subset(["a"]))
 
 
-def test_point_map_validation_rejects_non_involution(chain3):
-    with pytest.raises(co.InvalidReversal):
-        OrderReversal.point_map(chain3, {"a": "b", "b": "c", "c": "a"})
+def test_point_map_validation_rejects_non_involution(anti3):
+    # a 3-cycle of unrelated points reverses the (empty) order, so only
+    # the involution test can reject it
+    with pytest.raises(co.InvalidReversal, match="^mapping is not an involution at a0$"):
+        OrderReversal.point_map(anti3, {"a0": "a1", "a1": "a2", "a2": "a0"})
+
+
+def test_point_map_validation_rejects_a_mapping_that_misses_a_point(chain3):
+    with pytest.raises(co.InvalidReversal, match="^mapping must cover every point$"):
+        OrderReversal.point_map(chain3, {"a": "c", "c": "a"})
 
 
 def test_point_map_validation_rejects_order_preserving(chain3):

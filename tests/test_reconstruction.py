@@ -396,6 +396,11 @@ def test_fixtures_are_regular_causalities(chain3, d4, l5, l33, anti3):
         assert rep.to_dict()["extension_failures"] == []
 
 
+def test_regular_causality_point_ok_rejects_an_unknown_id(l33):
+    with pytest.raises(KeyError, match="zz"):
+        co.is_regular_causality(l33).point_ok("zz")
+
+
 def test_regular_causality_vertex_closure_is_checked(l33):
     # the interior point passes: its bounded strict sets union to bounded
     # strict sets (proved in the is_regular_causality docstring)

@@ -1,9 +1,10 @@
 """Checks on the library source: no private module-level name that
 nothing in ``src/causalorder`` refers to, no import a module never uses,
 each size cap read where it is enforced, in exactly one function,
-matrix products only in the one product kernel, the derived-data store
-written in one accessor, a measure table read by key in one method, and
-each public name declared once, in its module's ``__all__``.
+matrix products only in the one product kernel, member-pair grids only
+in the one walk, the derived-data store written in one accessor, a
+measure table read by key in one method, and each public name declared
+once, in its module's ``__all__``.
 
 The package ``__init__`` is exempt from the import check, because its
 imports are the public namespace.
@@ -143,6 +144,28 @@ def test_matrix_products_only_in_the_kernel():
     called anywhere, so no second product path grows beside it: counting
     stays in int64 einsum and bincount."""
     assert _enclosing(_matmul) == {"@": {"order._compose"}}
+
+
+def _pair_grid(node: ast.AST) -> str | None:
+    """The member-pair grid that ``node`` builds, if any: a call of
+    ``triu_indices`` or ``tril_indices``, or ``fam[..., None]``, a column
+    of a family array that broadcasts against the family."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in (
+            "triu_indices", "tril_indices"):
+        return node.func.attr
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "fam"
+            and isinstance(node.slice, ast.Tuple) and isinstance(node.slice.elts[-1], ast.Constant)
+            and node.slice.elts[-1].value is None):
+        return "fam[..., None]"
+    return None
+
+
+def test_member_pair_grids_only_in_the_walk():
+    """algebra._member_pairs is the one builder of a grid of member
+    pairs: it walks the f x f grid in blocks of rows, and the union laws
+    and both measure scans take their pairs from it, so none of them
+    builds an f x f or f(f+1)/2 array of its own."""
+    assert _enclosing(_pair_grid) == {"fam[..., None]": {"algebra._member_pairs"}}
 
 
 def _store_write(node: ast.AST) -> str | None:
