@@ -11,6 +11,7 @@ module decides at desk scale, each verdict by a proof from order facts
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -469,9 +470,10 @@ def _member_pairs(fam: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.
     no f x f array is built.  Yields (i, j, meet) per block: i its row
     numbers as a column, j every column number, and meet the block of
     fam[i] & fam[j].  Each caller keeps the cells it needs, in order."""
-    rows = max(1, _PAIRS // len(fam))
-    for i in np.split(np.arange(len(fam)), range(rows, len(fam), rows)):
-        yield i[:, None], np.arange(len(fam)), fam[i, None] & fam
+    f, rows = len(fam), max(1, _PAIRS // len(fam))
+    for lo in range(0, f, rows):
+        i = np.arange(lo, min(lo + rows, f))
+        yield i[:, None], np.arange(f), fam[i, None] & fam
 
 
 def _fold(masks: np.ndarray, rows: list[int], op: np.ufunc) -> np.ndarray:
@@ -536,19 +538,49 @@ def _union_table(c: Causality, kind: Kind, masks: np.ndarray) -> Callable[..., t
 
 
 def _vertex_groups(c: Causality, kind: Kind):
-    """(group, size, meets, union): group[i] is the group of member i by
-    its vertices (both sides' for BOTH), size[g] counts group g, group 0
-    is {∅}, and meets and union are the _union_table of one member per
-    group, over every pair of groups.  Whether a union is defined, and
-    the vertices of the result, depend on the operands' vertices alone
+    """(group, size, union, vertices): group[i] is the group of member i
+    by its vertices (both sides' for BOTH), size[g] counts group g, group
+    0 is {∅}, union is the index half of the _union_table of one member
+    per group, over every pair of groups, and vertices holds each
+    member's vertex on each side.  Whether a union is defined, and the
+    vertices of the result, depend on the operands' vertices alone
     (_closed_union)."""
     fam = _family_array(c, kind)
+    vertices = [_vertices(c, fam, side) for side in _sides(kind)]
     key = np.zeros(len(fam), dtype=np.intp)
-    for side in _sides(kind):  # ∅, with vertex c.n on every side, keys 0
-        key = key * (c.n + 1) + c.n - _vertices(c, fam, side)
+    for v in vertices:  # ∅, with vertex c.n on every side, keys 0
+        key = key * (c.n + 1) + c.n - v
     _, first, group, size = np.unique(key, return_index=True, return_inverse=True,
                                       return_counts=True)
-    return group, size, *_union_table(c, kind, fam[first])(*np.ogrid[:len(first), :len(first)])
+    return group, size, _union_table(c, kind, fam[first])(*np.ogrid[:len(first), :len(first)])[1], vertices
+
+
+def _superset_pairs(c: Causality, kind: Kind, vertices: list[np.ndarray]) -> int:
+    """The number of unordered pairs of members of the kind's family, a
+    member with itself included, that have a superset of the kind, from
+    the order alone.  ``vertices`` holds the vertex of each member on
+    each of the kind's sides (_vertices).
+
+    Take CONVERGENT; DIVERGENT is the dual.  Nonempty members with tops
+    v and w have a convergent superset iff ↑v ∩ ↑w is not empty: the top
+    of a superset lies above both, and for q above both, ↑(A ∪ B) ∩ ↓q
+    is a superset with top q.  For BOTH both sides must meet, as the
+    interval [p, q] holds A ∪ B iff p is below both bottoms and q above
+    both tops.  ∅ lies in every member, so it pairs with each: its cone
+    is every bit (_NONE), which meets every cone, its own included.
+    With size[g] counting the members of each tuple g of vertices, one
+    per side (index n for ∅), and common[g, h] telling whether the cones
+    of g and h meet on every side, the ordered pairs with a superset
+    number sizeᵀ common size, the f pairs of a member with itself among
+    them, and the unordered ones half that plus f.  Counts are int64."""
+    sides = _sides(kind)
+    shape = (c.n + 1,) * len(sides)
+    size = np.bincount(np.ravel_multi_index(vertices, shape), minlength=math.prod(shape))
+    common = np.ones((len(size), len(size)), dtype=bool)
+    for side, v in zip(sides, np.unravel_index(np.arange(len(size)), shape)):
+        cone = np.array([*_rows_cones(c, side)[0], _NONE], dtype=np.uint64)[v]  # ↑v for UPPER
+        common &= (cone[:, None] & cone) != 0
+    return (int(np.einsum("g,gh,h->", size, common, size, dtype=np.int64)) + len(vertices[0])) // 2
 
 
 def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
@@ -556,7 +588,8 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
     (A, B, C) on which law III, IV and V, has both sides defined: every
     union is defined and every intersection that is united is a member;
     then the number of unordered member pairs, a member with itself
-    included, that have a superset of the kind (verify_algebra_axioms).
+    included, that have a superset of the kind (verify_algebra_axioms,
+    _superset_pairs).
 
     ok[g, h] tells whether the union of a member of vertex group g and
     one of group h is defined, at[g, h] is the group of that union
@@ -579,9 +612,7 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
     members of class a: hist's rows summed by class.  Counts are int64.
     """
     fam = _family_array(c, kind)
-    group, size, meets, union = _vertex_groups(c, kind)
-    # the ordered pairs with a superset, the f pairs A, A among them, halved
-    found = (int(np.einsum("g,gh,h->", size, meets != _NONE, size, dtype=np.int64)) + len(fam)) // 2
+    group, size, union, vertices = _vertex_groups(c, kind)
     ok, at = union >= 0, group[union]  # at: the group of the union, where ok
     defined = ok[:, :, None] & ok[at] & ok[None, :, :] & ok[:, at]
     law_i = np.einsum("p,pq,q->", size, ok, size, dtype=np.int64)
@@ -596,7 +627,7 @@ def _law_counts(c: Causality, kind: Kind) -> tuple[int, int, int, int, int]:
     ok_hist = np.einsum("cad,de->cae", hist, ok)  # [K, p, a]: hist[K] ok
     law_iv = (np.einsum("cda,de->cea", hist, ok) * ok_hist).sum()
     law_v = np.einsum("a,aK,ag,Kga->", np.bincount(cls, minlength=k), ok[:, cls], ok, ok_hist)
-    return int(law_i), int(law_iii), int(law_iv), int(law_v), found
+    return int(law_i), int(law_iii), int(law_iv), int(law_v), _superset_pairs(c, kind, vertices)
 
 
 def _distributivity_witness(c: Causality, kind: Kind) -> tuple | None:

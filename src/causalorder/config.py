@@ -20,8 +20,10 @@ ENUMERATION_CAP = 20
 # Law, axiom and measure verification.  The law and axiom verdicts are
 # proved and their pairs and triples of causal sets counted over vertex
 # groups: a union table over one set per group (G^2 entries, G <= n + 1
-# per side) and the f^2 intersection index.  The measure suites scan
-# member pairs, from a union table over all f sets.
+# per side) and the f^2 intersection index.  The measure suites decide
+# the unit table from the order (the axioms with crossing) or by counting
+# the nested member pairs (monotonicity); every other table they scan
+# over member pairs, the axioms from a union table over all f sets.
 LAW_SCAN_CAP = 12
 
 # Ribbons, congruence, density and order reconstruction.

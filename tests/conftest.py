@@ -456,6 +456,11 @@ def k66():
     return complete_bipartite(6, 6)
 
 
+def sprinkle12():
+    """A 12-point sprinkle of the 1+1 unit square: it has crossing."""
+    return co.sprinkle(co.SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=12, seed=5)).causality
+
+
 def below_one_top(k):
     """k points below one top: a convergent family of 2^k + k + 1 members."""
     points = [f"p{i}" for i in range(k)] + ["top"]

@@ -51,6 +51,7 @@ _CERTIFIED = "tests/test_minkowski.py::test_certified_sprinkle_runs_no_product_u
 _UNCERTIFIED = "tests/test_minkowski.py::test_uncertified_events_take_the_validation"
 _FOREIGN = "tests/test_algebra.py::test_queries_reject_objects_of_another_causality"
 _WALKED_LAWS = "tests/test_algebra.py::test_law_counts_walked_one_row_at_a_time[k34]"
+_SUPERSETS = "tests/test_algebra.py::test_superset_pairs_equal_the_scan_on_every_small_poset"
 _WALKED_SCANS = "tests/test_measure.py::test_measure_scans_walked_one_row_at_a_time[above-Kind.DIVERGENT-grid33]"
 
 MUTANTS = [
@@ -85,21 +86,32 @@ MUTANTS = [
      'return _frozen(_unpack(self._derived["rows"], self.n))',
      'return _stored(self, "relation", lambda c: _frozen(_unpack(c._derived["rows"], c.n)))',
      [_STORE]),
-    # the vertex-group tables: stored again, or the superset count off
+    # the vertex-group tables stored again; the superset-pair count off by
+    # one, with the f pairs of a member with itself added twice, or with
+    # ∅'s cone empty, so that ∅ pairs with nothing
     ("algebra.py",
-     "group, size, meets, union = _vertex_groups(c, kind)",
-     'group, size, meets, union = _stored(c, ("groups", kind), _vertex_groups, kind)',
+     "group, size, union, vertices = _vertex_groups(c, kind)",
+     'group, size, union, vertices = _stored(c, ("groups", kind), _vertex_groups, kind)',
      [_CLI_STORE]),
     ("algebra.py",
-     "meets != _NONE, size, dtype=np.int64)) + len(fam)) // 2",
-     "meets != _NONE, size, dtype=np.int64)) + len(fam)) // 2 - 1",
+     "common, size, dtype=np.int64)) + len(vertices[0])) // 2",
+     "common, size, dtype=np.int64)) + len(vertices[0])) // 2 - 1",
      ["tests/test_cli.py::test_verify_k66_union_laws_as_scanned",
       "tests/test_algebra.py::test_laws_and_closures_equal_the_scans_on_every_small_poset"]),
+    ("algebra.py",
+     "common, size, dtype=np.int64)) + len(vertices[0])) // 2",
+     "common, size, dtype=np.int64)) + 2 * len(vertices[0])) // 2",
+     [_SUPERSETS]),
+    ("algebra.py",
+     "cone = np.array([*_rows_cones(c, side)[0], _NONE], dtype=np.uint64)[v]",
+     "cone = np.array([*_rows_cones(c, side)[0], 0], dtype=np.uint64)[v]",
+     [_SUPERSETS]),
     # a measure's values: a second σ array, or a bare table read
     ("measure.py",
-     "    fam, sigma = _family_sigma(c, measure)\n\n    def nested",
+     "    fam, sigma = _family_sigma(c, measure)\n    if (sigma == 1.0).all():",
      "    fam = _family_array(c, measure.kind)\n"
-     "    sigma = np.array([measure.table[m] for m in fam.tolist()], dtype=float)\n\n    def nested",
+     "    sigma = np.array([measure.table[m] for m in fam.tolist()], dtype=float)\n"
+     "    if (sigma == 1.0).all():",
      [_MISSING,
       "tests/test_cli.py::test_verify_monotonicity_of_incomplete_measure_exits_2"]),
     ("measure.py",
@@ -309,8 +321,8 @@ MUTANTS = [
      "return c.ids_of(below), c.ids_of(above & -above)",
      [_SCANS]),
     ("algebra.py",
-     "meets != _NONE, size, dtype=np.int64)) + len(fam)) // 2",
-     "meets != _NONE, size, dtype=np.int64)) - len(fam)) // 2",
+     "common, size, dtype=np.int64)) + len(vertices[0])) // 2",
+     "common, size, dtype=np.int64)) - len(vertices[0])) // 2",
      ["tests/test_algebra.py::test_laws_and_closures_equal_the_scans_at_either_end_of_the_ok_classes[k34]"]),
     ("algebra.py",
      "a, b = (_closed_union(c, 1 << x | 1 << y, 1 << v, kind) for v in (z, w))",
@@ -344,8 +356,8 @@ MUTANTS = [
      [_K66]),
     # the member-pair walk: the last row of each block dropped
     ("algebra.py",
-     "    for i in np.split(np.arange(len(fam)), range(rows, len(fam), rows)):\n",
-     "    for i in np.split(np.arange(len(fam)), range(rows, len(fam), rows)):\n        i = i[:-1]\n",
+     "        i = np.arange(lo, min(lo + rows, f))\n",
+     "        i = np.arange(lo, min(lo + rows, f))[:-1]\n",
      [_WALKED_LAWS, "tests/test_measure.py::test_measure_axioms_memory_on_the_unordered_pairs"]),
     ("algebra.py",
      "np.unique([row.tobytes() for row in ok]",
@@ -431,6 +443,40 @@ MUTANTS = [
      '"b": c.ids_of(int(fam[j[k]]))',
      '"b": c.ids_of(int(fam[i[k]]))',
      ["tests/test_measure.py::test_super_multiplicativity_matches_pairwise_check"]),
+    # the unit table decided from the order: a table near 1 taken for it,
+    # crossing not asked, the intersecting pairs of the walk counted for
+    # the nested ones, or monotonicity scanned again.  (Nested read down
+    # the column, fam[j] ⊆ fam[i], is no mutant: over the whole grid it
+    # counts the same pairs, each the other way round.)
+    ("measure.py",
+     "if (sigma == 1.0).all() and has_crossing_property(c):",
+     "if _isclose(sigma, np.ones_like(sigma), EQUALITY_RTOL).all() and has_crossing_property(c):",
+     ["tests/test_measure.py::test_a_singleton_off_one_within_the_tolerance_fails_normalization"]),
+    ("measure.py",
+     "if (sigma == 1.0).all() and has_crossing_property(c):",
+     "if (sigma == 1.0).all():",
+     ["tests/test_measure.py::test_unit_table_builds_no_union_table_with_crossing[k22]",
+      "tests/test_measure.py::test_unit_table_reports_match_the_loops"]),
+    ("measure.py",
+     "np.count_nonzero(meet == fam[i]))",
+     "np.count_nonzero(meet != 0))",
+     ["tests/test_measure.py::test_unit_table_reports_match_the_loops",
+      "tests/test_cli.py::test_verify_unit_table_output_pinned"]),
+    ("measure.py",
+     "    if (sigma == 1.0).all():  # no nested pair",
+     "    if False:  # no nested pair",
+     ["tests/test_measure.py::test_unit_table_monotonicity_compares_no_values"]),
+    # a measure document's sigma: NaN let through, an integer past the
+    # float range let overflow
+    ("measure.py",
+     "or sigma != sigma:",
+     "or False:",
+     ["tests/test_measure.py::test_measure_from_dict_rejects_nan_and_non_numbers"]),
+    ("measure.py",
+     "except OverflowError:  # an int past the float range",
+     "except ZeroDivisionError:",
+     ["tests/test_measure.py::test_measure_from_dict_rejects_an_integer_past_the_float_range",
+      "tests/test_cli.py::test_verify_measure_with_an_integer_past_the_float_range_exits_2"]),
     # the extensions: subsets taken for supersets
     ("measure.py",
      "fam[(fam | a.mask) == a.mask]",

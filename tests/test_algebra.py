@@ -56,6 +56,7 @@ from conftest import (
     reference_closure_axioms,
     reference_union_laws,
     relabelled,
+    sprinkle12,
 )
 
 
@@ -1154,6 +1155,18 @@ def test_laws_and_closures_equal_the_scans_on_every_small_poset():
     assert {(law, v) for law in laws for v in ("holds", "fails")} <= verdicts
 
 
+def test_superset_pairs_equal_the_scan_on_every_small_poset():
+    # the count read off the vertices equals the unordered member pairs
+    # whose union table entry has a superset, in all three kinds; the
+    # closure counts above cover CONVERGENT and DIVERGENT alone
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            for kind in _ALL_KINDS:
+                _, meets, _, _ = member_tables(c, kind)
+                want = int(np.count_nonzero(np.triu(meets != _NONE)))
+                assert _law_counts(c, kind)[4] == want, (c.relation.tolist(), kind)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(6, 10), st.floats(0.1, 0.6))
 def test_laws_and_closures_equal_the_scans_on_relabelled_posets(seed, n, p_edge):
@@ -1176,17 +1189,13 @@ def test_laws_and_closures_equal_the_scans_at_either_end_of_the_ok_classes(make,
     # one class of equal ok rows; in K(3,4) each group has a row of its own
     c = make()
     for kind in _ALL_KINDS:
-        union = _vertex_groups(c, kind)[3]
+        union = _vertex_groups(c, kind)[2]
         classes = len(np.unique(union >= 0, axis=0))
         assert classes == (1 if one_class else len(union)), kind
     _check_laws_against_the_scans(c)
 
 
-def _sprinkle12():
-    return co.sprinkle(co.SprinkleConfig(d=1, box=((0, 1), (0, 1)), n=12, seed=5)).causality
-
-
-@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), _sprinkle12], ids=["grid34", "sprinkle"])
+@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), sprinkle12], ids=["grid34", "sprinkle"])
 def test_laws_and_axioms_build_no_member_union_table(make, monkeypatch):
     c = make()
     co.verify_union_laws(c)
@@ -1197,8 +1206,11 @@ def test_laws_and_axioms_build_no_member_union_table(make, monkeypatch):
               for v in (value if isinstance(value, tuple) else (value,))]
     assert not [v.shape for v in values if isinstance(v, np.ndarray) and v.ndim == 2
                 and v.shape[0] in sizes]
-    # the measure suite builds its table over the unordered member pairs,
-    # a flat list per block of the walk, the blocks covering them once
+    # the measure suite decides the unit table from the order, with no
+    # union table; any other table it scans with one over the unordered
+    # member pairs, a flat list per block of the walk, the blocks covering
+    # them once.  A singleton 1e-12 off 1 fails normalization alone, so
+    # the scan runs to the last block
     built = []
 
     def spy(c, kind, masks):
@@ -1212,12 +1224,18 @@ def test_laws_and_axioms_build_no_member_union_table(make, monkeypatch):
 
     monkeypatch.setattr(co.measure, "_union_table", spy)
     f = len(family_masks(c, Kind.DIVERGENT))
-    res = co.verify_measure_axioms(c, co.constant_measure(c)).result("super-multiplicativity")
+    unit = co.constant_measure(c)
+    assert co.verify_measure_axioms(c, unit).all_hold and not built
+    off = co.CausalMeasure(c, Kind.DIVERGENT, {**unit.table, 1: 1.0 + 1e-12})
+    report = co.verify_measure_axioms(c, off)
+    assert report.result("normalization").verdict == "fails"
+    res = report.result("super-multiplicativity")
+    assert res.verdict == "holds"
     assert {(m, len(shape)) for m, shape in built} == {(f, 1)}
     assert sum(shape[0] for _, shape in built) == res.checked + res.skipped == f * (f + 1) // 2
 
 
-@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), lambda: complete_bipartite(3, 4), _sprinkle12,
+@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), lambda: complete_bipartite(3, 4), sprinkle12,
                                   co.star5], ids=["grid34", "k34", "sprinkle", "star5"])
 def test_law_counts_walked_one_row_at_a_time(make, monkeypatch):
     # blocks of one row each give every law count and the superset-pair

@@ -18,7 +18,7 @@ import causalorder as co
 from causalorder import cli, order
 from causalorder.cli import ALL_SUITES, _build_parser, main
 
-from conftest import K66_LAW_COUNTS, MALFORMED_CAUSALITY, fan_relation, k66
+from conftest import K66_LAW_COUNTS, MALFORMED_CAUSALITY, complete_bipartite, fan_relation, k66
 
 
 def run(*argv):
@@ -191,6 +191,30 @@ def test_verify_bad_tolerance_exits_2(chain3_file, tmp_path, capsys, chain3, tol
     assert not out.exists()
 
 
+# CLI verify of the measure suites with the unit table, either kind, as
+# the member-pair scans wrote it: grid(3,4) has crossing, K(2,2) has not
+_UNIT_TABLE_LINES = {
+    "grid34": [(119, 0, "normalization", "measure-axioms"), (5671, 0, "super-multiplicativity", "measure-axioms"),
+               (1915, 0, "family-pairs", "monotonicity")],
+    "k22": [(16, 0, "normalization", "measure-axioms"), (49, 17, "super-multiplicativity", "measure-axioms"),
+            (39, 0, "family-pairs", "monotonicity")],
+}
+
+
+@pytest.mark.parametrize("name, c", [("grid34", co.grid(3, 4)), ("k22", complete_bipartite(2, 2))],
+                         ids=["grid34", "k22"])
+@pytest.mark.parametrize("kind", ["convergent", "divergent"])
+def test_verify_unit_table_output_pinned(tmp_path, name, c, kind):
+    path, mfile, out = _causality_file(tmp_path, c, name), tmp_path / "m.json", tmp_path / "m.jsonl"
+    mfile.write_text(json.dumps(co.constant_measure(c, co.Kind(kind)).to_dict()))
+    assert run("verify", "--input", path, "--suite", "measure-axioms,monotonicity",
+               "--measure", str(mfile), "--output", str(out)) == 0
+    assert out.read_text().splitlines() == [
+        f'{{"checked": {checked}, "counterexample": null, "law": "{law}", "skipped": {skipped}, '
+        f'"suite": "{suite}", "verdict": "holds"}}' for checked, skipped, law, suite in _UNIT_TABLE_LINES[name]
+    ] + ['{"summary": {"all_hold": true}}']
+
+
 def test_verify_tolerance_defaults_to_the_library_tolerance():
     # the default is the one the library compares with, not a copy of it
     args = _build_parser().parse_args(["verify", "--input", "x"])
@@ -224,6 +248,16 @@ def test_verify_malformed_measure_exits_2(chain3_file, tmp_path, capsys, doc, me
     assert run("verify", "--input", chain3_file, "--suite", "measure-axioms",
                "--measure", str(mfile), "--output", str(out)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_measure_with_an_integer_past_the_float_range_exits_2(chain3_file, tmp_path, capsys):
+    # a valid JSON integer of 401 digits printed a traceback and exited 1
+    mfile, out = tmp_path / "measure.json", tmp_path / "m.jsonl"
+    mfile.write_text('{"entries": [{"set": ["a"], "sigma": 1' + "0" * 400 + "}]}")
+    assert run("verify", "--input", chain3_file, "--suite", "measure-axioms",
+               "--measure", str(mfile), "--output", str(out)) == 2
+    assert capsys.readouterr().err == "error: sigma of ['a'] is an integer too large for a float\n"
     assert not out.exists()
 
 
@@ -364,9 +398,10 @@ def test_cli_jobs_leave_only_the_store_entries_they_read_again(tmp_path, monkeyp
     assert run("verify", "--input", path, "--suite", "measure-axioms,monotonicity",
                "--measure", str(mfile), "--output", out) == 0
     assert run("reconstruct", "--input", path, "--output", out) == 0
+    # the measure job reads the crossing verdict for its unit table
     families = {"cover", "rows", "succ", "pred", "class_codes", "family"}
     assert [{key if isinstance(key, str) else key[0] for key in d._derived} for d in loaded] == [
-        families | {"crossing", "laws"}, families, families]
+        families | {"crossing", "laws"}, families | {"crossing"}, families]
 
 
 def test_verify_cap_exits_3(tmp_path, capsys):

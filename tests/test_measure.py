@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 
 import causalorder as co
 from causalorder import Kind, PointSet, config
-from causalorder.algebra import _union_mask, family_masks
+from causalorder.algebra import _union_mask, _union_table, family_masks
 from causalorder.measure import EQUALITY_RTOL, _isclose
 
 from conftest import (
     below_one_top,
+    complete_bipartite,
     naturally_labelled_posets,
     oracle_causal_union,
     oracle_family,
     random_poset,
+    reference_closure_axioms,
+    sprinkle12,
 )
 
 
@@ -107,7 +110,7 @@ def _pairwise_super_multiplicativity(c, kind, table, rtol):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.1, 0.7),
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.floats(0.1, 0.7),
        st.sampled_from([Kind.DIVERGENT, Kind.CONVERGENT]),
        st.sampled_from([1e-9, 0.3]), st.data())
 def test_super_multiplicativity_matches_pairwise_check(seed, n, p_edge, kind, rtol, data):
@@ -178,6 +181,78 @@ def test_normalization_and_monotonicity_match_the_loops(seed, n, p_edge, kind, d
     assert repr(co.check_monotonicity(c, m).results) == repr([_loop_monotonicity(c, m)])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.floats(0.1, 0.7),
+       st.sampled_from([Kind.DIVERGENT, Kind.CONVERGENT]), st.booleans())
+def test_unit_table_reports_match_the_loops(seed, n, p_edge, kind, layered):
+    # decided from the order with crossing, scanned without it: the loops
+    # over the pairs report the same either way.  Two layers, the first
+    # half below the second, lack crossing on every K(2,2) they hold
+    c = random_poset(n, p_edge, np.random.default_rng(seed))
+    if layered:
+        low = np.arange(n) < n // 2
+        c = co.validate_causality(c.points, c.relation & low[:, None] & ~low | np.eye(n, dtype=bool))
+    m = co.constant_measure(c, kind)
+    assert repr(co.verify_measure_axioms(c, m).results) == repr([
+        _loop_normalization(c, m),
+        co.LawResult("super-multiplicativity", *_pairwise_super_multiplicativity(c, kind, m.table, EQUALITY_RTOL))])
+    assert repr(co.check_monotonicity(c, m).results) == repr([_loop_monotonicity(c, m)])
+
+
+def test_unit_table_checks_the_closure_pairs_on_every_small_poset():
+    # with crossing, the unit table's super-multiplicativity checks the
+    # pairs that causal-union closure checks, as the reference scans count
+    # them; without crossing the table is scanned
+    for n in range(6):
+        for c in naturally_labelled_posets(n):
+            if co.has_crossing_property(c):
+                want = reference_closure_axioms(c)
+                for kind in (Kind.DIVERGENT, Kind.CONVERGENT):
+                    res = co.verify_measure_axioms(c, co.constant_measure(c, kind)).result(
+                        "super-multiplicativity")
+                    assert (res.verdict, res.checked, res.skipped) == want[
+                        f"causal-union-closure[{kind.value}]"], (c.relation.tolist(), kind)
+
+
+@pytest.mark.parametrize("make, crossing", [(lambda: co.grid(3, 4), True), (sprinkle12, True),
+                                            (lambda: complete_bipartite(2, 2), False)],
+                         ids=["grid34", "sprinkle", "k22"])
+def test_unit_table_builds_no_union_table_with_crossing(make, crossing, monkeypatch):
+    built = []
+    monkeypatch.setattr(co.measure, "_union_table", lambda *args: built.append(args) or _union_table(*args))
+    c = make()
+    assert bool(co.has_crossing_property(c)) is crossing
+    for kind in (Kind.DIVERGENT, Kind.CONVERGENT):
+        assert co.verify_measure_axioms(c, co.constant_measure(c, kind)).all_hold
+    assert len(built) == (0 if crossing else 2)
+
+
+@pytest.mark.parametrize("make", [lambda: co.grid(3, 4), lambda: complete_bipartite(2, 2)],
+                         ids=["grid34", "k22"])
+def test_unit_table_monotonicity_compares_no_values(make, monkeypatch):
+    # the unit table only counts the nested pairs, with or without
+    # crossing: the count of the scan, with no value compared
+    c = make()
+    for kind in (Kind.DIVERGENT, Kind.CONVERGENT):
+        unit = co.constant_measure(c, kind)
+        near = co.CausalMeasure(c, kind, {**unit.table, max(unit.table): 1.0 + 1e-12})
+        want = co.check_monotonicity(c, near).results
+        with monkeypatch.context() as m:
+            m.setattr(co.measure, "_isclose", None)
+            assert repr(co.check_monotonicity(c, unit).results) == repr(want)
+
+
+def test_a_singleton_off_one_within_the_tolerance_fails_normalization():
+    # 1 + 1e-12 is within the tolerance of 1, but the table is no unit
+    # table: a singleton must weigh exactly 1
+    c = co.grid(3, 4)
+    for kind in (Kind.DIVERGENT, Kind.CONVERGENT):
+        m = co.CausalMeasure(c, kind, {**co.constant_measure(c, kind).table, 1 << 5: 1.0 + 1e-12})
+        res = co.verify_measure_axioms(c, m).result("normalization")
+        assert (res.verdict, res.counterexample, res.checked) == (
+            "fails", {"set": c.points[5], "sigma": 1.0 + 1e-12}, 7)
+
+
 def test_measure_scans_cap_before_any_work():
     c = co.chain(13)
     m = co.CausalMeasure(c, Kind.DIVERGENT, {})  # no table: the cap comes first
@@ -186,13 +261,21 @@ def test_measure_scans_cap_before_any_work():
             fn(c, m)
 
 
+def _near_unit(c, kind):
+    """The unit table with its largest member 1e-12 off 1: every law
+    holds, but only the scans decide it."""
+    table = dict(co.constant_measure(c, kind).table)
+    table[max(table)] = 1.0 + 1e-12
+    return co.CausalMeasure(c, kind, table)
+
+
 def test_measure_axioms_memory_on_the_unordered_pairs():
     # nine points below one top: a convergent family of 2^9 + 9 + 1 = 522
     # members, 136,503 unordered pairs.  One flat list of them peaked near
     # 12 MiB, f x f tables of the per-pair quantities near 20 MiB; the
     # walk holds one block of member rows at a time
     c = below_one_top(9)
-    m = co.constant_measure(c, Kind.CONVERGENT)
+    m = _near_unit(c, Kind.CONVERGENT)
     assert len(m.table) == 522
     tracemalloc.start()
     try:
@@ -211,7 +294,7 @@ def test_measure_scans_memory_in_blocks_of_member_pairs(check, bound):
     # eleven points below one top, f = 2,060: the flat list of the
     # unordered pairs peaked at 184 MiB and the nested-pair mask at 36 MiB
     c = below_one_top(11)
-    m = co.constant_measure(c, Kind.CONVERGENT)
+    m = _near_unit(c, Kind.CONVERGENT)
     tracemalloc.start()
     try:
         report = check(c, m)
@@ -607,6 +690,16 @@ def test_measure_from_dict_rejects_nan_and_non_numbers(d4, sigma):
     doc = co.constant_measure(d4).to_dict()
     doc["entries"][0]["sigma"] = sigma
     with pytest.raises(ValueError, match="not a number"):
+        co.CausalMeasure.from_dict(d4, doc)
+
+
+@pytest.mark.parametrize("sigma", [10**400, -(10**400)])
+def test_measure_from_dict_rejects_an_integer_past_the_float_range(d4, sigma):
+    # a valid JSON integer that no float holds; math.isnan raised a bare
+    # OverflowError on it
+    doc = co.constant_measure(d4).to_dict()
+    doc["entries"][1]["sigma"] = sigma
+    with pytest.raises(ValueError, match=r"^sigma of \['p'\] is an integer too large for a float$"):
         co.CausalMeasure.from_dict(d4, doc)
 
 
